@@ -21,23 +21,13 @@
  *   ^C                                  # finish in-flight cells, exit
  *   $ ./build/examples/campaign --store results/store --jobs 4 --resume
  *                                       # only the missing cells run
- *
- * --workers N switches execution from threads to N seesaw_worker
- * processes coordinated through a lease queue inside the store; a
- * killed worker's cells are re-issued to the survivors.
  */
-
-#include <unistd.h>
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
-#include <vector>
 
 #include "campaign_grid.hh"
-#include "service/broker.hh"
-#include "store/result_store.hh"
 #include "store/store_sink.hh"
 
 namespace {
@@ -82,9 +72,7 @@ usage()
         "                      cores, OS policy) into single "
         "multi-config passes;\n"
         "                      results are bit-identical (default "
-        "off; thread\n"
-        "                      execution only — ignored under "
-        "--workers)\n"
+        "off)\n"
         "  --audit MODE        invariant audits: off | end | periodic "
         "|\n"
         "                      paranoid (default off; needs a "
@@ -98,28 +86,8 @@ usage()
         "  --resume            skip cells whose (workload, config, "
         "seed) the\n"
         "                      store already holds\n"
-        "  --workers N         run cells in N seesaw_worker processes "
-        "over\n"
-        "                      the store's lease queue (needs --store)\n"
-        "  --lease SECONDS     lease expiry for dead-worker recovery "
-        "(default 30)\n"
         "  --list              print the expanded cells and exit\n"
         "  --quiet             suppress stderr progress\n");
-}
-
-/** Directory of this executable (worker binary lives beside it). */
-std::string
-selfDirectory()
-{
-    char buf[4096];
-    const ssize_t n =
-        ::readlink("/proc/self/exe", buf, sizeof(buf) - 1);
-    if (n <= 0)
-        return ".";
-    buf[n] = '\0';
-    const std::string path(buf);
-    const auto slash = path.rfind('/');
-    return slash == std::string::npos ? "." : path.substr(0, slash);
 }
 
 void
@@ -148,8 +116,6 @@ main(int argc, char **argv)
     harness::RunnerOptions options;
     std::string out_dir;
     std::string store_dir;
-    unsigned workers = 0;
-    double lease_seconds = 30.0;
     bool resume = false;
     bool list_only = false;
 
@@ -179,10 +145,6 @@ main(int argc, char **argv)
             store_dir = need_value(i++);
         } else if (arg == "--resume") {
             resume = true;
-        } else if (arg == "--workers") {
-            workers = std::atoi(need_value(i++));
-        } else if (arg == "--lease") {
-            lease_seconds = std::atof(need_value(i++));
         } else if (arg == "--list") {
             list_only = true;
         } else if (arg == "--quiet") {
@@ -193,17 +155,9 @@ main(int argc, char **argv)
             return 1;
         }
     }
-    if ((resume || workers > 0) && store_dir.empty()) {
-        std::fprintf(stderr,
-                     "--resume/--workers need --store DIR\n");
+    if (resume && store_dir.empty()) {
+        std::fprintf(stderr, "--resume needs --store DIR\n");
         return 1;
-    }
-    if (options.onePass && workers > 0) {
-        // The lease queue hands cells to worker processes one at a
-        // time; grouping happens inside a single runner only.
-        std::fprintf(stderr,
-                     "note: --one-pass applies to thread execution; "
-                     "worker processes run cells individually\n");
     }
 
     const harness::CampaignSpec spec = gridOptions.buildSpec();
@@ -229,28 +183,21 @@ main(int argc, char **argv)
                      runner.effectiveJobs() == 1 ? "" : "s");
         outcome = runner.runAndWrite(spec, out_dir);
         rc = outcome.interrupted ? 130 : 0;
-    } else if (workers == 0) {
-        // Store-backed threads: skip cells the store already holds
-        // (--resume), run the rest, upserting as each cell finishes.
-        std::size_t skipped = 0;
-        std::vector<harness::Cell> toRun;
-        if (resume) {
-            store::StoreSnapshot snapshot;
-            if (std::string error = store::initStore(store_dir);
-                error.empty())
-                error = store::loadStore(store_dir, snapshot);
-            else {
-                std::fprintf(stderr, "campaign: %s\n", error.c_str());
-                return 1;
-            }
-            for (const auto &cell : cells) {
-                if (snapshot.contains(store::keyOf(cell)))
-                    ++skipped;
-                else
-                    toRun.push_back(cell);
-            }
-        } else {
-            toRun = cells;
+    } else {
+        // Store-backed: load the store once (a corrupt store stops the
+        // campaign before any cell runs), skip the cells it already
+        // holds under --resume, run the rest, upserting as each cell
+        // finishes.
+        store::StoredSplit split;
+        if (std::string error =
+                store::splitStored(store_dir, cells, split);
+            !error.empty()) {
+            std::fprintf(stderr, "campaign: %s\n", error.c_str());
+            return 1;
+        }
+        if (!resume) {
+            split.toRun = cells;
+            split.stored = 0;
         }
 
         harness::CampaignMetadata meta;
@@ -264,15 +211,15 @@ main(int argc, char **argv)
         std::fprintf(stderr,
                      "[%s] %zu cells (%zu already in store) on %u "
                      "thread%s\n",
-                     campaign_name.c_str(), toRun.size(), skipped,
-                     storeRunner.effectiveJobs(),
+                     campaign_name.c_str(), split.toRun.size(),
+                     split.stored, storeRunner.effectiveJobs(),
                      storeRunner.effectiveJobs() == 1 ? "" : "s");
         const auto partial =
-            storeRunner.runCells(campaign_name, toRun);
+            storeRunner.runCells(campaign_name, split.toRun);
 
         // The sinks and recap come from the store so they cover both
         // freshly-run and previously-stored cells.
-        if (std::string error = service::collectOutcome(
+        if (std::string error = store::collectOutcome(
                 store_dir, campaign_name, cells, outcome);
             !error.empty()) {
             std::fprintf(stderr, "campaign: %s\n", error.c_str());
@@ -286,61 +233,9 @@ main(int argc, char **argv)
                          "[%s] interrupted after %zu/%zu cells; "
                          "rerun with --resume to finish\n",
                          campaign_name.c_str(),
-                         partial.results.size() + skipped,
+                         partial.results.size() + split.stored,
                          cells.size());
             rc = 130;
-        }
-    } else {
-        // Process path: a lease queue inside the store feeds N
-        // seesaw_worker processes; kill any of them (or this broker)
-        // and a later --resume converges on the same store.
-        service::PreparedQueue queue;
-        if (std::string error =
-                service::prepareQueue(store_dir, campaign_name, cells,
-                                      resume, queue);
-            !error.empty()) {
-            std::fprintf(stderr, "campaign: %s\n", error.c_str());
-            return 1;
-        }
-        std::fprintf(stderr,
-                     "[%s] %zu cells (%zu already in store) on %u "
-                     "worker process%s\n",
-                     campaign_name.c_str(), queue.total - queue.preDone,
-                     queue.preDone, workers,
-                     workers == 1 ? "" : "es");
-
-        service::WorkerProcessOptions processes;
-        const char *env = std::getenv("SEESAW_WORKER_BIN");
-        processes.workerBinary = env != nullptr && *env != '\0'
-                                     ? env
-                                     : selfDirectory() +
-                                           "/seesaw_worker";
-        processes.workers = workers;
-        processes.progress = options.progress;
-        processes.args = gridOptions.toArgs();
-        processes.args.insert(processes.args.end(),
-                              {"--store", store_dir, "--lease",
-                               std::to_string(lease_seconds)});
-        if (!options.progress)
-            processes.args.push_back("--quiet");
-        rc = service::runWorkerProcesses(processes);
-
-        if (std::string error = service::collectOutcome(
-                store_dir, campaign_name, cells, outcome);
-            !error.empty()) {
-            std::fprintf(stderr, "campaign: %s\n", error.c_str());
-            return 1;
-        }
-        outcome.meta.jobs = workers;
-        writeCampaignSinks(outcome.meta, outcome.results, out_dir);
-        if (outcome.interrupted) {
-            std::fprintf(stderr,
-                         "[%s] interrupted after %zu/%zu cells; "
-                         "rerun with --resume to finish\n",
-                         campaign_name.c_str(),
-                         outcome.results.size(), cells.size());
-            if (rc == 0)
-                rc = 130;
         }
     }
 

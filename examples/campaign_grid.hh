@@ -1,13 +1,10 @@
 /**
  * @file
- * The campaign grid, shared between the `campaign` driver and the
- * `seesaw_worker` process. Cell thunks cannot cross a process
- * boundary, so the service ships *arguments* instead: the driver
- * forwards its grid options verbatim (toArgs()) and every worker
- * rebuilds the identical CampaignSpec from them (buildSpec()). The
- * option values are kept as the raw command-line strings so the
- * round-trip is exact — both sides parse the same bytes and therefore
- * derive the same cells, labels and config hashes.
+ * The `campaign` driver's grid: the sweep options parsed from the
+ * command line (parseArg()) and their expansion into a CampaignSpec
+ * (buildSpec()). The same options always derive the same cells,
+ * labels and config hashes, which is what lets a later --resume
+ * invocation find the cells an earlier one stored.
  */
 
 #ifndef SEESAW_EXAMPLES_CAMPAIGN_GRID_HH
@@ -179,35 +176,8 @@ struct GridOptions
         return false;
     }
 
-    /** The exact argv tail a worker needs to rebuild this grid. */
-    std::vector<std::string>
-    toArgs() const
-    {
-        std::vector<std::string> out{"--campaign", campaign};
-        const auto add = [&](const char *flag,
-                             const std::string &value) {
-            if (!value.empty()) {
-                out.push_back(flag);
-                out.push_back(value);
-            }
-        };
-        add("--workloads", workloads);
-        add("--designs", designs);
-        add("--l1", l1);
-        add("--freq", freq);
-        add("--memhog", memhog);
-        add("--seeds", seeds);
-        add("--replacement", replacement);
-        add("--prefetch", prefetch);
-        add("--instructions", instructions);
-        add("--mc-cells", mcCells);
-        add("--audit", audit);
-        add("--audit-period", auditPeriod);
-        return out;
-    }
-
-    /** Expand into the campaign spec. Every process given the same
-     *  options derives the identical cells in the identical order. */
+    /** Expand into the campaign spec. The same options always derive
+     *  the identical cells in the identical order. */
     harness::CampaignSpec
     buildSpec() const
     {

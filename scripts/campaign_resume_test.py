@@ -1,17 +1,20 @@
 #!/usr/bin/env python3
-"""Kill-and-resume convergence test for the campaign service.
+"""Kill-and-resume convergence test for store-backed campaigns.
 
 Runs the same smoke campaign three ways and requires the result
 stores to agree bit-for-bit in cell statistics:
 
-  1. an uninterrupted serial reference (--store A --jobs 2),
-  2. a 2-worker-process run (--store B --workers 2) SIGKILLed as soon
-     as the first cell lands in the store,
-  3. the same store resumed (--resume) with 2 worker processes.
+  1. an uninterrupted serial reference (--store A --jobs 1),
+  2. a 2-thread run (--store B --jobs 2) SIGKILLed as soon as the
+     first cell lands in the store,
+  3. the same store resumed (--jobs 2 --resume).
 
-Also asserts that the resume provably skipped the cells the killed
-run completed: the broker pre-marks them done and the worker summary
-counters must add up to exactly the missing cells.
+Also asserts that the resume ran exactly the cells the killed run
+left over: the "(N already in store)" count plus the records the
+resume appended must equal the campaign's cell count. Last, resuming
+a copy of the reference store whose first segment line is corrupt
+must exit non-zero before any cell runs, leaving the segment as it
+was.
 
 Usage: campaign_resume_test.py --campaign-bin PATH --store-cli PATH
 Exits 0 on success, 1 on any divergence, 2 on usage/setup errors.
@@ -20,7 +23,7 @@ Exits 0 on success, 1 on any divergence, 2 on usage/setup errors.
 import argparse
 import os
 import re
-import signal
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -61,6 +64,42 @@ def store_records(store):
     return records
 
 
+def corrupt_store_refuses_resume(campaign_bin, reference, tmp):
+    """--resume over a corrupt segment line must fail before any cell
+    runs and leave the segment byte-for-byte as it was."""
+    store = os.path.join(tmp, "store-corrupt")
+    shutil.copytree(reference, store)
+    segment = os.path.join(store, "segments", "driver.jsonl")
+    with open(segment, "rb") as f:
+        content = f.read()
+    damaged = b"{x" + content[2:]  # line 1 no longer parses
+    with open(segment, "wb") as f:
+        f.write(damaged)
+
+    proc = subprocess.run(
+        [campaign_bin, *GRID, "--jobs", "2", "--resume", "--quiet",
+         "--store", store, "--out", os.path.join(tmp, "results")],
+        capture_output=True, text=True)
+    with open(segment, "rb") as f:
+        after = f.read()
+    if proc.returncode == 0:
+        print("FAIL: --resume over a corrupt store exited 0")
+        return False
+    if "driver.jsonl:1:" not in proc.stderr:
+        print("FAIL: the corrupt-store error does not name the line")
+        sys.stderr.write(proc.stderr)
+        return False
+    if after != damaged:
+        before_lines = damaged.count(b"\n")
+        after_lines = after.count(b"\n")
+        print("FAIL: --resume wrote to the corrupt store "
+              f"({before_lines} -> {after_lines} lines)")
+        return False
+    print(f"corrupt store: --resume exited {proc.returncode} before "
+          "running any cell; segment unchanged")
+    return True
+
+
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--campaign-bin", required=True)
@@ -73,27 +112,22 @@ def main():
         out = os.path.join(tmp, "results")
 
         # 1. Uninterrupted serial reference.
-        run([args.campaign_bin, *GRID, "--jobs", "2", "--quiet",
+        run([args.campaign_bin, *GRID, "--jobs", "1", "--quiet",
              "--store", store_a, "--out", out])
 
-        # 2. Two worker processes, SIGKILLed (the whole process
-        # group, brokers and workers alike) once the store holds at
-        # least one completed cell but before it can hold all of
-        # them. A hard kill, not SIGTERM: this is the crash path.
+        # 2. Two threads, SIGKILLed once the store holds at least one
+        # completed cell but before it can hold all of them. A hard
+        # kill, not SIGTERM: this is the crash path.
         proc = subprocess.Popen(
-            [args.campaign_bin, *GRID, "--workers", "2", "--lease",
-             "2", "--quiet", "--store", store_b, "--out", out],
-            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-            start_new_session=True)
+            [args.campaign_bin, *GRID, "--jobs", "2", "--quiet",
+             "--store", store_b, "--out", out],
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
         deadline = time.monotonic() + 120
         while (store_records(store_b) < 1
                and time.monotonic() < deadline
                and proc.poll() is None):
             time.sleep(0.01)
-        try:
-            os.killpg(proc.pid, signal.SIGKILL)
-        except ProcessLookupError:
-            pass  # finished before the kill landed; resume skips all
+        proc.kill()  # a no-op if it finished first; resume skips all
         proc.wait()
 
         done = store_records(store_b)
@@ -102,35 +136,33 @@ def main():
             print("FAIL: campaign died before completing any cell")
             return 1
 
-        # 3. Resume with two fresh worker processes.
-        resumed = run([args.campaign_bin, *GRID, "--workers", "2",
+        # 3. Resume on two threads.
+        resumed = run([args.campaign_bin, *GRID, "--jobs", "2",
                        "--resume", "--quiet", "--store", store_b,
                        "--out", out])
 
-        # The broker must pre-mark every already-stored cell...
+        # The resume must skip every already-stored cell...
         match = re.search(r"\((\d+) already in store\)",
                           resumed.stderr)
         if not match:
-            print("FAIL: broker did not report pre-marked cells")
+            print("FAIL: resume did not report stored cells")
             sys.stderr.write(resumed.stderr)
             return 1
-        pre_done = int(match.group(1))
-        if pre_done < 1:
-            print("FAIL: resume re-ran every cell "
-                  f"(pre-marked {pre_done})")
+        stored = int(match.group(1))
+        if stored < 1:
+            print(f"FAIL: resume re-ran every cell (skipped {stored})")
             return 1
 
-        # ...and the workers must run exactly the missing ones: the
-        # per-worker counters prove completed cells were skipped,
-        # not silently re-executed.
-        ran = sum(int(m) for m in
-                  re.findall(r"ran=(\d+)", resumed.stdout))
-        if pre_done + ran != CELLS:
-            print(f"FAIL: {pre_done} pre-marked + {ran} run != "
+        # ...and run exactly the missing ones: every cell it runs
+        # appends one record, so the segment growth proves completed
+        # cells were skipped, not silently re-executed.
+        ran = store_records(store_b) - done
+        if stored + ran != CELLS:
+            print(f"FAIL: {stored} skipped + {ran} run != "
                   f"{CELLS} cells")
-            sys.stdout.write(resumed.stdout)
+            sys.stderr.write(resumed.stderr)
             return 1
-        print(f"resume skipped {pre_done} cells, ran {ran}")
+        print(f"resume skipped {stored} cells, ran {ran}")
 
         # Convergence: the killed-and-resumed store must match the
         # uninterrupted serial store bit-for-bit in cell stats.
@@ -145,6 +177,10 @@ def main():
             return 1
         print(f"stores converged on {CELLS} cells; "
               "canonical dumps byte-identical")
+
+        if not corrupt_store_refuses_resume(args.campaign_bin, store_a,
+                                            tmp):
+            return 1
         return 0
 
 

@@ -17,12 +17,11 @@
 #   perf       perf-regression gate: 3-run median of the throughput
 #              suite vs bench/perf/BENCH_throughput.baseline.json
 #              (the local mirror of the CI perf-gate job)
-#   service    campaign-service gate: store/service unit tests, then
-#              the kill-and-resume convergence script (a 2-worker
-#              campaign SIGKILLed partway must resume, skip finished
-#              cells, and match an uninterrupted serial store
-#              bit-for-bit — the local mirror of the CI
-#              campaign-resume job)
+#   resume     kill-and-resume gate: store unit tests, then the
+#              convergence script (a 2-thread store-backed campaign
+#              SIGKILLed partway must resume, skip finished cells, and
+#              match an uninterrupted serial store bit-for-bit — the
+#              local mirror of the CI campaign-resume job)
 #   threads    Clang Thread Safety Analysis build (-Wthread-safety as
 #              errors over the capability annotations) plus the
 #              compile-fail snippet tests (skipped with a notice when
@@ -42,7 +41,7 @@ jobs="$(nproc)"
 stages=("$@")
 [ ${#stages[@]} -eq 0 ] && \
     stages=(default audit-off asan-ubsan tsan tidy lint format perf
-        service threads analyze)
+        resume threads analyze)
 
 banner() { printf '\n=== %s ===\n' "$*"; }
 
@@ -144,14 +143,13 @@ for stage in "${stages[@]}"; do
         cmake --build "$repo/build" -j "$jobs" --target perf_throughput
         python3 "$repo/scripts/perf_gate.py"
         ;;
-    service)
-        banner "campaign service (kill/resume convergence)"
+    resume)
+        banner "kill/resume convergence"
         cmake -S "$repo" -B "$repo/build" > /dev/null
         cmake --build "$repo/build" -j "$jobs" \
-            --target seesaw_tests campaign seesaw_worker \
-            seesaw_store_cli
+            --target seesaw_tests campaign seesaw_store_cli
         ctest --test-dir "$repo/build" --output-on-failure \
-            -R 'ResultStore|JsonValue|LeaseQueue|Service\.'
+            -R 'ResultStore|JsonValue|Resume\.'
         python3 "$repo/scripts/campaign_resume_test.py" \
             --campaign-bin "$repo/build/examples/campaign" \
             --store-cli "$repo/build/tools/seesaw_store"
@@ -191,7 +189,7 @@ for stage in "${stages[@]}"; do
     *)
         echo "unknown stage: $stage" >&2
         echo "stages: default audit-off asan-ubsan tsan tidy lint" \
-            "format perf service threads analyze" >&2
+            "format perf resume threads analyze" >&2
         exit 1
         ;;
     esac

@@ -1,70 +1,8 @@
 #include "common/stats.hh"
 
-#include <algorithm>
 #include <sstream>
 
-#include "common/logging.hh"
-
 namespace seesaw {
-
-void
-StatDistribution::sample(double v)
-{
-    if (n_ == 0) {
-        min_ = max_ = v;
-    } else {
-        min_ = std::min(min_, v);
-        max_ = std::max(max_, v);
-    }
-    ++n_;
-    sum_ += v;
-    sumSq_ += v * v;
-}
-
-void
-StatDistribution::reset()
-{
-    *this = StatDistribution{};
-}
-
-double
-StatDistribution::variance() const
-{
-    if (n_ < 2)
-        return 0.0;
-    const double m = mean();
-    return (sumSq_ - n_ * m * m) / (n_ - 1);
-}
-
-StatHistogram::StatHistogram(double bucket_width, std::size_t num_buckets)
-    : bucketWidth_(bucket_width), buckets_(num_buckets, 0)
-{
-    SEESAW_ASSERT(bucket_width > 0.0 && num_buckets > 0,
-                  "histogram needs positive geometry");
-}
-
-void
-StatHistogram::sample(double v)
-{
-    ++samples_;
-    if (v < 0.0) {
-        ++overflow_;
-        return;
-    }
-    const auto idx = static_cast<std::size_t>(v / bucketWidth_);
-    if (idx >= buckets_.size())
-        ++overflow_;
-    else
-        ++buckets_[idx];
-}
-
-void
-StatHistogram::reset()
-{
-    std::fill(buckets_.begin(), buckets_.end(), 0);
-    overflow_ = 0;
-    samples_ = 0;
-}
 
 StatGroup::StatGroup(std::string name) : name_(std::move(name)) {}
 
@@ -72,12 +10,6 @@ StatScalar &
 StatGroup::scalar(const std::string &name)
 {
     return scalars_[name];
-}
-
-StatDistribution &
-StatGroup::distribution(const std::string &name)
-{
-    return distributions_[name];
 }
 
 double
@@ -92,8 +24,6 @@ StatGroup::resetAll()
 {
     for (auto &[name, stat] : scalars_)
         stat.reset();
-    for (auto &[name, stat] : distributions_)
-        stat.reset();
 }
 
 std::string
@@ -102,11 +32,6 @@ StatGroup::dump() const
     std::ostringstream os;
     for (const auto &[name, stat] : scalars_)
         os << name_ << '.' << name << ' ' << stat.value() << '\n';
-    for (const auto &[name, stat] : distributions_) {
-        os << name_ << '.' << name << ".mean " << stat.mean() << '\n';
-        os << name_ << '.' << name << ".min " << stat.min() << '\n';
-        os << name_ << '.' << name << ".max " << stat.max() << '\n';
-    }
     return os.str();
 }
 

@@ -3,8 +3,8 @@
  * A minimal gem5-flavoured statistics package.
  *
  * Components register named statistics in a StatGroup; experiments pull
- * values by name or dump the whole group. Statistics are plain counters
- * and distributions — cheap enough to update on every simulated access.
+ * values by name or dump the whole group. Statistics are plain counters,
+ * cheap enough to update on every simulated access.
  */
 
 #ifndef SEESAW_COMMON_STATS_HH
@@ -38,50 +38,6 @@ class StatScalar
     double value_ = 0.0;
 };
 
-/** Running mean/min/max/variance over samples. */
-class StatDistribution
-{
-  public:
-    void sample(double v);
-    void reset();
-
-    std::uint64_t samples() const { return n_; }
-    double mean() const { return n_ ? sum_ / n_ : 0.0; }
-    double min() const { return n_ ? min_ : 0.0; }
-    double max() const { return n_ ? max_ : 0.0; }
-    double variance() const;
-    double total() const { return sum_; }
-
-  private:
-    std::uint64_t n_ = 0;
-    double sum_ = 0.0;
-    double sumSq_ = 0.0;
-    double min_ = 0.0;
-    double max_ = 0.0;
-};
-
-/** Fixed-bucket histogram over [0, bucketWidth * numBuckets). */
-class StatHistogram
-{
-  public:
-    StatHistogram(double bucket_width, std::size_t num_buckets);
-
-    void sample(double v);
-    void reset();
-
-    std::uint64_t bucketCount(std::size_t i) const { return buckets_[i]; }
-    std::size_t numBuckets() const { return buckets_.size(); }
-    std::uint64_t overflow() const { return overflow_; }
-    std::uint64_t samples() const { return samples_; }
-    double bucketWidth() const { return bucketWidth_; }
-
-  private:
-    double bucketWidth_;
-    std::vector<std::uint64_t> buckets_;
-    std::uint64_t overflow_ = 0;
-    std::uint64_t samples_ = 0;
-};
-
 /**
  * A named collection of statistics. Components own a StatGroup and
  * register their stats once at construction.
@@ -93,9 +49,6 @@ class StatGroup
 
     /** Register (or fetch) a scalar statistic named @p name. */
     StatScalar &scalar(const std::string &name);
-
-    /** Register (or fetch) a distribution statistic named @p name. */
-    StatDistribution &distribution(const std::string &name);
 
     /** @return The scalar's value, or 0 when absent. */
     double get(const std::string &name) const;
@@ -116,7 +69,6 @@ class StatGroup
   private:
     std::string name_;
     std::map<std::string, StatScalar> scalars_;
-    std::map<std::string, StatDistribution> distributions_;
 };
 
 } // namespace seesaw

@@ -221,7 +221,7 @@ installStopSignalHandlers()
     struct sigaction sa = {};
     sa.sa_handler = [](int) { requestStop(); };
     sigemptyset(&sa.sa_mask);
-    sa.sa_flags = 0; // no SA_RESTART: let waitpid/sleep see EINTR
+    sa.sa_flags = 0; // no SA_RESTART: let blocking calls see EINTR
     ::sigaction(SIGINT, &sa, nullptr);
     ::sigaction(SIGTERM, &sa, nullptr);
 }

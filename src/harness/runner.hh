@@ -100,9 +100,8 @@ const RunResult &findResult(const std::vector<CellResult> &results,
 /** @name Cooperative shutdown. */
 /// @{
 
-/** Ask every CampaignRunner and service worker in this process to
- *  finish in-flight cells and stop claiming new ones.
- *  Async-signal-safe. */
+/** Ask every CampaignRunner in this process to finish in-flight cells
+ *  and start no new ones. Async-signal-safe. */
 void requestStop();
 
 /** Whether requestStop() has been called. */
@@ -112,8 +111,8 @@ bool stopRequested();
 void clearStopRequest();
 
 /** Route SIGINT/SIGTERM to requestStop(). Handlers are installed
- *  without SA_RESTART so blocking waits (waitpid) see EINTR and can
- *  re-check the flag. */
+ *  without SA_RESTART so a blocking system call returns EINTR and its
+ *  caller can re-check the flag. */
 void installStopSignalHandlers();
 
 /// @}

@@ -460,6 +460,27 @@ writerSegmentPath(const std::string &dir, const std::string &writerName)
     return segmentsDir(dir) + "/" + safe + ".jsonl";
 }
 
+/** Cut a torn final line (the partial append of a killed writer) off
+ *  the segment at @p path, so the next append starts a fresh line
+ *  instead of completing the fragment into a corrupt record. */
+void
+dropTornTail(const std::string &path)
+{
+    std::ifstream is(path, std::ios::binary);
+    if (!is)
+        return; // a new segment
+    const std::string content((std::istreambuf_iterator<char>(is)),
+                              std::istreambuf_iterator<char>());
+    if (content.empty() || content.back() == '\n')
+        return;
+    const std::size_t nl = content.rfind('\n');
+    std::error_code ec;
+    fs::resize_file(path, nl == std::string::npos ? 0 : nl + 1, ec);
+    if (ec)
+        SEESAW_FATAL("cannot drop the torn tail of store segment ",
+                     path, ": ", ec.message());
+}
+
 } // namespace
 
 SegmentWriter::SegmentWriter(const std::string &dir,
@@ -467,6 +488,7 @@ SegmentWriter::SegmentWriter(const std::string &dir,
     : path_(writerSegmentPath(dir, writerName)),
       ownerPid_(static_cast<long>(::getpid()))
 {
+    dropTornTail(path_);
     os_.open(path_, std::ios::app);
     if (!os_)
         SEESAW_FATAL("cannot open store segment ", path_);
@@ -481,8 +503,8 @@ SegmentWriter::upsert(const CellRecord &record)
     // single-process tool can see, hence the always-on check.
     SEESAW_ASSERT(static_cast<long>(::getpid()) == ownerPid_,
                   "SegmentWriter for ", path_, " is owned by pid ",
-                  ownerPid_, "; fork/exec workers must construct "
-                  "their own writer");
+                  ownerPid_, "; a forked process must construct "
+                  "its own writer");
     // Serialize to memory first so the file only ever receives whole
     // lines; the flush bounds crash loss to the final line.
     std::ostringstream line;

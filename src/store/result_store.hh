@@ -10,7 +10,6 @@
  *   <dir>/index.jsonl          compacted records (absent until the
  *                              first compactStore()), tmp+rename
  *   <dir>/segments/<w>.jsonl   per-writer append-only records
- *   <dir>/queue/<campaign>/    work-distribution state (service/)
  *
  * Durability model: every upsert appends one complete,
  * newline-terminated record and flushes, so a crash can lose at most
@@ -168,20 +167,19 @@ void canonicalDump(std::ostream &os, const StoreSnapshot &snap);
  * so appends stay ordered.
  *
  * Single-writer-per-segment: the segment file belongs to exactly one
- * process for the writer's lifetime. Worker IDs embed the pid, so two
- * live processes never share a segment — but a fork() that keeps
- * using an inherited writer would interleave two processes' buffered
- * appends into one file, a corruption neither tsan (single process)
- * nor the thread-safety analysis (single address space) can see.
- * upsert() therefore asserts the calling process is the one that
- * constructed the writer; fork/exec workers (service/broker) each
- * construct their own.
+ * process for the writer's lifetime. A fork() that keeps using an
+ * inherited writer would interleave two processes' buffered appends
+ * into one file, a corruption neither tsan (single process) nor the
+ * thread-safety analysis (single address space) can see. upsert()
+ * therefore asserts the calling process is the one that constructed
+ * the writer; every process that writes to a store constructs its own.
  */
 class SegmentWriter
 {
   public:
-    /** Initializes the store (fatal on schema mismatch) and opens
-     *  segments/<writerName>.jsonl for append. */
+    /** Initializes the store (fatal on schema mismatch), drops a torn
+     *  final line a killed writer left in segments/<writerName>.jsonl
+     *  and opens that segment for append. */
     SegmentWriter(const std::string &dir, const std::string &writerName);
 
     /** Append @p record and flush (fatal on a write error or when

@@ -32,60 +32,6 @@ TEST(StatScalar, Reset)
     EXPECT_EQ(s.value(), 0.0);
 }
 
-TEST(StatDistribution, TracksMinMaxMean)
-{
-    StatDistribution d;
-    d.sample(1.0);
-    d.sample(3.0);
-    d.sample(2.0);
-    EXPECT_EQ(d.samples(), 3u);
-    EXPECT_DOUBLE_EQ(d.mean(), 2.0);
-    EXPECT_DOUBLE_EQ(d.min(), 1.0);
-    EXPECT_DOUBLE_EQ(d.max(), 3.0);
-    EXPECT_DOUBLE_EQ(d.total(), 6.0);
-}
-
-TEST(StatDistribution, EmptyIsZero)
-{
-    StatDistribution d;
-    EXPECT_EQ(d.mean(), 0.0);
-    EXPECT_EQ(d.min(), 0.0);
-    EXPECT_EQ(d.max(), 0.0);
-    EXPECT_EQ(d.variance(), 0.0);
-}
-
-TEST(StatDistribution, Variance)
-{
-    StatDistribution d;
-    for (double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0})
-        d.sample(v);
-    EXPECT_NEAR(d.variance(), 32.0 / 7.0, 1e-9);
-}
-
-TEST(StatHistogram, BucketsAndOverflow)
-{
-    StatHistogram h(1.0, 4);
-    h.sample(0.5);
-    h.sample(1.5);
-    h.sample(3.9);
-    h.sample(4.0); // overflow
-    h.sample(-1.0); // negative counts as overflow
-    EXPECT_EQ(h.samples(), 5u);
-    EXPECT_EQ(h.bucketCount(0), 1u);
-    EXPECT_EQ(h.bucketCount(1), 1u);
-    EXPECT_EQ(h.bucketCount(3), 1u);
-    EXPECT_EQ(h.overflow(), 2u);
-}
-
-TEST(StatHistogram, Reset)
-{
-    StatHistogram h(1.0, 2);
-    h.sample(0.5);
-    h.reset();
-    EXPECT_EQ(h.samples(), 0u);
-    EXPECT_EQ(h.bucketCount(0), 0u);
-}
-
 TEST(StatGroup, ScalarRegistrationIsIdempotent)
 {
     StatGroup g("test");
@@ -104,10 +50,8 @@ TEST(StatGroup, ResetAllClearsEverything)
 {
     StatGroup g("test");
     g.scalar("a") += 1;
-    g.distribution("d").sample(4.0);
     g.resetAll();
     EXPECT_DOUBLE_EQ(g.get("a"), 0.0);
-    EXPECT_EQ(g.distribution("d").samples(), 0u);
 }
 
 TEST(StatGroup, DumpContainsNameAndValues)

@@ -608,8 +608,7 @@ class FactsVisitor : public RecursiveASTVisitor<FactsVisitor>
         if (!R)
             return false;
         const std::string N = R->getNameAsString();
-        return N == "StatScalar" || N == "StatDistribution" ||
-               N == "StatHistogram";
+        return N == "StatScalar";
     }
 
     std::string literalArg(const CallExpr *CE)

@@ -62,7 +62,6 @@ const std::map<std::string, int> kLayerRank = {
     {"sim", 4},
     {"harness", 5},
     {"store", 6},
-    {"service", 7},
 };
 
 // Ownership-closure roots (class names with namespaces stripped,

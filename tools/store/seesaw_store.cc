@@ -26,7 +26,6 @@
 #include <string>
 #include <vector>
 
-#include "service/lease_queue.hh"
 #include "store/result_store.hh"
 
 namespace fs = std::filesystem;
@@ -43,8 +42,7 @@ usage()
     std::fprintf(
         stderr,
         "usage: seesaw_store COMMAND [args]\n"
-        "  status DIR                store overview and queue "
-        "progress\n"
+        "  status DIR                store overview\n"
         "  ls DIR                    one line per (latest) stored "
         "cell\n"
         "  dump DIR                  canonical JSONL to stdout "
@@ -236,20 +234,6 @@ cmdStatus(const std::string &dir)
     for (const auto &[name, records] : campaigns)
         std::printf("  campaign %s: %u record%s\n", name.c_str(),
                     records, records == 1 ? "" : "s");
-    for (const auto &entry :
-         fs::directory_iterator(dir + "/queue", ec)) {
-        if (!entry.is_directory())
-            continue;
-        const std::string qdir = entry.path().string();
-        std::ifstream count(qdir + "/count");
-        std::size_t total = 0;
-        if (!(count >> total))
-            continue;
-        const std::size_t done = service::countDone(qdir);
-        std::printf("  queue %s: %zu/%zu cells done%s\n",
-                    entry.path().filename().string().c_str(), done,
-                    total, done == total ? "" : " (in progress)");
-    }
     return 0;
 }
 

@@ -8,7 +8,7 @@
  * work): the per-access hot path runs millions of times per simulated
  * second and is strictly single-threaded per cell — a mutex there is
  * both a throughput bug and a design smell. Locks belong to the
- * harness/store/service layers that surround the simulation.
+ * harness/store layers that surround the simulation.
  *
  * Reachability is computed per translation unit over the static call
  * graph from the configured root methods; calls to functions whose

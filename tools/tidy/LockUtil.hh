@@ -11,7 +11,7 @@
  * same naming is applied to the argument expressions of thread-safety
  * attributes (`SEESAW_ACQUIRE`, `SEESAW_EXCLUDES`, ...), which is what
  * lets the checks follow lock flow across translation units: a call to
- * a function whose *declaration* says it acquires `LeaseQueue::mutex_`
+ * a function whose *declaration* says it acquires `SegmentWriter::mutex_`
  * contributes an edge even though its body lives elsewhere.
  */
 

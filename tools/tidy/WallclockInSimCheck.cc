@@ -13,7 +13,7 @@ WallclockInSimCheck::WallclockInSimCheck(StringRef name,
     : ClangTidyCheck(name, context),
       allowedPathPattern_(Options.get(
           "AllowedPathPattern",
-          "(src/harness|src/store|src/service|tests|bench|examples|"
+          "(src/harness|src/store|tests|bench|examples|"
           "tools)/"))
 {
 }
