@@ -25,6 +25,16 @@ struct TableRow
     unsigned super;
 };
 
+/**
+ * Names each row by its configuration. Without this gtest prints the raw
+ * bytes, padding included, so the discovered ctest names change per build.
+ */
+void
+PrintTo(const TableRow &row, std::ostream *os)
+{
+    *os << row.sizeKb << "KB_" << row.assoc << "way_" << row.freq << "GHz";
+}
+
 class TableIiiTest : public ::testing::TestWithParam<TableRow>
 {
 };
