@@ -37,6 +37,13 @@ enum class L1Kind : std::uint8_t
     Sipt,               //!< speculatively indexed (related work, §VII)
 };
 
+/** Whether @p kind is a SEESAW L1 (with or without way prediction). */
+inline bool
+isSeesawKind(L1Kind kind)
+{
+    return kind == L1Kind::Seesaw || kind == L1Kind::SeesawWayPredicted;
+}
+
 /** Full system configuration. */
 struct SystemConfig
 {

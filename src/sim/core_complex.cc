@@ -4,7 +4,6 @@
 
 #include <algorithm>
 
-#include "common/bitops.hh"
 #include "common/logging.hh"
 
 namespace seesaw {
@@ -30,9 +29,9 @@ CoreComplex::CoreComplex(const SystemConfig &config,
         tlb_params.unifiedL1Entries = config_.unifiedL1TlbEntries;
     }
     // Replacement seeds decorrelate per structure AND per core: the
-    // hierarchy salts each level on top of this per-core base. A
-    // MultiConfigEngine's shared TLB groups derive the identical seed
-    // (sim/multi_config_engine.cc), keeping one-pass runs bit-equal.
+    // hierarchy salts each level on top of this per-core base. The
+    // members of a multi-config TLB group share their exemplar's
+    // hierarchy, built here with this same seed.
     tlb_params.replacement =
         withSeedSalt(config_.replacement, core_seed ^ 0x71bULL);
     tlb_ = std::make_unique<TlbHierarchy>(tlb_params, os_.pageTable());
@@ -155,7 +154,7 @@ CoreComplex::CoreComplex(const SystemConfig &config,
             config_.icacheKind == SystemConfig::ICacheKind::Seesaw ||
             (config_.icacheKind ==
                  SystemConfig::ICacheKind::FollowL1 &&
-             isSeesawKind());
+             isSeesawKind(config_.l1Kind));
         if (seesaw_icache) {
             SeesawConfig ic;
             ic.sizeBytes = 32 * 1024; // Table II: split 32KB L1I
@@ -183,8 +182,8 @@ CoreComplex::CoreComplex(const SystemConfig &config,
 
     // Wire the superpage hook into the TLB hierarchy: every 2MB L1 TLB
     // fill marks the region in the owning side's TFT (Fig 5;
-    // markTftRegion routes I- vs D-side). A MultiConfigEngine
-    // re-points this at a shared group TLB that broadcasts to every
+    // markTftRegion routes I- vs D-side). A multi-config TLB group of
+    // several members replaces it with a hook that broadcasts to every
     // member complex.
     if (seesawD_ || seesawI_) {
         tlb_->setOn2MBFill(
@@ -327,30 +326,6 @@ CoreComplex::doInstructionFetches(std::uint64_t instructions)
 }
 
 bool
-CoreComplex::doMemoryAccess(const MemRef &ref, CoherenceFabric *fabric)
-{
-    // 0. Pre-TLB TFT probe.
-    const int tft_probe = probeDataTft(ref.va);
-
-    // 1. Translate (the L1 TLB probe runs in parallel with L1 set
-    //    selection; only L2-TLB latency and walks are exposed).
-    TlbLookupResult tr = activeTlb_->lookup(asid_, ref.va);
-    chargeTranslation(tr);
-    if (tr.fault) {
-        // Demand-page and retry. Synthetic footprints are premapped so
-        // this is rare; trace replay relies on it. The whole 2MB chunk
-        // is populated so THP can back it (Linux fault-around).
-        os_.mapAnonymous(asid_, alignDown(ref.va, 2 * 1024 * 1024),
-                         2 * 1024 * 1024,
-                         workload_.thpEligibleFraction);
-        tr = activeTlb_->lookup(asid_, ref.va);
-        SEESAW_ASSERT(!tr.fault, "fault persists after demand paging");
-    }
-
-    return finishMemoryAccess(ref, tr, tft_probe, fabric);
-}
-
-bool
 CoreComplex::finishMemoryAccess(const MemRef &ref,
                                 const TlbLookupResult &tr,
                                 int tft_probe, CoherenceFabric *fabric)
@@ -428,7 +403,7 @@ CoreComplex::finishMemoryAccess(const MemRef &ref,
         // unless the superpage-TLB occupancy counter says superpages
         // are scarce; other designs assume their base hit time.
         unsigned assumed = l1_->baseHitCycles();
-        if (isSeesawKind()) {
+        if (isSeesawKind(config_.l1Kind)) {
             const bool assume_fast =
                 !config_.schedulerCounterPolicy ||
                 activeTlb_->superpagesAmple();

@@ -4,9 +4,10 @@
  * model, its TLB hierarchy and TFT, an L1D of the configured design,
  * the optional L1I, the private L2 (plus an LLC reference — its own at
  * cores=1, the engine's shared one otherwise) and the per-core
- * reference/fetch streams. The SimEngine (sim/sim_engine.hh) drives N
- * of these over a coherence fabric; every per-access path lives here
- * so cores=1 executes exactly the classic single-core system.
+ * reference/fetch streams. The engine (sim/multi_config_engine.hh)
+ * drives N of these per configuration over a coherence fabric; every
+ * per-access phase lives here so cores=1 executes exactly the classic
+ * single-core system.
  */
 
 #ifndef SEESAW_SIM_CORE_COMPLEX_HH
@@ -29,7 +30,7 @@
 namespace seesaw {
 
 /**
- * Per-core unit of the SimEngine. Construction mirrors the original
+ * Per-core unit of the engine. Construction mirrors the original
  * single-core System exactly (same component order, same RNG salts on
  * the per-core seed) so that core 0 of a cores=1 engine is
  * bit-identical to the pre-refactor System.
@@ -53,24 +54,20 @@ class CoreComplex
     /** Next reference from the trace or the synthetic stream. */
     MemRef nextRef();
 
-    /**
-     * Handle one memory reference end to end. @p fabric is null for
-     * single-core runs (synthetic probe load instead).
-     * @return true when the access was a write or an L1 miss — the
-     *         events that can change global coherence state.
-     */
-    bool doMemoryAccess(const MemRef &ref, CoherenceFabric *fabric);
+    /** Next instruction-fetch line VA (modelInstructionCache only). */
+    Addr nextFetchLine() { return code_->nextFetchLine(); }
 
     /** Account instruction fetches for @p instructions committed. */
     void doInstructionFetches(std::uint64_t instructions);
 
     /**
-     * @name One-pass decomposition (sim/multi_config_engine.hh).
+     * @name Per-access phases (sim/multi_config_engine.hh).
      *
-     * doMemoryAccess/doInstructionFetches are compositions of these
-     * phases; a MultiConfigEngine interleaves the same phases across
-     * substrates around one shared TLB lookup per access so that each
-     * substrate's state sequence is bit-identical to a solo run.
+     * The engine composes these around the TLB lookups: once per
+     * access for a single configuration, and interleaved across
+     * substrates around one shared lookup per TLB group otherwise, so
+     * that each substrate's state sequence is bit-identical to a solo
+     * run. The engine owns the demand-paging map between them.
      */
     /// @{
 
@@ -110,8 +107,9 @@ class CoreComplex
      */
     void markTftRegion(Addr va_base);
 
-    /** Point the per-access paths at a TLB hierarchy owned elsewhere
-     *  (a multi-config TLB group). Defaults to this complex's own. */
+    /** Point the per-access paths at another complex's TLB hierarchy
+     *  (the exemplar of a multi-config TLB group). Defaults to this
+     *  complex's own. */
     void setActiveTlb(TlbHierarchy *tlb) { activeTlb_ = tlb; }
     TlbHierarchy &activeTlb() { return *activeTlb_; }
 
@@ -148,7 +146,8 @@ class CoreComplex
     /// @}
 
     /** Instructions retired by this core, including warmup (drives the
-     *  per-core OS-event schedule). */
+     *  per-core OS-event schedule). The engine advances the clocks of
+     *  its first substrate's complexes only. */
     std::uint64_t retiredTotal_ = 0;
 
     /** Next context-switch point in retiredTotal_ terms. */
@@ -209,12 +208,6 @@ class CoreComplex
      */
     bool issuePrefetches(const MemRef &ref, const TlbLookupResult &tr,
                          bool demand_miss, CoherenceFabric *fabric);
-
-    bool isSeesawKind() const
-    {
-        return config_.l1Kind == L1Kind::Seesaw ||
-               config_.l1Kind == L1Kind::SeesawWayPredicted;
-    }
 };
 
 } // namespace seesaw

@@ -1,23 +1,26 @@
 /**
  * @file
- * One-pass multi-configuration simulation: a single trace pass drives
- * N per-config substrates (L1/L2 tag stores, TLB groups, TFT, way
- * predictor, energy and stat groups) over one config-invariant front
- * end (workload streams, page table, translation cache, OS memory
- * manager, per-core RNGs). OS events — promotion, splinter, unmap,
- * context switch — broadcast to every substrate, and each substrate's
- * state sequence is bit-identical to running its configuration alone
- * through SimEngine (the DEW structure, arXiv 1506.03181, applied to
- * the SEESAW design space).
+ * The simulation engine: a single trace pass drives N per-config
+ * substrates (L1/L2 tag stores, TLB groups, TFT, way predictor, energy
+ * and stat groups) over one config-invariant front end (workload
+ * streams, page table, translation cache, OS memory manager, per-core
+ * RNGs). OS events — promotion, splinter, unmap, context switch —
+ * broadcast to every substrate, and each substrate's state sequence is
+ * bit-identical to running its configuration alone (the DEW structure,
+ * arXiv 1506.03181, applied to the SEESAW design space). One
+ * configuration is the N=1 case; SimEngine (sim/sim_engine.hh) is that
+ * case's single-config view.
  *
  * What is shared and what forks:
  *  - Shared, exactly once per pass: the OS memory manager (buddy
  *    allocator, page tables, translation cache, khugepaged), memhog
- *    fragmentation, the per-core reference/fetch streams, the OS-event
+ *    fragmentation, the per-core reference/fetch streams and retire
+ *    clocks (drawn from the first substrate's complexes), the OS-event
  *    RNG and schedule (keyed on retired instructions, which every
  *    substrate agrees on by construction), and one TLB hierarchy per
  *    *TLB group* — substrates whose configs imply identical TLB
- *    geometry share lookups; others get their own hierarchy.
+ *    geometry share the first member's hierarchy; others get their
+ *    own.
  *  - Forked per substrate: L1D/L1I tag stores and TFTs, way
  *    predictors, private L2s + LLC, the coherence fabric, CPU timing,
  *    the energy model, and the invariant auditor (per-substrate audit
@@ -34,9 +37,41 @@
 #include <string>
 #include <vector>
 
-#include "sim/sim_engine.hh"
+#include "coherence/fabric.hh"
+#include "sim/core_complex.hh"
+
+namespace seesaw::check {
+class InvariantAuditor;
+} // namespace seesaw::check
 
 namespace seesaw {
+
+/**
+ * Register the standard per-layer invariant checks for one simulated
+ * system (one substrate), which is why the components arrive as
+ * explicit parameters rather than an engine. The TLB check audits
+ * each complex's *active* hierarchy, so shared TLB groups are covered
+ * per substrate.
+ */
+void registerSystemAudits(check::InvariantAuditor &auditor,
+                          const SystemConfig &config,
+                          std::vector<CoreComplex *> complexes,
+                          SetAssocCache *shared_llc,
+                          ExactDirectory *directory,
+                          OsMemoryManager &os, Asid asid);
+
+/**
+ * Aggregate one system's per-core stats into a RunResult — the one
+ * sanctioned place for string-keyed stat reads. The engine calls it
+ * once per substrate.
+ */
+RunResult collectRunResults(const SystemConfig &config,
+                            const WorkloadSpec &workload,
+                            const std::vector<CoreComplex *> &complexes,
+                            EnergyModel &energy,
+                            CoherenceFabric *fabric,
+                            OsMemoryManager &os, Asid asid,
+                            Cycles max_cycles);
 
 /**
  * Drives N compatible SystemConfigs through one trace pass.
@@ -69,6 +104,7 @@ class MultiConfigEngine
     {
         return static_cast<unsigned>(substrates_.size());
     }
+    unsigned cores() const { return configs_.front().cores; }
     const SystemConfig &config(unsigned substrate) const
     {
         return configs_[substrate];
@@ -77,11 +113,29 @@ class MultiConfigEngine
     {
         return *substrates_[substrate].complexes[core];
     }
-    /** The shared TLB hierarchy serving @p substrate on @p core. */
+    /** The (possibly shared) TLB hierarchy serving @p substrate on
+     *  @p core. */
     TlbHierarchy &tlb(unsigned substrate, unsigned core = 0)
     {
         return complex(substrate, core).activeTlb();
     }
+    EnergyModel &energy(unsigned substrate)
+    {
+        return *substrates_[substrate].energy;
+    }
+    /** The coherence fabric (cores>1), or nullptr at cores=1. */
+    CoherenceFabric *fabric(unsigned substrate)
+    {
+        return substrates_[substrate].fabric.get();
+    }
+    /** The exact directory, or nullptr unless a cores>1 directory
+     *  fabric is active. */
+    ExactDirectory *directory(unsigned substrate)
+    {
+        return substrates_[substrate].directory;
+    }
+    /** The invariant auditor, or nullptr when audits are off or the
+     *  audit layer is compiled out. */
     check::InvariantAuditor *auditor(unsigned substrate)
     {
         return substrates_[substrate].auditor.get();
@@ -100,14 +154,6 @@ class MultiConfigEngine
     void unmapBroadcast(Addr va_base, std::uint64_t bytes);
 
   private:
-    /** Substrates sharing one TLB geometry share one hierarchy per
-     *  core; the group's superpage hook broadcasts to every member. */
-    struct TlbGroup
-    {
-        std::size_t exemplar = 0; //!< config index defining geometry
-        std::vector<std::unique_ptr<TlbHierarchy>> tlbs; //!< per core
-    };
-
     /** Everything that forks per configuration. */
     struct Substrate
     {
@@ -121,19 +167,27 @@ class MultiConfigEngine
         std::unique_ptr<check::InvariantAuditor> auditor;
     };
 
-    /** The config-invariant per-core front end. */
-    struct CoreFrontEnd
-    {
-        std::unique_ptr<ReferenceStream> stream;
-        std::unique_ptr<TraceReader> trace; //!< replaces stream if set
-        std::unique_ptr<CodeStream> code;   //!< modelInstructionCache
-        double fetchCarry = 0.0;
-        std::uint64_t retiredTotal = 0;
-        std::uint64_t nextContextSwitch = 0;
-    };
+    /** Core @p c's front end: the first substrate's complex, whose
+     *  streams and retire clocks every substrate follows. */
+    CoreComplex &lead(CoreId c) { return *substrates_[0].complexes[c]; }
 
-    MemRef nextRef(CoreFrontEnd &fe);
+    /** TLB group @p g's hierarchy on core @p c: its exemplar's own. */
+    TlbHierarchy &groupTlb(std::size_t g, CoreId c)
+    {
+        return substrates_[tlbExemplars_[g]].complexes[c]->tlb();
+    }
+
+    /** Advance core @p c by one reference, retiring at most @p room
+     *  instructions. @return instructions retired. stepOne is the
+     *  fused single-substrate composition; step interleaves the same
+     *  phases across substrates. */
+    std::uint64_t stepOne(CoreId c, std::uint64_t room);
     std::uint64_t step(CoreId c, std::uint64_t room);
+
+    /** Demand-page the 2MB chunk around @p va (Linux fault-around, so
+     *  THP can back it). */
+    void demandMap(Addr va);
+
     void runLoop(std::uint64_t per_core_budget);
     void resetMeasurement();
     void osTick(CoreId c);
@@ -149,12 +203,10 @@ class MultiConfigEngine
     std::unique_ptr<OsMemoryManager> os_;
     std::unique_ptr<Memhog> memhog_;
     Asid asid_ = 0;
-    Addr heapBase_ = 0;
-    Addr textBase_ = 0;
 
-    std::vector<TlbGroup> groups_;
     std::vector<Substrate> substrates_;
-    std::vector<CoreFrontEnd> cores_;
+    /** Per TLB group, the substrate whose complexes own its TLBs. */
+    std::vector<std::size_t> tlbExemplars_;
 
     std::uint64_t nextPromotion_ = 0;
     std::uint64_t nextSplinter_ = 0;

@@ -10,10 +10,13 @@
  *    the healthy substrate stays clean.
  */
 
+#include <iterator>
+
 #include <gtest/gtest.h>
 
 #include "check/invariant_auditor.hh"
 #include "sim/multi_config_engine.hh"
+#include "sim/sim_engine.hh"
 
 namespace seesaw {
 namespace {
@@ -132,6 +135,22 @@ TEST(MultiConfigEngine, MixedGeometriesFormMultipleTlbGroups)
     configs.push_back(h);
 
     expectOnePassMatchesSerial(configs, testWorkload());
+
+    // Each member looks up through its group exemplar's own hierarchy:
+    // a (out-of-order), c (in-order) and e (unified L1 TLB) lead the
+    // three groups.
+    MultiConfigEngine engine(configs, testWorkload());
+    const unsigned exemplar[] = {0, 0, 2, 2, 4, 0, 0, 0};
+    ASSERT_EQ(engine.substrates(), std::size(exemplar));
+    for (unsigned s = 0; s < engine.substrates(); ++s) {
+        EXPECT_EQ(&engine.complex(s).activeTlb(),
+                  &engine.complex(exemplar[s]).tlb())
+            << "substrate " << s;
+    }
+
+    // One substrate is its own exemplar.
+    SimEngine solo(a, testWorkload());
+    EXPECT_EQ(&solo.complex(0).activeTlb(), &solo.complex(0).tlb());
 }
 
 TEST(MultiConfigEngine, InstructionCachePathIsBitIdentical)
@@ -279,6 +298,9 @@ TEST(MultiConfigEngine, UnmapBroadcastReachesEverySubstrate)
 
 TEST(MultiConfigEngine, DesyncedSubstrateTripsItsOwnAudits)
 {
+    if constexpr (!check::kAuditCompiledIn)
+        GTEST_SKIP() << "audit layer compiled out";
+
     // thpEligibleFraction=0 keeps the heap base-paged, so marking any
     // heap region in one substrate's TFT fabricates a superpage that
     // the page table disavows — exactly the desync the per-substrate

@@ -22,7 +22,7 @@
  * lists: only the ROOTS are policy. The closures are computed from the
  * extracted owning-member graph, and the engine's own members are
  * verified against them (ownership-map drift is itself an error), so a
- * new member smuggled into Substrate or CoreFrontEnd re-derives the
+ * new member smuggled into the engine or its Substrate re-derives the
  * ownership map or fails the check.
  *
  * This binary is deliberately Clang-free so the facts-level mutation
@@ -101,6 +101,10 @@ const std::map<std::string, std::string> kKeyReadAllowlist = {
      "one-pass groups are restricted to one coherence-fabric kind; "
      "the restriction is enforced by compatibleFrontEnds, not by a "
      "front-end read"},
+    {"tracePath",
+     "the shared reference stream is drawn from the first substrate's "
+     "CoreComplex, which reads the trace path itself; the key keeps "
+     "configs replaying different traces out of one pass"},
 };
 
 // -------------------------------------------------------------- facts IO

@@ -18,8 +18,10 @@ LockInHotPathCheck::LockInHotPathCheck(StringRef name,
     : ClangTidyCheck(name, context),
       hotPathRootPattern_(Options.get(
           "HotPathRootPattern",
-          "^seesaw::(SimEngine::(run|step|runLoop)|"
-          "CoreComplex::(doMemoryAccess|doInstructionFetches)|"
+          "^seesaw::(MultiConfigEngine::(run|step|runLoop|osTick)|"
+          "CoreComplex::(nextRef|doInstructionFetches|probeDataTft|"
+          "probeCodeTft|chargeTranslation|finishMemoryAccess|"
+          "takeFetchLines|finishFetch)|"
           "L1Cache::access|Tlb::lookup|TlbHierarchy::lookup|"
           "TranslationCache::lookup)"))
 {

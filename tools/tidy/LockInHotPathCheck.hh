@@ -1,8 +1,9 @@
 /**
  * @file
  * seesaw-lock-in-hot-path: flags mutex acquisition reachable from the
- * simulator's per-access methods (SimEngine step/run, cache access,
- * TLB lookup, translation-cache lookup, core-complex memory access).
+ * simulator's per-access methods (the engine's run loop and OS tick,
+ * the core-complex access phases, cache access, TLB lookup,
+ * translation-cache lookup).
  *
  * Rule (DESIGN.md "Concurrency rules", guarding PR 3's throughput
  * work): the per-access hot path runs millions of times per simulated
