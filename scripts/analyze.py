@@ -6,7 +6,7 @@ once per TU of compile_commands.json, scans ``#include`` edges between
 src/ modules with a plain-text pass (deliberately not done in the
 Clang tool: the text scan is stable across Clang versions and testable
 without the toolchain), merges everything into one facts document, and
-hands it to seesaw_analyze_check, which enforces the five
+hands it to seesaw_analyze_check, which enforces the four
 whole-program invariants (DESIGN.md "Whole-program static analysis").
 
 Exits 77 (the ctest SKIP convention) when the extract tool was not
@@ -33,9 +33,8 @@ TU_RE = re.compile(r"/(src|tests|bench|examples)/.*\.cc$")
 
 FACT_ARRAYS = [
     "tus", "config_fields", "key_fields", "geometry_fields",
-    "hash_fields", "config_reads", "includes", "stat_regs",
-    "stat_reads", "members", "mutations", "calls", "overrides",
-    "ignores",
+    "config_reads", "includes", "stat_regs", "stat_reads", "members",
+    "mutations", "calls", "overrides", "ignores",
 ]
 
 

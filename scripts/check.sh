@@ -8,8 +8,8 @@
 #              2-worker smoke campaign
 #   tidy       clang-tidy over the compilation database (skipped with a
 #              notice when clang-tidy is not installed)
-#   lint       project-discipline checks: configHash drift, NOLINT
-#              justifications, the seesaw-tidy fixture suite
+#   lint       project-discipline checks: NOLINT justifications,
+#              the seesaw-tidy fixture suite
 #              (ctest -L lint; SKIPs when clang-tidy is absent), and
 #              — when the plugin built — seesaw-tidy over all of src/
 #   format     git clang-format --diff of changed lines vs the merge
@@ -28,7 +28,7 @@
 #              clang++ is not installed; CI runs it)
 #   analyze    seesaw-analyze whole-program gate: facts-level mutation
 #              ctests, then extract over compile_commands.json and the
-#              five-invariant check with warnings as errors (the
+#              four-invariant check with warnings as errors (the
 #              extraction half SKIPs with a notice when Clang dev
 #              packages are absent; CI requires it)
 #
@@ -98,7 +98,6 @@ for stage in "${stages[@]}"; do
         ;;
     lint)
         banner "project lint"
-        python3 "$repo/scripts/config_hash_drift.py"
         python3 "$repo/scripts/check_nolint.py"
         cmake -S "$repo" -B "$repo/build" > /dev/null
         cmake --build "$repo/build" -j "$jobs"
@@ -180,7 +179,6 @@ for stage in "${stages[@]}"; do
             -R 'lint_analyze|lint_nolint_policy'
         if [ -x "$repo/build/tools/seesaw_extract" ]; then
             python3 "$repo/scripts/analyze.py" --werror
-            python3 "$repo/scripts/config_hash_drift.py"
         else
             echo "seesaw_extract not built (Clang dev packages" \
                 "missing); skipping whole-program extract (CI runs it)"

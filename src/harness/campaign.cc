@@ -4,6 +4,7 @@
 #include <type_traits>
 
 #include "common/logging.hh"
+#include "sim/config_fields.hh"
 #include "sim/experiment.hh"
 
 namespace seesaw::harness {
@@ -44,63 +45,12 @@ class Fnv1a
 std::uint64_t
 configHash(const SystemConfig &config)
 {
+    FieldWriter w;
+    writeFrontEndFields(config, w);
+    writeTlbGeometryFields(config, w);
+    writeSubstrateFields(config, w);
     Fnv1a h;
-    h.mix(config.coreKind);
-    h.mix(config.l1Kind);
-    h.mix(config.l1SizeBytes);
-    h.mix(config.l1Assoc);
-    h.mix(config.partitionWays);
-    h.mix(config.freqGhz);
-    h.mix(config.policy);
-    h.mix(config.tftEntries);
-    h.mix(config.tftAssoc);
-    h.mix(config.unifiedL1Tlb);
-    h.mix(config.unifiedL1TlbEntries);
-    h.mix(config.replacement.kind);
-    h.mix(config.replacement.rripBits);
-    h.mix(config.replacement.seed);
-    h.mix(config.prefetch.kind);
-    h.mix(config.prefetch.degree);
-    h.mix(config.prefetch.tableEntries);
-    h.mix(config.piptTlbCycles);
-    h.mix(config.siptAssoc);
-    h.mix(config.os.memBytes);
-    h.mix(config.os.thpEnabled);
-    h.mix(config.os.kernelReservedFraction);
-    h.mix(config.os.pollutedRegionFraction);
-    h.mix(config.os.compactionCandidates);
-    h.mix(config.os.compactionBudgetPages);
-    h.mix(config.os.compactionMaxAttempts);
-    h.mix(config.os.seed);
-    h.mix(config.memhog.churn);
-    h.mix(config.memhog.pinnedProbability);
-    h.mix(config.memhog.meanFreeRunLength);
-    h.mix(config.memhog.seed);
-    h.mix(config.memhogFraction);
-    h.mix(config.outer.l2SizeBytes);
-    h.mix(config.outer.l2Assoc);
-    h.mix(config.outer.l2LatencyNs);
-    h.mix(config.outer.llcSizeBytes);
-    h.mix(config.outer.llcAssoc);
-    h.mix(config.outer.llcLatencyNs);
-    h.mix(config.outer.dramLatencyNs);
-    h.mix(config.cores);
-    h.mix(config.fabric);
-    h.mix(config.instructions);
-    h.mix(config.warmupInstructions);
-    h.mix(config.seed);
-    h.mix(config.schedulerCounterPolicy);
-    h.mix(config.contextSwitchInterval);
-    h.mix(config.promotionInterval);
-    h.mix(config.splinterInterval);
-    h.mix(config.shootdownCycles);
-    h.mix(config.modelInstructionCache);
-    h.mix(config.icacheKind);
-    h.mix(config.codeThpEligibleFraction);
-    h.mix(config.useOneGbHeap);
-    h.mix(config.tracePath);
-    h.mix(config.audit.mode);
-    h.mix(config.audit.periodEvents);
+    h.mix(w.bytes());
     return h.value();
 }
 

@@ -62,9 +62,10 @@ struct CellResult
 };
 
 /**
- * Stable 64-bit FNV-1a hash over every SystemConfig field, recorded
- * with each result so archived campaigns can be matched to the exact
- * configuration that produced them.
+ * Stable 64-bit FNV-1a hash over every SystemConfig role of
+ * sim/config_fields.hh (all fields but the observe-only audit ones),
+ * recorded with each result so archived campaigns can be matched to
+ * the exact configuration that produced them.
  */
 std::uint64_t configHash(const SystemConfig &config);
 

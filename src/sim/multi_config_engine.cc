@@ -1,7 +1,6 @@
 #include "sim/multi_config_engine.hh"
 
 #include <algorithm>
-#include <sstream>
 
 #include "check/cache_audits.hh"
 #include "check/coherence_audits.hh"
@@ -10,27 +9,21 @@
 #include "check/tlb_audits.hh"
 #include "common/bitops.hh"
 #include "common/logging.hh"
+#include "sim/config_fields.hh"
 #include "sim/sim_engine.hh"
 
 namespace seesaw {
 
 namespace {
 
-/** The TLB geometry a config implies (sim/core_complex.cc order):
- *  substrates matching on this share one hierarchy per core. The
- *  replacement policy is part of the key — TLBs own policy side-state,
- *  so substrates differing in victim selection walk different fill
- *  sequences and must fork into separate groups. */
+/** The TLB geometry a config implies: substrates matching on this
+ *  share one hierarchy per core. */
 std::string
 tlbGeometryKey(const SystemConfig &config)
 {
-    std::ostringstream os;
-    os << (config.coreKind == CoreKind::InOrder ? "atom" : "snb") << '|'
-       << config.unifiedL1Tlb << '|' << config.unifiedL1TlbEntries
-       << '|' << static_cast<int>(config.replacement.kind) << '|'
-       << config.replacement.rripBits << '|'
-       << config.replacement.seed;
-    return os.str();
+    FieldWriter w;
+    writeTlbGeometryFields(config, w);
+    return w.bytes();
 }
 
 constexpr Addr k2MB = 2ULL * 1024 * 1024;
@@ -38,27 +31,11 @@ constexpr Addr k2MB = 2ULL * 1024 * 1024;
 } // namespace
 
 std::string
-MultiConfigEngine::frontEndKey(const SystemConfig &c)
+MultiConfigEngine::frontEndKey(const SystemConfig &config)
 {
-    // Every field the shared front end reads: workload mapping, OS and
-    // fragmentation state, streams, the OS-event schedule, and the
-    // fabric kind (coherence is restricted to compatible fabrics).
-    std::ostringstream os;
-    os << c.cores << '|' << c.seed << '|' << c.instructions << '|'
-       << c.warmupInstructions << '|' << c.contextSwitchInterval << '|'
-       << c.promotionInterval << '|' << c.splinterInterval << '|'
-       << c.useOneGbHeap << '|' << c.modelInstructionCache << '|'
-       << c.codeThpEligibleFraction << '|' << c.memhogFraction << '|'
-       << static_cast<int>(c.fabric) << '|' << c.tracePath << '|'
-       << c.os.memBytes << '|' << c.os.thpEnabled << '|'
-       << c.os.kernelReservedFraction << '|'
-       << c.os.pollutedRegionFraction << '|'
-       << c.os.compactionCandidates << '|'
-       << c.os.compactionBudgetPages << '|'
-       << c.os.compactionMaxAttempts << '|' << c.os.seed << '|'
-       << c.memhog.churn << '|' << c.memhog.pinnedProbability << '|'
-       << c.memhog.meanFreeRunLength << '|' << c.memhog.seed;
-    return os.str();
+    FieldWriter w;
+    writeFrontEndFields(config, w);
+    return w.bytes();
 }
 
 bool
@@ -79,10 +56,10 @@ MultiConfigEngine::MultiConfigEngine(std::vector<SystemConfig> configs,
     const SystemConfig &front = configs_.front();
     SEESAW_ASSERT(front.cores >= 1 && front.cores <= 64,
                   "1-64 cores supported");
-    for (const SystemConfig &c : configs_) {
-        SEESAW_ASSERT(compatibleFrontEnds(front, c),
-                      "incompatible front ends in one pass: ",
-                      frontEndKey(front), " vs ", frontEndKey(c));
+    for (std::size_t i = 1; i < configs_.size(); ++i) {
+        SEESAW_ASSERT(compatibleFrontEnds(front, configs_[i]),
+                      "incompatible front ends in one pass: config ", i,
+                      " differs from config 0");
     }
 
     // --- Shared front end: OS and physical memory first. Fragment

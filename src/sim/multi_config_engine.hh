@@ -94,8 +94,8 @@ class MultiConfigEngine
     static bool compatibleFrontEnds(const SystemConfig &a,
                                     const SystemConfig &b);
 
-    /** Canonical serialization of the config-invariant fields — the
-     *  harness groups cells by (workload, this key). */
+    /** Exact bytes of the front-end fields (sim/config_fields.hh) —
+     *  the harness groups cells by (workload, this key). */
     static std::string frontEndKey(const SystemConfig &config);
 
     /** @name Component access (tests / advanced drivers). */

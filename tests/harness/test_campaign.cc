@@ -67,21 +67,6 @@ TEST(CampaignSpec, ExplicitCellsAppendAfterCross)
     EXPECT_EQ(cells.back().seed, 42u);
 }
 
-TEST(ConfigHash, DistinguishesVariantsAndIsStable)
-{
-    const SystemConfig a = tinyConfig(L1Kind::ViptBaseline);
-    SystemConfig b = a;
-    EXPECT_EQ(configHash(a), configHash(b));
-    b.l1Assoc = 16;
-    EXPECT_NE(configHash(a), configHash(b));
-    SystemConfig c = a;
-    c.seed = 99;
-    EXPECT_NE(configHash(a), configHash(c));
-    c.seed = a.seed;
-    c.tracePath = "x";
-    EXPECT_NE(configHash(a), configHash(c));
-}
-
 TEST(CampaignRunner, SerialAndParallelAreBitIdentical)
 {
     RunnerOptions serial_opts;

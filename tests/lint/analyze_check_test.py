@@ -7,7 +7,7 @@ document modeling the real program shape (engine front()/indexed
 reads, ownership graph, call graph, stats). It must pass cleanly
 under --werror; then each mutation below injects one violation and
 must produce the matching diagnostic with a non-zero exit. This
-proves all five invariants fail closed at the facts level without
+proves all four invariants fail closed at the facts level without
 needing the Clang toolchain (the extraction side is pinned by
 run_analyze_fixture.py).
 
@@ -51,17 +51,6 @@ def m_key_minimality(f):
     f["key_fields"].append("l1Assoc")
 
 
-def m_hash_drift(f):
-    # A declared SystemConfig field is no longer mixed into
-    # configHash().
-    f["hash_fields"].remove("memhog.churn")
-
-
-def m_hash_stale(f):
-    # configHash() mixes a field SystemConfig no longer declares.
-    f["hash_fields"].append("ghostKnob")
-
-
 def m_substrate_isolation(f):
     # Make CoreComplex::doMemoryAccess (which calls the OS mutator
     # mapAnonymous) reachable from the engine's per-substrate path.
@@ -102,10 +91,6 @@ MUTATIONS = [
      "front-end-key completeness: config field 'l1Assoc'"),
     ("key-minimality", m_key_minimality,
      "front-end-key minimality: key field 'l1Assoc'"),
-    ("hash-drift", m_hash_drift,
-     "config-hash completeness: SystemConfig field 'memhog.churn'"),
-    ("hash-stale", m_hash_stale,
-     "mixes 'ghostKnob'"),
     ("substrate-isolation", m_substrate_isolation,
      "substrate isolation: per-substrate class CoreComplex"),
     ("layering", m_layering,

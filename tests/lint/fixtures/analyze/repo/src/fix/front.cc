@@ -1,6 +1,6 @@
 // Front-end-side fixture TU: config reads through params, the
 // configs_.front() pattern and its local alias, an indexed alias, the
-// key/geometry/hash definitional functions, stat registration with a
+// key/geometry definitional functions, stat registration with a
 // ctor-init handle bind, and the analyze-ignore escape.
 #include "fix/config.hh"
 
@@ -50,13 +50,6 @@ unsigned
 miniGeom(const MiniConfig &c)
 {
     return c.cores;
-}
-
-std::uint64_t
-miniHash(const MiniConfig &c)
-{
-    return c.cores ^ c.seed ^ static_cast<std::uint64_t>(c.l1Assoc) ^
-           c.os.memBytes ^ static_cast<std::uint64_t>(c.os.thp);
 }
 
 class Engine

@@ -2,7 +2,7 @@
 """Extraction-phase fixture test for seesaw-analyze.
 
 Runs the seesaw_extract Clang tool over the miniature repo in
-fixtures/analyze/repo/ (its MiniConfig/miniKey/miniHash names are
+fixtures/analyze/repo/ (its MiniConfig/miniKey/miniGeom names are
 remapped via the tool's --config-struct/--key-fn/... options), merges
 the per-TU facts with scripts/analyze.py's merge_facts, normalizes
 away source line numbers, and diffs against golden_facts.json. This
@@ -57,7 +57,6 @@ def run_extract(extract: str, tu: str) -> dict:
         "--config-struct=MiniConfig",
         "--key-fn=miniKey",
         "--geom-fn=miniGeom",
-        "--hash-fn=miniHash",
         os.path.join(FIXREPO, tu),
         "--",
         "-std=c++17",

@@ -235,6 +235,19 @@ TEST(MultiConfigEngine, RandomAndPrefetchAtFourCoresStayBitIdentical)
     expectOnePassMatchesSerial(configs, w);
 }
 
+TEST(MultiConfigEngine, FrontEndKeyIsExact)
+{
+    // Memhog pressures a hair apart fragment memory differently, so
+    // they must not share a front end.
+    SystemConfig a = baseConfig(L1Kind::Seesaw);
+    a.memhogFraction = 0.6;
+    SystemConfig b = a;
+    b.memhogFraction = 0.6000001;
+    EXPECT_FALSE(MultiConfigEngine::compatibleFrontEnds(a, b));
+    EXPECT_DEATH(MultiConfigEngine({a, a, b}, testWorkload()),
+                 "config 2 differs from config 0");
+}
+
 TEST(MultiConfigEngine, OsEventsBroadcastToEverySubstrate)
 {
     // Aggressive OS-event schedule: several promotions and splinters

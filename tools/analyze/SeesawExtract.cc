@@ -9,15 +9,14 @@
  *  - config_reads: every read/write of a config field, attributed to
  *    the enclosing class and function. Provenance is *type-based*: a
  *    read of `params.memBytes` where `params` is an OsParams maps to
- *    "os.memBytes" no matter which object holds it, which is exactly
- *    what the regex checker could not see. Reads inside
+ *    "os.memBytes" no matter which object holds it. Reads inside
  *    MultiConfigEngine are classified by their base expression
  *    ("front" = configs_.front() or an alias of it, "indexed" =
  *    configs_[i] / sub.config) so the checker can tell front-end
  *    feeds from per-substrate feeds.
- *  - key_fields / geometry_fields / hash_fields: fields read inside
- *    frontEndKey() / tlbGeometryKey() / configHash() (helper
- *    functions are folded in at check time via the call graph).
+ *  - key_fields / geometry_fields: fields read inside frontEndKey() /
+ *    tlbGeometryKey() (helper functions, such as the field-registry
+ *    role writers, are folded in at check time via the call graph).
  *  - stat_regs / stat_reads: StatGroup registrations (with the bound
  *    handle member when registered in a ctor-init or assignment) and
  *    collection-path reads (get-by-name, handle value()/count()/...,
@@ -83,9 +82,6 @@ llvm::cl::opt<std::string>
     GeomFnOpt("geom-fn",
               llvm::cl::desc("TLB-geometry-key function name"),
               llvm::cl::init("tlbGeometryKey"), llvm::cl::cat(Cat));
-llvm::cl::opt<std::string>
-    HashFnOpt("hash-fn", llvm::cl::desc("config-hash function name"),
-              llvm::cl::init("configHash"), llvm::cl::cat(Cat));
 
 std::string RepoPrefix; // real path of the repo root + "/"
 
@@ -126,8 +122,8 @@ jsonEscape(llvm::StringRef S)
  *  objects in a set, which both dedupes and gives stable output. */
 struct Facts {
     std::set<std::string> configFields, keyFields, geomFields,
-        hashFields, configReads, statRegs, statReads, members,
-        mutations, calls, overrides, ignores, tus;
+        configReads, statRegs, statReads, members, mutations, calls,
+        overrides, ignores, tus;
 } G;
 
 class FactsVisitor : public RecursiveASTVisitor<FactsVisitor>
@@ -432,10 +428,6 @@ class FactsVisitor : public RecursiveASTVisitor<FactsVisitor>
         }
         if (!Write && Unq == GeomFnOpt) {
             G.geomFields.insert("\"" + jsonEscape(Path) + "\"");
-            return true;
-        }
-        if (!Write && Unq == HashFnOpt) {
-            G.hashFields.insert("\"" + jsonEscape(Path) + "\"");
             return true;
         }
 
@@ -951,7 +943,6 @@ main(int argc, const char **argv)
     emitArray(OS, "config_fields", G.configFields);
     emitArray(OS, "key_fields", G.keyFields);
     emitArray(OS, "geometry_fields", G.geomFields);
-    emitArray(OS, "hash_fields", G.hashFields);
     emitArray(OS, "config_reads", G.configReads);
     emitArray(OS, "includes", {});
     emitArray(OS, "stat_regs", G.statRegs);

@@ -2,19 +2,17 @@
  * @file
  * seesaw-analyze check phase: consume the merged whole-program facts
  * JSON produced by seesaw_extract + scripts/analyze.py and enforce the
- * five global invariants the one-pass engine rests on (DESIGN.md
+ * four global invariants the one-pass engine rests on (DESIGN.md
  * "Whole-program static analysis"):
  *
  *   1. front-end-key completeness  — every SystemConfig field read on
  *      the front-end path is serialized in frontEndKey()  [error]
  *   2. front-end-key minimality    — key fields no front-end code
  *      reads (allowlist below)                            [warning]
- *   3. config-hash completeness    — configHash() mixes every config
- *      leaf, and mixes nothing stale                      [error]
- *   4. substrate isolation         — no per-substrate class mutates
+ *   3. substrate isolation         — no per-substrate class mutates
  *      front-end-owned state on a path reachable from
  *      MultiConfigEngine's run phase                      [error]
- *   5. layer DAG                   — src/ module includes point only
+ *   4. layer DAG                   — src/ module includes point only
  *      downward in the layer ranking, acyclically         [error]
  *      plus orphan-stat detection (registered, never read) [warning]
  *
@@ -85,13 +83,12 @@ const std::set<std::string> kNeutralTypes = {
 
 const char kEngineClass[] = "MultiConfigEngine";
 
-// Definitional functions: their config reads *define* the key/hash
-// sets rather than consuming config, so they are excluded from the
+// Definitional functions: their config reads *define* the key sets
+// rather than consuming config, so they are excluded from the
 // completeness/minimality read sets (compatibleFrontEnds re-compares
 // exactly the key fields).
 const char kKeyFn[] = "frontEndKey";
 const char kGeomFn[] = "tlbGeometryKey";
-const char kHashFn[] = "configHash";
 const char kCompatFn[] = "compatibleFrontEnds";
 
 // Key-minimality allowlist: key fields no front-end code reads, with
@@ -132,7 +129,7 @@ struct Mutation {
 
 struct Facts {
     std::set<std::string> configFields; // all paths, incl. non-leaves
-    std::set<std::string> keyFields, geomFields, hashFields;
+    std::set<std::string> keyFields, geomFields;
     std::vector<ConfigRead> reads;
     std::vector<std::pair<std::string, std::string>> includes;
     std::vector<StatReg> statRegs;
@@ -202,7 +199,6 @@ loadFacts(const std::string &path, Facts &facts, std::string &error)
     };
     loadSet("key_fields", facts.keyFields);
     loadSet("geometry_fields", facts.geomFields);
-    loadSet("hash_fields", facts.hashFields);
 
     if (const JsonValue *a = arr(doc, "config_reads"))
         for (const JsonValue &e : a->items)
@@ -320,17 +316,6 @@ expandAll(const std::set<std::string> &paths,
         out.insert(leaves.begin(), leaves.end());
     }
     return out;
-}
-
-bool
-isLeafField(const std::string &path,
-            const std::set<std::string> &fields)
-{
-    const std::string prefix = path + ".";
-    for (const std::string &f : fields)
-        if (f.rfind(prefix, 0) == 0)
-            return false;
-    return true;
 }
 
 /** Transitive closure over the owning-member graph. */
@@ -478,28 +463,6 @@ checkKeyMinimality(const Facts &facts, const Closures &closures,
                     "entry, or add it to kKeyReadAllowlist with a "
                     "reason)");
     }
-}
-
-void
-checkHashCompleteness(const Facts &facts,
-                      const std::set<std::string> &effHash,
-                      Reporter &rep)
-{
-    for (const std::string &f : facts.configFields) {
-        if (!isLeafField(f, facts.configFields))
-            continue;
-        if (!effHash.count(f))
-            rep.error("config-hash completeness: SystemConfig field "
-                      "'" +
-                      f + "' is not mixed into " +
-                      std::string(kHashFn) + "()");
-    }
-    for (const std::string &f : effHash)
-        if (!facts.configFields.count(f))
-            rep.error("config-hash completeness: " +
-                      std::string(kHashFn) + "() mixes '" + f +
-                      "' but SystemConfig declares no such field "
-                      "(stale mix)");
 }
 
 void
@@ -759,12 +722,6 @@ main(int argc, char **argv)
     if (facts.configFields.empty())
         rep.error("facts contain no config_fields (SystemConfig not "
                   "seen by extraction)");
-    if (facts.keyFields.empty())
-        rep.error("facts contain no key_fields (" +
-                  std::string(kKeyFn) + "() not seen by extraction)");
-    if (facts.hashFields.empty())
-        rep.error("facts contain no hash_fields (" +
-                  std::string(kHashFn) + "() not seen by extraction)");
 
     Closures closures;
     closures.frontEnd = ownershipClosure(kFrontEndRoots, facts.members);
@@ -774,12 +731,11 @@ main(int argc, char **argv)
         ownershipClosure(kSubstrateRoots, facts.members);
 
     // Definitional functions and everything they call: their reads
-    // define the key/geometry/hash sets instead of consuming config.
+    // define the key/geometry sets instead of consuming config.
     std::set<std::string> definitional;
     std::set<std::string> effKey = facts.keyFields;
     std::set<std::string> effGeom = facts.geomFields;
-    std::set<std::string> effHash = facts.hashFields;
-    for (const char *fn : {kKeyFn, kGeomFn, kHashFn, kCompatFn}) {
+    for (const char *fn : {kKeyFn, kGeomFn, kCompatFn}) {
         const auto reach = reachableFrom(fn, facts);
         definitional.insert(reach.begin(), reach.end());
         // Helper functions called from the definitional roots
@@ -792,22 +748,20 @@ main(int argc, char **argv)
                 effKey.insert(r.path);
             else if (fn == kGeomFn)
                 effGeom.insert(r.path);
-            else if (fn == kHashFn)
-                effHash.insert(r.path);
         }
     }
     effKey = expandAll(effKey, facts.configFields);
     effGeom = expandAll(effGeom, facts.configFields);
-    effHash = expandAll(effHash, facts.configFields);
 
-    if (!facts.configFields.empty() && !facts.keyFields.empty()) {
+    if (effKey.empty())
+        rep.error("no front-end key fields (" + std::string(kKeyFn) +
+                  "() and its helpers not seen by extraction)");
+    if (!facts.configFields.empty() && !effKey.empty()) {
         checkKeyCompleteness(facts, closures, definitional, effKey,
                              effGeom, rep);
         checkKeyMinimality(facts, closures, definitional, effKey,
                            rep);
     }
-    if (!facts.configFields.empty() && !facts.hashFields.empty())
-        checkHashCompleteness(facts, effHash, rep);
     checkSubstrateIsolation(facts, closures, rep);
     checkLayering(facts, rep);
     checkOrphanStats(facts, rep);
