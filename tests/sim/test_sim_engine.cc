@@ -6,7 +6,10 @@
  *  - per-core seeds are decorrelated (SplitMix64 regression for the
  *    old `seed ^ (salt + core)` scheme);
  *  - multi-core runs honor tftAssoc, warmupInstructions and coreKind,
- *    which the old MultiCoreSystem silently ignored.
+ *    which the old MultiCoreSystem silently ignored;
+ *  - every L1 design (PIPT, SIPT, both way-predicted designs, SEESAW
+ *    under 4way-8way, and a 4-core snoopy SEESAW) is pinned bit for
+ *    bit, so the shared L1 skeleton cannot drift any of them.
  */
 
 #include <gtest/gtest.h>
@@ -93,6 +96,30 @@ const GoldenRow kGolden[] = {
      0ULL, 0ULL, 5523.3961416298825, 1, 1751ULL, 2700ULL, 2490ULL},
 };
 
+/** The RunResult fields every golden row pins. */
+void
+expectGolden(const RunResult &r, const GoldenRow &g, const std::string &tag)
+{
+    EXPECT_EQ(r.instructions, g.instructions) << tag;
+    EXPECT_EQ(r.cycles, g.cycles) << tag;
+    EXPECT_EQ(r.ipc, g.ipc) << tag; // exact: same division
+    EXPECT_EQ(r.l1Accesses, g.l1Accesses) << tag;
+    EXPECT_EQ(r.l1Hits, g.l1Hits) << tag;
+    EXPECT_EQ(r.l1Misses, g.l1Misses) << tag;
+    EXPECT_EQ(r.fastHits, g.fastHits) << tag;
+    EXPECT_EQ(r.l2Accesses, g.l2Accesses) << tag;
+    EXPECT_EQ(r.llcAccesses, g.llcAccesses) << tag;
+    EXPECT_EQ(r.dramAccesses, g.dramAccesses) << tag;
+    EXPECT_EQ(r.tftLookups, g.tftLookups) << tag;
+    EXPECT_EQ(r.tftHits, g.tftHits) << tag;
+    EXPECT_EQ(r.superpageRefs, g.superpageRefs) << tag;
+    EXPECT_EQ(r.energyTotalNj, g.energyTotalNj) << tag; // exact
+    EXPECT_EQ(r.superpageCoverage, g.superpageCoverage) << tag;
+    EXPECT_EQ(r.squashes, g.squashes) << tag;
+    EXPECT_EQ(r.probes, g.probes) << tag;
+    EXPECT_EQ(r.probeHits, g.probeHits) << tag;
+}
+
 TEST(SimEngineGolden, SingleCoreIsBitIdenticalToPreRefactorSystem)
 {
     for (const GoldenRow &g : kGolden) {
@@ -103,28 +130,75 @@ TEST(SimEngineGolden, SingleCoreIsBitIdenticalToPreRefactorSystem)
             std::string(g.kind == SeesawKind ? "seesaw" : "vipt") +
             "/s" + std::to_string(g.seed);
 
-        EXPECT_EQ(r.instructions, g.instructions) << tag;
-        EXPECT_EQ(r.cycles, g.cycles) << tag;
-        EXPECT_EQ(r.ipc, g.ipc) << tag; // exact: same division
-        EXPECT_EQ(r.l1Accesses, g.l1Accesses) << tag;
-        EXPECT_EQ(r.l1Hits, g.l1Hits) << tag;
-        EXPECT_EQ(r.l1Misses, g.l1Misses) << tag;
-        EXPECT_EQ(r.fastHits, g.fastHits) << tag;
-        EXPECT_EQ(r.l2Accesses, g.l2Accesses) << tag;
-        EXPECT_EQ(r.llcAccesses, g.llcAccesses) << tag;
-        EXPECT_EQ(r.dramAccesses, g.dramAccesses) << tag;
-        EXPECT_EQ(r.tftLookups, g.tftLookups) << tag;
-        EXPECT_EQ(r.tftHits, g.tftHits) << tag;
-        EXPECT_EQ(r.superpageRefs, g.superpageRefs) << tag;
-        EXPECT_EQ(r.energyTotalNj, g.energyTotalNj) << tag; // exact
-        EXPECT_EQ(r.superpageCoverage, g.superpageCoverage) << tag;
-        EXPECT_EQ(r.squashes, g.squashes) << tag;
-        EXPECT_EQ(r.probes, g.probes) << tag;
-        EXPECT_EQ(r.probeHits, g.probeHits) << tag;
+        expectGolden(r, g, tag);
         EXPECT_EQ(r.cores, 1u) << tag;
         ASSERT_EQ(r.perCore.size(), 1u) << tag;
         EXPECT_EQ(r.perCore[0].cycles, g.cycles) << tag;
         EXPECT_EQ(r.perCore[0].instructions, g.instructions) << tag;
+    }
+}
+
+/** One pinned L1 design: goldenConfig() plus the knobs that select it. */
+struct DesignGoldenRow
+{
+    const char *name;
+    InsertionPolicy policy;
+    unsigned cores;
+    CoherenceKind fabric;
+    double wpAccuracy;
+    GoldenRow golden;
+};
+
+// Captured before the L1 designs were collapsed onto one skeleton
+// (parent of the change that made PIPT a VIPT constructed at the
+// serial-TLB latency). Every field must reproduce exactly.
+const DesignGoldenRow kDesignGolden[] = {
+    {"pipt", InsertionPolicy::FourWay, 1, CoherenceKind::Directory, 0,
+     {L1Kind::Pipt, 1ULL, 60000ULL, 42414ULL, 1.4146272457207525,
+      21856ULL, 20031ULL, 1825ULL, 0ULL, 1825ULL, 1199ULL, 16ULL, 0ULL,
+      0ULL, 0ULL, 5784.5598564263883, 1, 1825ULL, 2700ULL, 2459ULL}},
+    {"sipt", InsertionPolicy::FourWay, 1, CoherenceKind::Directory, 0,
+     {L1Kind::Sipt, 1ULL, 60000ULL, 44929ULL, 1.3354403614591912,
+      21856ULL, 19555ULL, 2301ULL, 0ULL, 2301ULL, 1199ULL, 16ULL, 0ULL,
+      0ULL, 0ULL, 5476.0113436091387, 1, 2301ULL, 2700ULL, 2367ULL}},
+    {"vipt_wp", InsertionPolicy::FourWay, 1, CoherenceKind::Directory,
+     0.76534746976205714,
+     {L1Kind::ViptWayPredicted, 1ULL, 60000ULL, 43052ULL,
+      1.39366347672582, 21856ULL, 20031ULL, 1825ULL, 0ULL, 1825ULL,
+      1199ULL, 16ULL, 0ULL, 0ULL, 0ULL, 5029.2393239109988, 1, 1825ULL,
+      2700ULL, 2459ULL}},
+    {"seesaw_wp", InsertionPolicy::FourWay, 1, CoherenceKind::Directory,
+     0.81363677908783472,
+     {L1Kind::SeesawWayPredicted, 1ULL, 60000ULL, 42649ULL,
+      1.4068325165889002, 21856ULL, 19775ULL, 2081ULL, 21851ULL,
+      2081ULL, 1199ULL, 16ULL, 21856ULL, 21851ULL, 21856ULL,
+      5059.2234333456863, 1, 2081ULL, 2700ULL, 2445ULL}},
+    {"seesaw_4way8way", InsertionPolicy::FourWayEightWay, 1,
+     CoherenceKind::Directory, 0,
+     {L1Kind::Seesaw, 1ULL, 60000ULL, 40666ULL, 1.4754340235085821,
+      21856ULL, 19775ULL, 2081ULL, 21851ULL, 2081ULL, 1199ULL, 16ULL,
+      21856ULL, 21851ULL, 21856ULL, 5362.0598116149977, 1, 2081ULL,
+      2700ULL, 2445ULL}},
+    {"seesaw_snoopy_4c", InsertionPolicy::FourWay, 4,
+     CoherenceKind::Snoopy, 0,
+     {L1Kind::Seesaw, 1ULL, 240000ULL, 109160ULL, 2.1986075485525833,
+      87436ULL, 73022ULL, 14414ULL, 87418ULL, 7741ULL, 5172ULL, 1481ULL,
+      87436ULL, 87418ULL, 87436ULL, 41461.716045505658, 1, 14414ULL,
+      53772ULL, 15009ULL}},
+};
+
+TEST(SimEngineGolden, EveryL1DesignIsPinned)
+{
+    for (const DesignGoldenRow &d : kDesignGolden) {
+        SystemConfig cfg = goldenConfig(d.golden.kind, d.golden.seed);
+        cfg.policy = d.policy;
+        cfg.cores = d.cores;
+        cfg.fabric = d.fabric;
+        const RunResult r = SimEngine(cfg, goldenWorkload()).run();
+
+        expectGolden(r, d.golden, d.name);
+        EXPECT_EQ(r.wpAccuracy, d.wpAccuracy) << d.name; // exact
+        EXPECT_EQ(r.cores, d.cores) << d.name;
     }
 }
 
