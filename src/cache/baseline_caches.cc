@@ -1,197 +1,27 @@
 #include "cache/baseline_caches.hh"
 
-#include "common/logging.hh"
-
 namespace seesaw {
 
-ViptCache::ViptCache(const BaselineL1Config &config,
-                     const LatencyTable &latency)
-    : config_(config),
-      tags_(config.sizeBytes, config.assoc, config.lineBytes, 1,
-            config.replacement),
-      hitCycles_(latency.basePageCycles(config.sizeBytes, config.assoc,
-                                        config.freqGhz)),
-      wpMispredictPenalty_(1),
-      stats_("vipt"),
-      stAccesses_(&stats_.scalar("accesses")),
-      stHits_(&stats_.scalar("hits")),
-      stMisses_(&stats_.scalar("misses"))
+ViptCache::ViptCache(const BaselineL1Config &config, unsigned hit_cycles)
+    : L1Cache("vipt",
+              SetAssocCache(config.sizeBytes, config.assoc,
+                            config.lineBytes, 1, config.replacement),
+              hit_cycles, hit_cycles, config.wayPrediction)
 {
-    if (config.wayPrediction) {
-        predictor_ = std::make_unique<MruWayPredictor>(
-            tags_.numSets(), config.assoc, 1);
-    }
 }
 
 L1AccessResult
 ViptCache::access(const L1Access &req)
 {
     L1AccessResult res;
-    ++*stAccesses_;
-
-    const unsigned set = tags_.setIndex(req.pa);
-    unsigned predicted = 0;
-    if (predictor_) {
-        predicted = predictor_->predict(set);
-        res.wpUsed = true;
-    }
-
-    const TagLookup look = tags_.lookup(req.pa);
-    res.hit = look.hit;
-
-    if (!predictor_) {
-        res.latencyCycles = hitCycles_;
-        res.waysRead = config_.assoc;
-        res.fastPath = look.hit;
-    } else if (look.hit && look.way == predicted) {
-        // Correct prediction: only the predicted way is energised.
-        res.wpCorrect = true;
-        res.latencyCycles = hitCycles_;
-        res.waysRead = 1;
-        res.fastPath = true;
-        predictor_->recordOutcome(true);
-    } else {
-        // Mispredict (or miss). Way prediction gates only the data
-        // array: all tags compare in parallel, so the mispredict is
-        // known at tag-match time and costs one extra data-array
-        // access — dependents are rescheduled with a bubble, not a
-        // full replay (Powell et al.).
-        res.wpCorrect = false;
-        res.latencyCycles = hitCycles_ + wpMispredictPenalty_;
-        res.waysRead = 2; // predicted way + the correct way
-        res.fastPath = false;
-        predictor_->recordOutcome(false);
-    }
-
-    if (look.hit) {
-        ++*stHits_;
-        res.wasPrefetched = look.wasPrefetched;
-        if (req.type == AccessType::Write)
-            tags_.lineAt(set, look.way).state = CoherenceState::Modified;
-        if (predictor_)
-            predictor_->update(set, look.way);
-        return res;
-    }
-
-    // Miss: install with a set-wide policy victim.
-    ++*stMisses_;
-    const auto state = req.type == AccessType::Write
-                           ? CoherenceState::Modified
-                           : CoherenceState::Exclusive;
-    res.eviction = tags_.insert(req.pa, SetAssocCache::InsertScope::FullSet,
-                                state, req.pageSize);
-    res.installWays = config_.assoc;
-    if (predictor_) {
-        const TagLookup filled = tags_.peek(req.pa);
-        SEESAW_ASSERT(filled.hit, "fill must be visible");
-        predictor_->update(set, filled.way);
-    }
-    return res;
-}
-
-L1ProbeResult
-ViptCache::probe(Addr pa, bool invalidating)
-{
-    L1ProbeResult res;
-    // Coherence probes carry a physical address; the unpartitioned
-    // baseline must energise every way of the set.
-    res.waysRead = config_.assoc;
-    CacheLine *line = tags_.findLine(pa);
-    if (!line)
-        return res;
-    res.hit = true;
-    res.wasDirty = isDirtyState(line->state);
-    if (invalidating) {
-        // Route through the tag store so the replacement policy sees
-        // the way free up.
-        tags_.invalidate(pa);
-    } else {
-        // Downgrade: a remote reader leaves us Shared (or Owned when we
-        // held dirty data and must supply it).
-        line->state = res.wasDirty ? CoherenceState::Owned
-                                   : CoherenceState::Shared;
-    }
-    return res;
-}
-
-unsigned
-ViptCache::sweepRegion(Addr pa_base, std::uint64_t bytes)
-{
-    return tags_.sweepRegion(pa_base, bytes);
-}
-
-PiptCache::PiptCache(const BaselineL1Config &config,
-                     const LatencyTable &latency,
-                     unsigned tlb_latency_cycles)
-    : config_(config),
-      tags_(config.sizeBytes, config.assoc, config.lineBytes, 1,
-            config.replacement),
-      hitCycles_(latency.piptCycles(config.sizeBytes, config.assoc,
-                                    config.freqGhz,
-                                    tlb_latency_cycles)),
-      stats_("pipt"),
-      stAccesses_(&stats_.scalar("accesses")),
-      stHits_(&stats_.scalar("hits")),
-      stMisses_(&stats_.scalar("misses"))
-{
-    SEESAW_ASSERT(!config.wayPrediction,
-                  "way prediction unsupported on the PIPT baseline");
-}
-
-L1AccessResult
-PiptCache::access(const L1Access &req)
-{
-    L1AccessResult res;
-    ++*stAccesses_;
-
-    const TagLookup look = tags_.lookup(req.pa);
-    res.hit = look.hit;
-    res.latencyCycles = hitCycles_;
-    res.waysRead = config_.assoc;
+    const TagLookup look = tags().lookup(req.pa);
+    res.latencyCycles = baseHitCycles();
+    res.waysRead = tags().assoc();
     res.fastPath = look.hit;
-
-    if (look.hit) {
-        ++*stHits_;
-        res.wasPrefetched = look.wasPrefetched;
-        if (req.type == AccessType::Write)
-            tags_.lineAt(tags_.setIndex(req.pa), look.way).state =
-                CoherenceState::Modified;
-        return res;
-    }
-
-    ++*stMisses_;
-    const auto state = req.type == AccessType::Write
-                           ? CoherenceState::Modified
-                           : CoherenceState::Exclusive;
-    res.eviction = tags_.insert(req.pa, SetAssocCache::InsertScope::FullSet,
-                                state, req.pageSize);
-    res.installWays = config_.assoc;
+    if (const MruWayPredictor *wp = wayPredictor())
+        scorePrediction(look, wp->predict(tags().setIndex(req.pa)), res);
+    complete(req, look, SetAssocCache::InsertScope::FullSet, res);
     return res;
-}
-
-L1ProbeResult
-PiptCache::probe(Addr pa, bool invalidating)
-{
-    L1ProbeResult res;
-    res.waysRead = config_.assoc;
-    CacheLine *line = tags_.findLine(pa);
-    if (!line)
-        return res;
-    res.hit = true;
-    res.wasDirty = isDirtyState(line->state);
-    if (invalidating) {
-        tags_.invalidate(pa);
-    } else {
-        line->state = res.wasDirty ? CoherenceState::Owned
-                                   : CoherenceState::Shared;
-    }
-    return res;
-}
-
-unsigned
-PiptCache::sweepRegion(Addr pa_base, std::uint64_t bytes)
-{
-    return tags_.sweepRegion(pa_base, bytes);
 }
 
 } // namespace seesaw

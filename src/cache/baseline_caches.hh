@@ -3,16 +3,15 @@
  * Baseline L1 designs SEESAW is evaluated against: the traditional
  * highly-associative VIPT cache (optionally with MRU way prediction,
  * Fig 15) and the PIPT alternative with a serialised TLB (Fig 14).
+ * Both read every way of the set; PIPT is the same cache built at the
+ * PIPT latency, which adds the serial TLB lookup but lets the
+ * associativity be chosen freely.
  */
 
 #ifndef SEESAW_CACHE_BASELINE_CACHES_HH
 #define SEESAW_CACHE_BASELINE_CACHES_HH
 
-#include <memory>
-
 #include "cache/l1_cache.hh"
-#include "cache/way_predictor.hh"
-#include "model/latency_table.hh"
 
 namespace seesaw {
 
@@ -22,86 +21,21 @@ struct BaselineL1Config
     std::uint64_t sizeBytes = 32 * 1024;
     unsigned assoc = 8;
     unsigned lineBytes = 64;
-    double freqGhz = 1.33;
-    bool wayPrediction = false; //!< VIPT only: MRU way predictor
+    bool wayPrediction = false; //!< MRU way predictor
     ReplacementParams replacement; //!< tag-store victim policy
 };
 
 /**
- * A traditional VIPT L1: every lookup reads all ways of the set, and
- * hit latency equals the paper's baseline (Table III).
+ * A full-set L1: every lookup reads all ways of the set.
  */
 class ViptCache final : public L1Cache
 {
   public:
-    ViptCache(const BaselineL1Config &config,
-              const LatencyTable &latency);
+    /** @param hit_cycles LatencyTable::basePageCycles for VIPT (Table
+     *  III), LatencyTable::piptCycles for PIPT. */
+    ViptCache(const BaselineL1Config &config, unsigned hit_cycles);
 
     L1AccessResult access(const L1Access &req) override;
-    L1ProbeResult probe(Addr pa, bool invalidating) override;
-    unsigned baseHitCycles() const override { return hitCycles_; }
-    unsigned fastHitCycles() const override { return hitCycles_; }
-    unsigned sweepRegion(Addr pa_base, std::uint64_t bytes) override;
-    const SetAssocCache &tags() const override { return tags_; }
-    SetAssocCache &tags() override { return tags_; }
-    const StatGroup &stats() const override { return stats_; }
-    StatGroup &stats() override { return stats_; }
-
-    /** Way-predictor state (valid only when wayPrediction was set). */
-    const MruWayPredictor *wayPredictor() const
-    {
-        return predictor_.get();
-    }
-
-  private:
-    BaselineL1Config config_;
-    SetAssocCache tags_;
-    unsigned hitCycles_;
-    unsigned wpMispredictPenalty_;
-    std::unique_ptr<MruWayPredictor> predictor_;
-    StatGroup stats_;
-
-    // Hot-path stat handles (registered once; see common/stats.hh).
-    StatScalar *stAccesses_;
-    StatScalar *stHits_;
-    StatScalar *stMisses_;
-};
-
-/**
- * A PIPT L1: the TLB is serialised before the cache, but associativity
- * (and therefore array latency) can be chosen freely (Fig 14).
- */
-class PiptCache final : public L1Cache
-{
-  public:
-    /**
-     * @param tlb_latency_cycles L1 TLB latency paid before every
-     *        cache access (the PIPT serialisation cost).
-     */
-    PiptCache(const BaselineL1Config &config,
-              const LatencyTable &latency,
-              unsigned tlb_latency_cycles);
-
-    L1AccessResult access(const L1Access &req) override;
-    L1ProbeResult probe(Addr pa, bool invalidating) override;
-    unsigned baseHitCycles() const override { return hitCycles_; }
-    unsigned fastHitCycles() const override { return hitCycles_; }
-    unsigned sweepRegion(Addr pa_base, std::uint64_t bytes) override;
-    const SetAssocCache &tags() const override { return tags_; }
-    SetAssocCache &tags() override { return tags_; }
-    const StatGroup &stats() const override { return stats_; }
-    StatGroup &stats() override { return stats_; }
-
-  private:
-    BaselineL1Config config_;
-    SetAssocCache tags_;
-    unsigned hitCycles_; //!< includes the serial TLB lookup
-    StatGroup stats_;
-
-    // Hot-path stat handles (registered once; see common/stats.hh).
-    StatScalar *stAccesses_;
-    StatScalar *stHits_;
-    StatScalar *stMisses_;
 };
 
 } // namespace seesaw

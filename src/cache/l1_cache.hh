@@ -1,7 +1,8 @@
 /**
  * @file
- * The abstract L1 data-cache interface shared by the baseline VIPT
- * cache, the PIPT alternative, and the SEESAW cache.
+ * The L1 data-cache skeleton shared by every design: the baseline VIPT
+ * cache (also the PIPT alternative, built at the serial-TLB latency),
+ * the SIPT related design, and the SEESAW cache.
  *
  * Timing contract: access() reports the L1 lookup latency and how many
  * ways were read (for energy); on a miss it installs the line (the
@@ -12,7 +13,10 @@
 #ifndef SEESAW_CACHE_L1_CACHE_HH
 #define SEESAW_CACHE_L1_CACHE_HH
 
+#include <memory>
+
 #include "cache/set_assoc_cache.hh"
+#include "cache/way_predictor.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 
@@ -65,7 +69,10 @@ struct L1ProbeResult
 };
 
 /**
- * Abstract L1 data cache.
+ * The L1 skeleton every design shares: one tag store, one stat set, an
+ * optional MRU way predictor, and the hit/fill/probe tail. A design
+ * supplies its constructor and access(): which ways the lookup reads
+ * and at what latency. Line states follow MoesiProtocol.
  */
 class L1Cache
 {
@@ -76,21 +83,13 @@ class L1Cache
     virtual L1AccessResult access(const L1Access &req) = 0;
 
     /**
-     * Coherence probe by physical address.
+     * Coherence probe by physical address. The default reads the full
+     * set and leaves replacement state untouched.
      * @param pa Probed address.
      * @param invalidating True for invalidation probes (line dropped),
      *        false for read/downgrade probes.
      */
-    virtual L1ProbeResult probe(Addr pa, bool invalidating) = 0;
-
-    /** Slow (baseline) hit latency the scheduler may assume. */
-    virtual unsigned baseHitCycles() const = 0;
-
-    /** Fast hit latency (equals baseHitCycles for non-SEESAW caches). */
-    virtual unsigned fastHitCycles() const = 0;
-
-    /** Evict all lines in [pa_base, pa_base+bytes): promotion sweep. */
-    virtual unsigned sweepRegion(Addr pa_base, std::uint64_t bytes) = 0;
+    virtual L1ProbeResult probe(Addr pa, bool invalidating);
 
     /**
      * Install @p pa speculatively on behalf of a prefetch: a
@@ -100,21 +99,66 @@ class L1Cache
      * partition placement.
      * @return A snapshot of the displaced line, if any.
      */
-    virtual Eviction
-    prefetchFill(Addr pa, PageSize page_size)
-    {
-        return tags().insert(pa, SetAssocCache::InsertScope::FullSet,
-                             CoherenceState::Exclusive, page_size,
-                             /*prefetched=*/true);
-    }
+    virtual Eviction prefetchFill(Addr pa, PageSize page_size);
+
+    /** Slow (baseline) hit latency the scheduler may assume. */
+    unsigned baseHitCycles() const { return baseHitCycles_; }
+
+    /** Fast hit latency (equals baseHitCycles for VIPT and PIPT). */
+    unsigned fastHitCycles() const { return fastHitCycles_; }
+
+    /** Evict all lines in [pa_base, pa_base+bytes): promotion sweep. */
+    unsigned sweepRegion(Addr pa_base, std::uint64_t bytes);
 
     /** The underlying tag store (tests and directory bookkeeping). */
-    virtual const SetAssocCache &tags() const = 0;
-    virtual SetAssocCache &tags() = 0;
+    const SetAssocCache &tags() const { return tags_; }
+    SetAssocCache &tags() { return tags_; }
 
     /** Per-cache statistics. */
-    virtual const StatGroup &stats() const = 0;
-    virtual StatGroup &stats() = 0;
+    const StatGroup &stats() const { return stats_; }
+    StatGroup &stats() { return stats_; }
+
+    /** Way-predictor state (null unless way prediction was set). */
+    const MruWayPredictor *
+    wayPredictor() const
+    {
+        return predictor_.get();
+    }
+
+  protected:
+    /** @param way_prediction Attach an MRU way predictor covering
+     *  every set, way and partition of @p tags. */
+    L1Cache(const char *stat_group, SetAssocCache tags,
+            unsigned base_hit_cycles, unsigned fast_hit_cycles,
+            bool way_prediction);
+
+    /** The shared tail of access(): count the access, then apply a
+     *  write to the hit line or fill the miss into @p scope, and train
+     *  the way predictor with the way that hit or was filled. */
+    void complete(const L1Access &req, const TagLookup &look,
+                  SetAssocCache::InsertScope scope, L1AccessResult &res);
+
+    /** Score the way predictor's guess @p predicted against @p look:
+     *  a correct guess energises one way, a mispredict one extra. */
+    void scorePrediction(const TagLookup &look, unsigned predicted,
+                         L1AccessResult &res);
+
+    /** Apply a probe to @p pa's line, if resident: invalidate it
+     *  through the tag store or downgrade it for a remote read. */
+    void probeLine(Addr pa, bool invalidating, L1ProbeResult &res);
+
+  private:
+    SetAssocCache tags_;
+    StatGroup stats_;
+    std::unique_ptr<MruWayPredictor> predictor_;
+    unsigned baseHitCycles_;
+    unsigned fastHitCycles_;
+
+    // Hot-path stat handles (registered once; see common/stats.hh).
+    StatScalar *stAccesses_;
+    StatScalar *stHits_;
+    StatScalar *stMisses_;
+    StatScalar *stSweepEvictions_;
 };
 
 } // namespace seesaw

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "cache/moesi.hh"
 #include "common/logging.hh"
 
 namespace seesaw {
@@ -40,9 +41,7 @@ OuterAccessResult
 OuterHierarchy::access(Addr pa, AccessType type)
 {
     OuterAccessResult res;
-    const auto fill_state = type == AccessType::Write
-                                ? CoherenceState::Modified
-                                : CoherenceState::Exclusive;
+    const CoherenceState fill_state = MoesiProtocol::onLocalFill(type);
 
     ++*stL2Accesses_;
     res.cycles = l2Cycles_;

@@ -1,5 +1,6 @@
 #include "cache/set_assoc_cache.hh"
 
+#include "cache/moesi.hh"
 #include "common/bitops.hh"
 #include "common/logging.hh"
 
@@ -136,6 +137,16 @@ SetAssocCache::insert(Addr pa, InsertScope scope, CoherenceState state,
     return ev;
 }
 
+void
+SetAssocCache::dropLine(unsigned set, unsigned way)
+{
+    CacheLine &line = setBase(set)[way];
+    line.valid = false;
+    line.state = MoesiProtocol::onDrop(line.state);
+    line.prefetched = false;
+    policy_->invalidate(set, way);
+}
+
 std::optional<CoherenceState>
 SetAssocCache::invalidate(Addr pa)
 {
@@ -145,10 +156,7 @@ SetAssocCache::invalidate(Addr pa)
     for (unsigned way = 0; way < assoc_; ++way) {
         if (base[way].valid && base[way].lineAddr == line_addr) {
             const CoherenceState prev = base[way].state;
-            base[way].valid = false;
-            base[way].state = CoherenceState::Invalid;
-            base[way].prefetched = false;
-            policy_->invalidate(set, way);
+            dropLine(set, way);
             return prev;
         }
     }
@@ -191,10 +199,7 @@ SetAssocCache::sweepRegion(Addr pa_base, std::uint64_t bytes)
             CacheLine &line = base[way];
             if (line.valid && line.lineAddr >= lo &&
                 line.lineAddr < hi) {
-                line.valid = false;
-                line.state = CoherenceState::Invalid;
-                line.prefetched = false;
-                policy_->invalidate(set, way);
+                dropLine(set, way);
                 ++evicted;
             }
         }

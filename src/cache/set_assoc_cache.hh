@@ -205,6 +205,9 @@ class SetAssocCache
 
     TagLookup searchRange(Addr line_addr, unsigned set, unsigned begin,
                           unsigned end, bool touch);
+
+    /** Drop the line at (set, way) and free the way in the policy. */
+    void dropLine(unsigned set, unsigned way);
 };
 
 } // namespace seesaw

@@ -7,22 +7,23 @@ namespace seesaw {
 
 SiptCache::SiptCache(const SiptConfig &config,
                      const LatencyTable &latency)
-    : config_(config),
-      tags_(config.sizeBytes, config.assoc, config.lineBytes, 1,
-            config.replacement),
-      hitCycles_(latency.sram().accessLatencyCycles(
-          config.sizeBytes, config.assoc, config.freqGhz)),
+    : L1Cache("sipt",
+              SetAssocCache(config.sizeBytes, config.assoc,
+                            config.lineBytes, 1, config.replacement),
+              latency.sram().accessLatencyCycles(
+                  config.sizeBytes, config.assoc, config.freqGhz) +
+                  config.replayPenaltyCycles,
+              latency.sram().accessLatencyCycles(
+                  config.sizeBytes, config.assoc, config.freqGhz),
+              /*way_prediction=*/false),
+      config_(config),
       predictor_(config.predictorEntries),
-      stats_("sipt"),
-      stAccesses_(&stats_.scalar("accesses")),
-      stHits_(&stats_.scalar("hits")),
-      stMisses_(&stats_.scalar("misses")),
-      stSpecCorrect_(&stats_.scalar("spec_correct")),
-      stSpecWrong_(&stats_.scalar("spec_wrong"))
+      stSpecCorrect_(&stats().scalar("spec_correct")),
+      stSpecWrong_(&stats().scalar("spec_wrong"))
 {
     // How many index bits exceed the 4KB page offset?
     const unsigned set_span_bits =
-        log2Floor(tags_.numSets()) + log2Floor(config.lineBytes);
+        log2Floor(tags().numSets()) + log2Floor(config.lineBytes);
     SEESAW_ASSERT(set_span_bits > 12,
                   "SIPT needs more sets than VIPT allows; use a lower "
                   "associativity");
@@ -57,7 +58,6 @@ L1AccessResult
 SiptCache::access(const L1Access &req)
 {
     L1AccessResult res;
-    ++*stAccesses_;
 
     // Speculate the index; the TLB reveals the truth in parallel.
     const unsigned predicted = predictBits(req.va);
@@ -71,12 +71,11 @@ SiptCache::access(const L1Access &req)
 
     // Lines live at their physical index; a wrong speculation reads
     // the wrong set first and replays at the right one (rollback).
-    const TagLookup look = tags_.lookup(req.pa);
-    res.hit = look.hit;
+    // Probes need no override: the physical index sends them straight
+    // to the right (small) set.
+    const TagLookup look = tags().lookup(req.pa);
     res.waysRead = correct ? config_.assoc : 2 * config_.assoc;
-    res.latencyCycles =
-        correct ? hitCycles_
-                : hitCycles_ + config_.replayPenaltyCycles;
+    res.latencyCycles = correct ? fastHitCycles() : baseHitCycles();
     res.fastPath = correct;
     // The mispeculation is only discovered when the TLB result
     // arrives at tag-compare time: a late discovery, i.e., the full
@@ -84,51 +83,8 @@ SiptCache::access(const L1Access &req)
     // guarantee-based TFT.
     res.lateDiscovery = !correct;
 
-    if (look.hit) {
-        ++*stHits_;
-        res.wasPrefetched = look.wasPrefetched;
-        if (req.type == AccessType::Write)
-            tags_.lineAt(tags_.setIndex(req.pa), look.way).state =
-                CoherenceState::Modified;
-        return res;
-    }
-
-    ++*stMisses_;
-    const auto state = req.type == AccessType::Write
-                           ? CoherenceState::Modified
-                           : CoherenceState::Exclusive;
-    res.eviction = tags_.insert(req.pa, SetAssocCache::InsertScope::FullSet,
-                                state, req.pageSize);
-    res.installWays = config_.assoc;
+    complete(req, look, SetAssocCache::InsertScope::FullSet, res);
     return res;
-}
-
-L1ProbeResult
-SiptCache::probe(Addr pa, bool invalidating)
-{
-    L1ProbeResult res;
-    // Physical index: probes go straight to the right (small) set.
-    res.waysRead = config_.assoc;
-    CacheLine *line = tags_.findLine(pa);
-    if (!line)
-        return res;
-    res.hit = true;
-    res.wasDirty = isDirtyState(line->state);
-    if (invalidating) {
-        // Route through the tag store so the replacement policy sees
-        // the way free up.
-        tags_.invalidate(pa);
-    } else {
-        line->state = res.wasDirty ? CoherenceState::Owned
-                                   : CoherenceState::Shared;
-    }
-    return res;
-}
-
-unsigned
-SiptCache::sweepRegion(Addr pa_base, std::uint64_t bytes)
-{
-    return tags_.sweepRegion(pa_base, bytes);
 }
 
 } // namespace seesaw

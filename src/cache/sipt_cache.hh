@@ -40,7 +40,8 @@ struct SiptConfig
 };
 
 /**
- * The SIPT L1 data cache.
+ * The SIPT L1 data cache. A correct speculation hits at the array
+ * latency (fastHitCycles); a replay adds the penalty (baseHitCycles).
  */
 class SiptCache final : public L1Cache
 {
@@ -48,19 +49,6 @@ class SiptCache final : public L1Cache
     SiptCache(const SiptConfig &config, const LatencyTable &latency);
 
     L1AccessResult access(const L1Access &req) override;
-    L1ProbeResult probe(Addr pa, bool invalidating) override;
-
-    unsigned baseHitCycles() const override
-    {
-        return hitCycles_ + config_.replayPenaltyCycles;
-    }
-    unsigned fastHitCycles() const override { return hitCycles_; }
-
-    unsigned sweepRegion(Addr pa_base, std::uint64_t bytes) override;
-    const SetAssocCache &tags() const override { return tags_; }
-    SetAssocCache &tags() override { return tags_; }
-    const StatGroup &stats() const override { return stats_; }
-    StatGroup &stats() override { return stats_; }
 
     /** Bits of the index that lie above the page offset. */
     unsigned speculativeBits() const { return specBits_; }
@@ -69,8 +57,8 @@ class SiptCache final : public L1Cache
     double
     predictionAccuracy() const
     {
-        const double total = stats_.get("accesses");
-        return total > 0.0 ? stats_.get("spec_correct") / total : 0.0;
+        const double total = stats().get("accesses");
+        return total > 0.0 ? stats().get("spec_correct") / total : 0.0;
     }
 
     /** Accesses whose speculated index bits were wrong (replays). */
@@ -85,16 +73,10 @@ class SiptCache final : public L1Cache
     };
 
     SiptConfig config_;
-    SetAssocCache tags_;
-    unsigned hitCycles_;
     unsigned specBits_; //!< index bits above bit 11
     std::vector<PredictorEntry> predictor_;
-    StatGroup stats_;
 
     // Hot-path stat handles (registered once; see common/stats.hh).
-    StatScalar *stAccesses_;
-    StatScalar *stHits_;
-    StatScalar *stMisses_;
     StatScalar *stSpecCorrect_;
     StatScalar *stSpecWrong_;
 

@@ -1,5 +1,6 @@
 #include "coherence/fabric.hh"
 
+#include "cache/moesi.hh"
 #include "common/logging.hh"
 
 namespace seesaw {
@@ -68,7 +69,8 @@ DirectoryFabric::postAccess(CoreId core, Addr pa, AccessType type,
             // The L1 installed the read fill Exclusive, but other
             // copies exist; MOESI grants E only to the sole copy.
             if (CacheLine *line = l1s_[core]->tags().findLine(pa))
-                line->state = CoherenceState::Shared;
+                line->state = MoesiProtocol::onLocalReadFill(
+                    /*remote_sharers=*/true);
         }
         if (res.eviction.valid) {
             directory_.recordEviction(
@@ -117,10 +119,10 @@ SnoopFabric::preAccess(CoreId core, Addr pa, AccessType type)
     const CacheLine *local = l1s_[core]->tags().findLine(pa);
     pre.wasHeld = local != nullptr;
     if (type == AccessType::Write) {
-        // A write completes silently only on an M/E copy; any other
-        // state broadcasts an invalidating transaction.
-        if (!local || (local->state != CoherenceState::Modified &&
-                       local->state != CoherenceState::Exclusive)) {
+        // A write completes silently only on an M/E copy; a miss or
+        // an S/O copy (an upgrade) broadcasts an invalidating
+        // transaction.
+        if (!local || MoesiProtocol::writeNeedsUpgrade(local->state)) {
             pre.cycles =
                 broadcast(core, pa, /*invalidating=*/true,
                           pre.ownerSupplied);
@@ -151,7 +153,8 @@ SnoopFabric::postAccess(CoreId core, Addr pa, AccessType type,
         }
         if (remote_copy) {
             if (CacheLine *line = l1s_[core]->tags().findLine(pa))
-                line->state = CoherenceState::Shared;
+                line->state = MoesiProtocol::onLocalReadFill(
+                    /*remote_sharers=*/true);
         }
     }
 }

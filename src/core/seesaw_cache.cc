@@ -1,54 +1,49 @@
 #include "core/seesaw_cache.hh"
 
+#include "cache/moesi.hh"
 #include "common/logging.hh"
 
 namespace seesaw {
 
 SeesawCache::SeesawCache(const SeesawConfig &config,
                          const LatencyTable &latency)
-    : config_(config),
-      tags_(config.sizeBytes, config.assoc, config.lineBytes,
-            config.assoc / config.partitionWays, config.replacement),
+    : L1Cache("seesaw",
+              SetAssocCache(config.sizeBytes, config.assoc,
+                            config.lineBytes,
+                            config.assoc / config.partitionWays,
+                            config.replacement),
+              latency.basePageCycles(config.sizeBytes, config.assoc,
+                                     config.freqGhz),
+              latency.superpageCycles(config.sizeBytes, config.assoc,
+                                      config.partitionWays,
+                                      config.freqGhz),
+              config.wayPrediction),
+      config_(config),
       tft_(config.tftEntries, config.tftAssoc,
            withSeedSalt(config.replacement, 0x7f7ULL)),
-      slowCycles_(latency.basePageCycles(config.sizeBytes, config.assoc,
-                                         config.freqGhz)),
-      fastCycles_(latency.superpageCycles(config.sizeBytes, config.assoc,
-                                          config.partitionWays,
-                                          config.freqGhz)),
-      tftCycles_(latency.tftCycles(config.freqGhz)),
-      stats_("seesaw"),
-      stAccesses_(&stats_.scalar("accesses")),
-      stHits_(&stats_.scalar("hits")),
-      stMisses_(&stats_.scalar("misses")),
-      stSuperRefs_(&stats_.scalar("superpage_refs")),
-      stSuperRefsTftMiss_(&stats_.scalar("superpage_refs_tft_miss")),
+      stSuperRefs_(&stats().scalar("superpage_refs")),
+      stSuperRefsTftMiss_(&stats().scalar("superpage_refs_tft_miss")),
       stSuperRefsTftMissL1Hit_(
-          &stats_.scalar("superpage_refs_tft_miss_l1_hit")),
+          &stats().scalar("superpage_refs_tft_miss_l1_hit")),
       stSuperRefsTftMissL1Miss_(
-          &stats_.scalar("superpage_refs_tft_miss_l1_miss")),
-      stProbes_(&stats_.scalar("probes")),
-      stProbeHits_(&stats_.scalar("probe_hits")),
-      stSweepEvictions_(&stats_.scalar("sweep_evictions"))
+          &stats().scalar("superpage_refs_tft_miss_l1_miss")),
+      stProbes_(&stats().scalar("probes")),
+      stProbeHits_(&stats().scalar("probe_hits"))
 {
     SEESAW_ASSERT(config.assoc % config.partitionWays == 0,
                   "partition width must divide associativity");
     // The partition index must sit above the 4KB page offset (so it is
     // only trusted for superpages) and inside the 2MB page offset.
-    SEESAW_ASSERT(tags_.partitionLowBit() == 12,
+    SEESAW_ASSERT(tags().partitionLowBit() == 12,
                   "SEESAW requires sets x linesize == 4KB; got partition "
-                  "bit ", tags_.partitionLowBit());
-    if (config.wayPrediction) {
-        predictor_ = std::make_unique<MruWayPredictor>(
-            tags_.numSets(), config.assoc, tags_.numPartitions());
-    }
+                  "bit ", tags().partitionLowBit());
 }
 
 L1AccessResult
 SeesawCache::access(const L1Access &req)
 {
     L1AccessResult res;
-    ++*stAccesses_;
+    SetAssocCache &tags = this->tags();
 
     // The TFT is probed in parallel with set selection (and with the
     // TLB): honour a pre-TLB probe when the caller supplies one.
@@ -67,88 +62,54 @@ SeesawCache::access(const L1Access &req)
         SEESAW_ASSERT(!res.tftHit, "TFT hit on a base-page access");
     }
 
-    const unsigned set = tags_.setIndex(req.pa);
-    const unsigned partition = tags_.partitionIndex(req.pa);
+    const unsigned set = tags.setIndex(req.pa);
+    const unsigned partition = tags.partitionIndex(req.pa);
 
     TagLookup look;
     if (res.tftHit) {
         // Fast path: the VA's partition bits are page-offset bits, so
         // they equal the PA's; one partition suffices (Table I rows
         // 1-2).
-        SEESAW_ASSERT(tags_.partitionIndex(req.va) == partition,
+        SEESAW_ASSERT(tags.partitionIndex(req.va) == partition,
                       "superpage VA/PA partition bits must agree");
-        look = tags_.lookupPartition(req.pa, partition);
+        look = tags.lookupPartition(req.pa, partition);
         res.fastPath = true;
-        res.latencyCycles = fastCycles_;
+        res.latencyCycles = fastHitCycles();
         res.waysRead = config_.partitionWays;
     } else {
         // Slow path: the speculated partition is read first; the TFT
         // miss signal triggers a read of the remaining partitions in
         // the next cycle (Table I rows 3-4). Same latency and energy
         // as baseline VIPT.
-        look = tags_.lookup(req.pa);
-        res.fastPath = false;
-        res.latencyCycles = slowCycles_;
+        look = tags.lookup(req.pa);
+        res.latencyCycles = baseHitCycles();
         res.waysRead = config_.assoc;
     }
 
     // Optional combined way prediction (Section VI-F): SEESAW hands the
     // predictor the right partition, shrinking both the energised ways
     // and the misprediction penalty for superpage accesses.
-    if (predictor_) {
-        res.wpUsed = true;
-        const unsigned predicted =
-            res.tftHit ? predictor_->predictInPartition(set, partition)
-                       : predictor_->predict(set);
-        if (look.hit && look.way == predicted) {
-            res.wpCorrect = true;
-            res.waysRead = 1;
-            predictor_->recordOutcome(true);
-        } else {
-            // Mispredict: tags compare in parallel, so only one extra
-            // data-array read (of the correct way) is needed; the
-            // scheduler re-arbitrates with a bubble. SEESAW bounds the
-            // extra read to the partition on the fast path.
-            res.wpCorrect = false;
-            res.latencyCycles += 1;
-            res.waysRead = 2; // predicted way + the correct way
-            res.fastPath = false;
-            predictor_->recordOutcome(false);
-        }
-        if (look.hit)
-            predictor_->update(set, look.way);
+    if (const MruWayPredictor *wp = wayPredictor()) {
+        scorePrediction(look,
+                        res.tftHit ? wp->predictInPartition(set, partition)
+                                   : wp->predict(set),
+                        res);
     }
 
-    res.hit = look.hit;
-    if (look.hit) {
-        ++*stHits_;
-        res.wasPrefetched = look.wasPrefetched;
-        if (super_ref && !res.tftHit)
+    // A miss installs partition-scoped under the 4way policy (and for
+    // superpages under 4way-8way): the victim partition is named by the
+    // *physical* address — the placement invariant coherence relies on.
+    const bool partition_fill =
+        config_.policy == InsertionPolicy::FourWay || super_ref;
+    complete(req, look,
+             partition_fill ? SetAssocCache::InsertScope::Partition
+                            : SetAssocCache::InsertScope::FullSet,
+             res);
+    if (super_ref && !res.tftHit) {
+        if (res.hit)
             ++*stSuperRefsTftMissL1Hit_;
-        if (req.type == AccessType::Write)
-            tags_.lineAt(set, look.way).state = CoherenceState::Modified;
-        return res;
-    }
-
-    // Miss: install. Under the 4way policy the victim partition is
-    // named by the *physical* address — maintaining the placement
-    // invariant coherence relies on.
-    ++*stMisses_;
-    if (super_ref && !res.tftHit)
-        ++*stSuperRefsTftMissL1Miss_;
-
-    const auto scope = insertScopeFor(req.pageSize);
-    const auto state = req.type == AccessType::Write
-                           ? CoherenceState::Modified
-                           : CoherenceState::Exclusive;
-    res.eviction = tags_.insert(req.pa, scope, state, req.pageSize);
-    res.installWays = scope == SetAssocCache::InsertScope::Partition
-                          ? config_.partitionWays
-                          : config_.assoc;
-    if (predictor_) {
-        const TagLookup filled = tags_.peek(req.pa);
-        SEESAW_ASSERT(filled.hit, "fill must be visible");
-        predictor_->update(set, filled.way);
+        else
+            ++*stSuperRefsTftMissL1Miss_;
     }
     return res;
 }
@@ -157,34 +118,25 @@ L1ProbeResult
 SeesawCache::probe(Addr pa, bool invalidating)
 {
     L1ProbeResult res;
+    SetAssocCache &tags = this->tags();
     ++*stProbes_;
 
     TagLookup look;
     if (config_.policy == InsertionPolicy::FourWay) {
         // Placement invariant: the PA names the only partition the
         // line can live in — every coherence lookup is 4-way.
-        look = tags_.lookupPartition(pa, tags_.partitionIndex(pa));
+        look = tags.lookupPartition(pa, tags.partitionIndex(pa));
         res.waysRead = config_.partitionWays;
     } else {
         // 4way-8way sacrifices this: base-page lines can sit anywhere
         // in the set, so probes must energise every way.
-        look = tags_.lookup(pa);
+        look = tags.lookup(pa);
         res.waysRead = config_.assoc;
     }
 
-    if (!look.hit)
-        return res;
-    res.hit = true;
-    ++*stProbeHits_;
-    CacheLine *line = tags_.findLine(pa);
-    res.wasDirty = isDirtyState(line->state);
-    if (invalidating) {
-        // Route through the tag store so the replacement policy sees
-        // the way free up.
-        tags_.invalidate(pa);
-    } else {
-        line->state = res.wasDirty ? CoherenceState::Owned
-                                   : CoherenceState::Shared;
+    if (look.hit) {
+        ++*stProbeHits_;
+        probeLine(pa, invalidating, res);
     }
     return res;
 }
@@ -192,17 +144,9 @@ SeesawCache::probe(Addr pa, bool invalidating)
 Eviction
 SeesawCache::prefetchFill(Addr pa, PageSize page_size)
 {
-    return tags_.insert(pa, SetAssocCache::InsertScope::Partition,
-                        CoherenceState::Exclusive, page_size,
-                        /*prefetched=*/true);
-}
-
-unsigned
-SeesawCache::sweepRegion(Addr pa_base, std::uint64_t bytes)
-{
-    const unsigned evicted = tags_.sweepRegion(pa_base, bytes);
-    *stSweepEvictions_ += evicted;
-    return evicted;
+    return tags().insert(pa, SetAssocCache::InsertScope::Partition,
+                         MoesiProtocol::onLocalFill(AccessType::Read),
+                         page_size, /*prefetched=*/true);
 }
 
 } // namespace seesaw

@@ -20,10 +20,7 @@
 #ifndef SEESAW_CORE_SEESAW_CACHE_HH
 #define SEESAW_CORE_SEESAW_CACHE_HH
 
-#include <memory>
-
 #include "cache/l1_cache.hh"
-#include "cache/way_predictor.hh"
 #include "core/tft.hh"
 #include "model/latency_table.hh"
 
@@ -70,6 +67,9 @@ class SeesawCache final : public L1Cache
     SeesawCache(const SeesawConfig &config, const LatencyTable &latency);
 
     L1AccessResult access(const L1Access &req) override;
+
+    /** Partition-scoped under the 4way policy; looks up through the
+     *  tag store's lookup paths, which touch replacement state. */
     L1ProbeResult probe(Addr pa, bool invalidating) override;
 
     /** Speculative install pinned to the PA-named partition so a
@@ -77,28 +77,12 @@ class SeesawCache final : public L1Cache
      *  under the 4way-8way policy. */
     Eviction prefetchFill(Addr pa, PageSize page_size) override;
 
-    unsigned baseHitCycles() const override { return slowCycles_; }
-    unsigned fastHitCycles() const override { return fastCycles_; }
-
-    unsigned sweepRegion(Addr pa_base, std::uint64_t bytes) override;
-
-    const SetAssocCache &tags() const override { return tags_; }
-    SetAssocCache &tags() override { return tags_; }
-    const StatGroup &stats() const override { return stats_; }
-    StatGroup &stats() override { return stats_; }
-
     /** The page-size predictor; the TLB hierarchy's 2MB-fill hook and
      *  the OS's invlpg path drive it. */
     Tft &tft() { return tft_; }
     const Tft &tft() const { return tft_; }
 
-    /** Way predictor (present only when configured). */
-    const MruWayPredictor *wayPredictor() const
-    {
-        return predictor_.get();
-    }
-
-    unsigned numPartitions() const { return tags_.numPartitions(); }
+    unsigned numPartitions() const { return tags().numPartitions(); }
     const SeesawConfig &config() const { return config_; }
 
     /** Coherence probes serviced (partition-scoped on a TFT hit). */
@@ -106,36 +90,17 @@ class SeesawCache final : public L1Cache
 
   private:
     SeesawConfig config_;
-    SetAssocCache tags_;
     Tft tft_;
-    unsigned slowCycles_; //!< full-set (TFT miss) hit latency
-    unsigned fastCycles_; //!< single-partition (TFT hit) hit latency
-    unsigned tftCycles_;
-    std::unique_ptr<MruWayPredictor> predictor_;
-    StatGroup stats_;
 
     // Hot-path stat handles, registered once at construction: several
     // of these names are long enough that building a std::string key
     // per access would heap-allocate on the hot path.
-    StatScalar *stAccesses_;
-    StatScalar *stHits_;
-    StatScalar *stMisses_;
     StatScalar *stSuperRefs_;
     StatScalar *stSuperRefsTftMiss_;
     StatScalar *stSuperRefsTftMissL1Hit_;
     StatScalar *stSuperRefsTftMissL1Miss_;
     StatScalar *stProbes_;
     StatScalar *stProbeHits_;
-    StatScalar *stSweepEvictions_;
-
-    SetAssocCache::InsertScope
-    insertScopeFor(PageSize size) const
-    {
-        if (config_.policy == InsertionPolicy::FourWay)
-            return SetAssocCache::InsertScope::Partition;
-        return isSuperpage(size) ? SetAssocCache::InsertScope::Partition
-                                 : SetAssocCache::InsertScope::FullSet;
-    }
 };
 
 } // namespace seesaw

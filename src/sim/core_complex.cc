@@ -8,6 +8,14 @@
 
 namespace seesaw {
 
+namespace {
+
+/** Table II: the split L1I is 32KB, 8-way, whatever its design. */
+constexpr std::uint64_t kL1iSizeBytes = 32 * 1024;
+constexpr unsigned kL1iAssoc = 8;
+
+} // namespace
+
 CoreComplex::CoreComplex(const SystemConfig &config,
                          const WorkloadSpec &workload,
                          const LatencyTable &latency,
@@ -43,25 +51,24 @@ CoreComplex::CoreComplex(const SystemConfig &config,
         withSeedSalt(config_.replacement, core_seed ^ 0x5e1ecULL);
     switch (config_.l1Kind) {
       case L1Kind::ViptBaseline:
-      case L1Kind::ViptWayPredicted: {
-        BaselineL1Config c;
-        c.sizeBytes = config_.l1SizeBytes;
-        c.assoc = config_.l1Assoc;
-        c.freqGhz = config_.freqGhz;
-        c.wayPrediction =
-            config_.l1Kind == L1Kind::ViptWayPredicted;
-        c.replacement = l1d_replacement;
-        l1_ = std::make_unique<ViptCache>(c, latency);
-        break;
-      }
+      case L1Kind::ViptWayPredicted:
       case L1Kind::Pipt: {
         BaselineL1Config c;
         c.sizeBytes = config_.l1SizeBytes;
         c.assoc = config_.l1Assoc;
-        c.freqGhz = config_.freqGhz;
+        c.wayPrediction =
+            config_.l1Kind == L1Kind::ViptWayPredicted;
         c.replacement = l1d_replacement;
-        l1_ = std::make_unique<PiptCache>(c, latency,
-                                          config_.piptTlbCycles);
+        // PIPT is the same full-set cache with the L1 TLB serialised
+        // in front of it (Fig 14).
+        const unsigned hit_cycles =
+            config_.l1Kind == L1Kind::Pipt
+                ? latency.piptCycles(c.sizeBytes, c.assoc,
+                                     config_.freqGhz,
+                                     config_.piptTlbCycles)
+                : latency.basePageCycles(c.sizeBytes, c.assoc,
+                                         config_.freqGhz);
+        l1_ = std::make_unique<ViptCache>(c, hit_cycles);
         break;
       }
       case L1Kind::Sipt: {
@@ -93,12 +100,8 @@ CoreComplex::CoreComplex(const SystemConfig &config,
       }
     }
 
-    l1SizeBytes_ = l1_->tags().sizeBytes();
-    l1Assoc_ = l1_->tags().assoc();
-    l1LineBytes_ = l1_->tags().lineBytes();
-
     prefetcher_ = PrefetchEngine::create(config_.prefetch,
-                                         l1LineBytes_);
+                                         l1_->tags().lineBytes());
 
     outer_ = std::make_unique<OuterHierarchy>(config_.outer,
                                               config_.freqGhz,
@@ -157,8 +160,8 @@ CoreComplex::CoreComplex(const SystemConfig &config,
              isSeesawKind(config_.l1Kind));
         if (seesaw_icache) {
             SeesawConfig ic;
-            ic.sizeBytes = 32 * 1024; // Table II: split 32KB L1I
-            ic.assoc = 8;
+            ic.sizeBytes = kL1iSizeBytes;
+            ic.assoc = kL1iAssoc;
             ic.partitionWays = config_.partitionWays;
             ic.freqGhz = config_.freqGhz;
             ic.policy = config_.policy;
@@ -171,12 +174,13 @@ CoreComplex::CoreComplex(const SystemConfig &config,
             l1i_ = std::move(icache);
         } else {
             BaselineL1Config ic;
-            ic.sizeBytes = 32 * 1024;
-            ic.assoc = 8;
-            ic.freqGhz = config_.freqGhz;
+            ic.sizeBytes = kL1iSizeBytes;
+            ic.assoc = kL1iAssoc;
             ic.replacement = withSeedSalt(config_.replacement,
                                           core_seed ^ 0x15e1ecULL);
-            l1i_ = std::make_unique<ViptCache>(ic, latency);
+            l1i_ = std::make_unique<ViptCache>(
+                ic, latency.basePageCycles(kL1iSizeBytes, kL1iAssoc,
+                                           config_.freqGhz));
         }
     }
 
@@ -293,7 +297,8 @@ CoreComplex::finishFetch(Addr va, const TlbLookupResult &tr,
         seesawI_ ? seesawI_->access(req) : l1i_->access(req);
     if (seesawI_)
         energy_.addTftLookup();
-    energy_.addL1Lookup(32 * 1024, 8, res.waysRead, false);
+    energy_.addL1Lookup(l1i_->tags().sizeBytes(), l1i_->tags().assoc(),
+                        res.waysRead, false);
 
     if (!res.hit) {
         const OuterAccessResult outer =
@@ -349,8 +354,8 @@ CoreComplex::finishMemoryAccess(const MemRef &ref,
         energy_.addTftLookup();
     if (res.wpUsed)
         energy_.addWayPredictorLookup();
-    energy_.addL1Lookup(l1SizeBytes_, l1Assoc_, res.waysRead,
-                        /*coherent=*/false);
+    energy_.addL1Lookup(l1_->tags().sizeBytes(), l1_->tags().assoc(),
+                        res.waysRead, /*coherent=*/false);
     if (probes_)
         probes_->noteResident(pa);
 
@@ -374,7 +379,8 @@ CoreComplex::finishMemoryAccess(const MemRef &ref,
         }
         energy_.addLineInstall(res.installWays);
         if (res.eviction.valid && res.eviction.dirty()) {
-            outer_->writeback(res.eviction.lineAddr * l1LineBytes_);
+            outer_->writeback(res.eviction.lineAddr *
+                              l1_->tags().lineBytes());
             energy_.addL2Access();
         }
     } else if (res.wasPrefetched) {
@@ -495,7 +501,7 @@ CoreComplex::issuePrefetches(const MemRef &ref,
         energy_.addLineInstall(1);
         if (pf_res.eviction.valid && pf_res.eviction.dirty()) {
             outer_->writeback(pf_res.eviction.lineAddr *
-                              l1LineBytes_);
+                              l1_->tags().lineBytes());
             energy_.addL2Access();
         }
         if (fabric)

@@ -172,16 +172,12 @@ class CoreComplex
     std::unique_ptr<L1Cache> l1i_;
     std::unique_ptr<CodeStream> code_;
 
-    /** Cached downcasts of l1_/l1i_ when they are SEESAW caches, so
-     *  the per-access and per-fetch paths never pay a dynamic_cast. */
+    /** Typed views of l1_/l1i_ when they are SEESAW caches, set at
+     *  construction: the per-access and per-fetch paths call SEESAW
+     *  directly and reach its TFT without a cast. */
     SeesawCache *seesawD_ = nullptr;
     SeesawCache *seesawI_ = nullptr;
 
-    /** L1 tag-store geometry, cached so the per-access energy calls
-     *  skip the virtual tags() accessor. */
-    std::uint64_t l1SizeBytes_ = 0;
-    unsigned l1Assoc_ = 0;
-    unsigned l1LineBytes_ = 64;
     Addr textBase_ = 0;
     double fetchCarry_ = 0.0;
 

@@ -678,9 +678,9 @@ MultiConfigEngine::run()
         for (auto &cx : sub.complexes) {
             sub.energy->addL1Leakage(sub.config->l1SizeBytes,
                                      max_cycles, sub.config->freqGhz);
-            if (cx->l1i())
-                sub.energy->addL1Leakage(32 * 1024, max_cycles,
-                                         sub.config->freqGhz);
+            if (const L1Cache *l1i = cx->l1i())
+                sub.energy->addL1Leakage(l1i->tags().sizeBytes(),
+                                         max_cycles, sub.config->freqGhz);
         }
         sub.energy->addBackground(max_cycles, sub.config->freqGhz);
 
@@ -758,16 +758,10 @@ collectRunResults(const SystemConfig &config,
             pc.tftHits = static_cast<std::uint64_t>(
                 cache->tft().stats().get("hits"));
             r.tftHits += pc.tftHits;
-            if (const MruWayPredictor *wp = cache->wayPredictor()) {
-                wp_sum += wp->accuracy();
-                ++wp_count;
-            }
-        } else if (auto *vipt =
-                       dynamic_cast<ViptCache *>(&cx->l1())) {
-            if (const MruWayPredictor *wp = vipt->wayPredictor()) {
-                wp_sum += wp->accuracy();
-                ++wp_count;
-            }
+        }
+        if (const MruWayPredictor *wp = cx->l1().wayPredictor()) {
+            wp_sum += wp->accuracy();
+            ++wp_count;
         }
 
         if (L1Cache *l1i = cx->l1i()) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "cache/baseline_caches.hh"
+#include "model/latency_table.hh"
 
 namespace seesaw {
 namespace {
@@ -22,20 +23,29 @@ config32k()
     BaselineL1Config c;
     c.sizeBytes = 32 * kKB;
     c.assoc = 8;
-    c.freqGhz = 1.33;
     return c;
+}
+
+constexpr double kFreqGhz = 1.33;
+
+/** VIPT is the full-set cache at the Table III baseline latency. */
+ViptCache
+viptCache(const BaselineL1Config &cfg)
+{
+    return ViptCache(cfg, latencyTable().basePageCycles(
+                              cfg.sizeBytes, cfg.assoc, kFreqGhz));
 }
 
 TEST(ViptCache, HitLatencyMatchesTableIII)
 {
-    ViptCache cache(config32k(), latencyTable());
+    ViptCache cache = viptCache(config32k());
     EXPECT_EQ(cache.baseHitCycles(), 2u);
     EXPECT_EQ(cache.fastHitCycles(), 2u); // no fast path on baseline
 }
 
 TEST(ViptCache, MissThenHitReadsAllWays)
 {
-    ViptCache cache(config32k(), latencyTable());
+    ViptCache cache = viptCache(config32k());
     L1Access req{0x1000, 0x5000, PageSize::Base4KB, AccessType::Read};
     auto miss = cache.access(req);
     EXPECT_FALSE(miss.hit);
@@ -52,7 +62,7 @@ TEST(ViptCache, MissThenHitReadsAllWays)
 
 TEST(ViptCache, WriteMakesLineModified)
 {
-    ViptCache cache(config32k(), latencyTable());
+    ViptCache cache = viptCache(config32k());
     L1Access wr{0x0, 0x40, PageSize::Base4KB, AccessType::Write};
     cache.access(wr);
     const CacheLine *line = cache.tags().findLine(0x40);
@@ -62,7 +72,7 @@ TEST(ViptCache, WriteMakesLineModified)
 
 TEST(ViptCache, WriteHitUpgradesCleanLine)
 {
-    ViptCache cache(config32k(), latencyTable());
+    ViptCache cache = viptCache(config32k());
     L1Access rd{0x0, 0x40, PageSize::Base4KB, AccessType::Read};
     cache.access(rd);
     EXPECT_EQ(cache.tags().findLine(0x40)->state,
@@ -75,7 +85,7 @@ TEST(ViptCache, WriteHitUpgradesCleanLine)
 
 TEST(ViptCache, ProbeReadsFullSet)
 {
-    ViptCache cache(config32k(), latencyTable());
+    ViptCache cache = viptCache(config32k());
     L1Access req{0x0, 0x40, PageSize::Base4KB, AccessType::Write};
     cache.access(req);
 
@@ -90,7 +100,7 @@ TEST(ViptCache, ProbeReadsFullSet)
 
 TEST(ViptCache, InvalidatingProbeDropsLine)
 {
-    ViptCache cache(config32k(), latencyTable());
+    ViptCache cache = viptCache(config32k());
     L1Access req{0x0, 0x40, PageSize::Base4KB, AccessType::Read};
     cache.access(req);
     auto probe = cache.probe(0x40, /*invalidating=*/true);
@@ -101,7 +111,7 @@ TEST(ViptCache, InvalidatingProbeDropsLine)
 
 TEST(ViptCache, ProbeMiss)
 {
-    ViptCache cache(config32k(), latencyTable());
+    ViptCache cache = viptCache(config32k());
     auto probe = cache.probe(0xdead40, false);
     EXPECT_FALSE(probe.hit);
     EXPECT_EQ(probe.waysRead, 8u);
@@ -109,7 +119,7 @@ TEST(ViptCache, ProbeMiss)
 
 TEST(ViptCache, StatsCountAccesses)
 {
-    ViptCache cache(config32k(), latencyTable());
+    ViptCache cache = viptCache(config32k());
     L1Access req{0x0, 0x40, PageSize::Base4KB, AccessType::Read};
     cache.access(req);
     cache.access(req);
@@ -123,7 +133,7 @@ TEST(ViptCacheWp, CorrectPredictionReadsOneWay)
 {
     auto cfg = config32k();
     cfg.wayPrediction = true;
-    ViptCache cache(cfg, latencyTable());
+    ViptCache cache = viptCache(cfg);
     L1Access req{0x0, 0x40, PageSize::Base4KB, AccessType::Read};
     cache.access(req); // miss, fills and trains predictor
 
@@ -140,7 +150,7 @@ TEST(ViptCacheWp, MispredictionPaysExtraDataAccess)
 {
     auto cfg = config32k();
     cfg.wayPrediction = true;
-    ViptCache cache(cfg, latencyTable());
+    ViptCache cache = viptCache(cfg);
     // Two lines in the same set: alternate so MRU always mispredicts.
     const Addr a = 0x40, b = 0x40 + 64 * 64;
     cache.access({0x0, a, PageSize::Base4KB, AccessType::Read});
@@ -162,7 +172,7 @@ TEST(ViptCacheWp, PredictorAccuracyExposed)
 {
     auto cfg = config32k();
     cfg.wayPrediction = true;
-    ViptCache cache(cfg, latencyTable());
+    ViptCache cache = viptCache(cfg);
     ASSERT_NE(cache.wayPredictor(), nullptr);
     L1Access req{0x0, 0x40, PageSize::Base4KB, AccessType::Read};
     cache.access(req);
@@ -170,11 +180,20 @@ TEST(ViptCacheWp, PredictorAccuracyExposed)
     EXPECT_GT(cache.wayPredictor()->predictions(), 0u);
 }
 
+/** PIPT is the full-set cache built at the serial-TLB latency. */
+ViptCache
+piptCache(const BaselineL1Config &cfg, unsigned tlb_latency_cycles)
+{
+    return ViptCache(cfg, latencyTable().piptCycles(cfg.sizeBytes,
+                                                    cfg.assoc, kFreqGhz,
+                                                    tlb_latency_cycles));
+}
+
 TEST(PiptCache, LatencyIncludesSerialTlb)
 {
     auto cfg = config32k();
     cfg.assoc = 4; // PIPT can pick a lower associativity
-    PiptCache cache(cfg, latencyTable(), /*tlb_latency_cycles=*/2);
+    ViptCache cache = piptCache(cfg, /*tlb_latency_cycles=*/2);
     const unsigned array =
         latencyTable().sram().accessLatencyCycles(32 * kKB, 4, 1.33);
     EXPECT_EQ(cache.baseHitCycles(), 2 + array);
@@ -184,7 +203,7 @@ TEST(PiptCache, BasicHitMissBehaviour)
 {
     auto cfg = config32k();
     cfg.assoc = 4;
-    PiptCache cache(cfg, latencyTable(), 2);
+    ViptCache cache = piptCache(cfg, 2);
     L1Access req{0x1000, 0x5000, PageSize::Base4KB, AccessType::Read};
     EXPECT_FALSE(cache.access(req).hit);
     const auto hit = cache.access(req);
@@ -195,7 +214,7 @@ TEST(PiptCache, BasicHitMissBehaviour)
 TEST(PiptCache, SweepRegionWorks)
 {
     auto cfg = config32k();
-    PiptCache cache(cfg, latencyTable(), 2);
+    ViptCache cache = piptCache(cfg, 2);
     cache.access({0x0, 0x40, PageSize::Base4KB, AccessType::Read});
     EXPECT_EQ(cache.sweepRegion(0x0, 4096), 1u);
     EXPECT_FALSE(cache.tags().peek(0x40).hit);

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "coherence/directory.hh"
+#include "cache/moesi.hh"
 
 namespace seesaw {
 namespace {
@@ -26,6 +26,14 @@ TEST(Moesi, LocalWriteAlwaysModified)
     for (S s : {S::Invalid, S::Shared, S::Exclusive, S::Owned,
                 S::Modified})
         EXPECT_EQ(MoesiProtocol::onLocalWrite(s), S::Modified);
+}
+
+TEST(Moesi, LocalFillByAccessType)
+{
+    // The L1 sees no remote sharers: loads fill E (the fabric
+    // downgrades to S), stores fill M.
+    EXPECT_EQ(MoesiProtocol::onLocalFill(AccessType::Read), S::Exclusive);
+    EXPECT_EQ(MoesiProtocol::onLocalFill(AccessType::Write), S::Modified);
 }
 
 TEST(Moesi, WriteUpgradeNeededOnlyWhenRemoteCopiesMayExist)
@@ -62,6 +70,12 @@ TEST(Moesi, RemoteWriteInvalidates)
 {
     for (S s : {S::Shared, S::Exclusive, S::Owned, S::Modified})
         EXPECT_EQ(MoesiProtocol::onRemoteWrite(s), S::Invalid);
+}
+
+TEST(Moesi, DroppedLinesEndInvalid)
+{
+    for (S s : {S::Shared, S::Exclusive, S::Owned, S::Modified})
+        EXPECT_EQ(MoesiProtocol::onDrop(s), S::Invalid);
 }
 
 TEST(Moesi, CleanEvictionRule)

@@ -78,8 +78,8 @@ class ProbeEngineTest : public ::testing::Test
         BaselineL1Config c;
         c.sizeBytes = 32 * kKB;
         c.assoc = 8;
-        c.freqGhz = 1.33;
-        vipt_ = std::make_unique<ViptCache>(c, latencyTable());
+        vipt_ = std::make_unique<ViptCache>(
+            c, latencyTable().basePageCycles(c.sizeBytes, c.assoc, 1.33));
     }
 
     SramModel sram_;
