@@ -5,9 +5,10 @@
  * Two tiers of measurement, both repeated SEESAW_PERF_REPEATS times
  * (default 3) with the median reported:
  *
- *  - micro: ns/op of the per-access primitives the hot path is built
- *    from — PageTable::translate() fast and slow paths, TLB lookup,
- *    VIPT L1 probe and the full SEESAW L1 access.
+ *  - micro: ns/op of the primitives the simulator is built from —
+ *    PageTable::translate() fast and slow paths, TLB lookup, VIPT L1
+ *    probe, TFT lookup, the full SEESAW L1 access, and a buddy
+ *    allocate/free pair (the OS model's frame allocator).
  *  - macro: simulated L1 accesses per second (and instructions per
  *    second) of whole-system runs, one cell per L1 design x workload
  *    class (zipf-hot / pointer-chase / streaming) on the paper's OoO
@@ -41,8 +42,10 @@
 #include "common/logging.hh"
 #include "common/random.hh"
 #include "core/seesaw_cache.hh"
+#include "core/tft.hh"
 #include "harness/json.hh"
 #include "harness/sinks.hh"
+#include "mem/buddy_allocator.hh"
 #include "mem/os_memory_manager.hh"
 #include "sim/experiment.hh"
 #include "sim/multi_config_engine.hh"
@@ -230,6 +233,24 @@ runMicroSuite(unsigned repeats)
     }
 
     {
+        // Every probe hits: the TFT tracks all 16 superpage regions.
+        Tft tft(16);
+        for (Addr r = 0; r < 16; ++r)
+            tft.markRegion(r << 21);
+        out.push_back(runMicro(
+            "tft_lookup", 8'000'000, repeats,
+            [&](std::uint64_t iters) {
+                Addr va = 0;
+                std::uint64_t live = 0;
+                for (std::uint64_t i = 0; i < iters; ++i) {
+                    va = (va + 0x200000) & 0x1ffffff;
+                    live += tft.lookup(va) ? 1 : 0;
+                }
+                consume(live);
+            }));
+    }
+
+    {
         LatencyTable latency;
         SeesawConfig cfg;
         SeesawCache cache(cfg, latency);
@@ -244,6 +265,21 @@ runMicroSuite(unsigned repeats)
                     L1Access req{va, pa, PageSize::Super2MB,
                                  AccessType::Read};
                     live += cache.access(req).hit ? 1 : 0;
+                }
+                consume(live);
+            }));
+    }
+
+    {
+        BuddyAllocator buddy(256ULL << 20);
+        out.push_back(runMicro(
+            "buddy_alloc_free", 4'000'000, repeats,
+            [&](std::uint64_t iters) {
+                std::uint64_t live = 0;
+                for (std::uint64_t i = 0; i < iters; ++i) {
+                    const auto frame = buddy.allocate(0);
+                    live += *frame;
+                    buddy.free(*frame, 0);
                 }
                 consume(live);
             }));
