@@ -22,8 +22,10 @@ LockInHotPathCheck::LockInHotPathCheck(StringRef name,
           "CoreComplex::(nextRef|doInstructionFetches|probeDataTft|"
           "probeCodeTft|chargeTranslation|finishMemoryAccess|"
           "takeFetchLines|finishFetch)|"
-          "L1Cache::access|Tlb::lookup|TlbHierarchy::lookup|"
-          "TranslationCache::lookup)"))
+          "(ViptCache|SiptCache|SeesawCache)::access|"
+          "(L1Cache|SeesawCache)::(probe|prefetchFill)|"
+          "L1Cache::(complete|scorePrediction|probeLine)|"
+          "Tlb::lookup|TlbHierarchy::lookup|TranslationCache::lookup)"))
 {
 }
 

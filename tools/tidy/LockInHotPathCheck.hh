@@ -2,7 +2,9 @@
  * @file
  * seesaw-lock-in-hot-path: flags mutex acquisition reachable from the
  * simulator's per-access methods (the engine's run loop and OS tick,
- * the core-complex access phases, cache access, TLB lookup,
+ * the core-complex access phases, each L1 design's access, probe and
+ * prefetch-fill bodies and the L1Cache skeleton's hit/fill/probe
+ * helpers, TLB lookup,
  * translation-cache lookup).
  *
  * Rule (DESIGN.md "Concurrency rules", guarding PR 3's throughput
