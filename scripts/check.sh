@@ -9,7 +9,7 @@
 #   tidy       clang-tidy over the compilation database (skipped with a
 #              notice when clang-tidy is not installed)
 #   lint       project-discipline checks: NOLINT justifications,
-#              the seesaw-tidy fixture suite
+#              the src/ layering check, the seesaw-tidy fixture suite
 #              (ctest -L lint; SKIPs when clang-tidy is absent), and
 #              — when the plugin built — seesaw-tidy over all of src/
 #   format     git clang-format --diff of changed lines vs the merge
@@ -26,11 +26,6 @@
 #              errors over the capability annotations) plus the
 #              compile-fail snippet tests (skipped with a notice when
 #              clang++ is not installed; CI runs it)
-#   analyze    seesaw-analyze whole-program gate: facts-level mutation
-#              ctests, then extract over compile_commands.json and the
-#              four-invariant check with warnings as errors (the
-#              extraction half SKIPs with a notice when Clang dev
-#              packages are absent; CI requires it)
 #
 # Usage: scripts/check.sh [stage...]   (default: all stages)
 
@@ -41,7 +36,7 @@ jobs="$(nproc)"
 stages=("$@")
 [ ${#stages[@]} -eq 0 ] && \
     stages=(default audit-off asan-ubsan tsan tidy lint format perf
-        resume threads analyze)
+        resume threads)
 
 banner() { printf '\n=== %s ===\n' "$*"; }
 
@@ -168,26 +163,10 @@ for stage in "${stages[@]}"; do
         ctest --test-dir "$repo/build-threads" --output-on-failure \
             -R compile_fail
         ;;
-    analyze)
-        banner "seesaw-analyze whole-program invariants"
-        cmake -S "$repo" -B "$repo/build" > /dev/null
-        cmake --build "$repo/build" -j "$jobs"
-        # Always-run halves: facts-level mutation tests + escape
-        # policing; the extraction fixture SKIPs without Clang dev
-        # packages and ctest reports that visibly.
-        ctest --test-dir "$repo/build" --output-on-failure \
-            -R 'lint_analyze|lint_nolint_policy'
-        if [ -x "$repo/build/tools/seesaw_extract" ]; then
-            python3 "$repo/scripts/analyze.py" --werror
-        else
-            echo "seesaw_extract not built (Clang dev packages" \
-                "missing); skipping whole-program extract (CI runs it)"
-        fi
-        ;;
     *)
         echo "unknown stage: $stage" >&2
         echo "stages: default audit-off asan-ubsan tsan tidy lint" \
-            "format perf resume threads analyze" >&2
+            "format perf resume threads" >&2
         exit 1
         ;;
     esac

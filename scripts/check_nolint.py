@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Police NOLINT suppressions of seesaw-tidy checks and the
-seesaw-analyze escape hatch.
+thread-safety escape hatch.
 
 A suppression is an auditable decision, so the project requires the
 form
@@ -16,16 +16,10 @@ NOLINTEND needs none).  This script fails on:
   * seesaw suppressions without a justification, or with a throwaway
     one (fewer than three words).
 
-The same discipline applies to the two other escape hatches:
-
-  * ``SEESAW_NO_THREAD_SAFETY_ANALYSIS`` disables Clang's capability
-    analysis for a whole function body;
-  * ``// seesaw-analyze-ignore: <justification>`` drops every
-    seesaw-analyze fact on its source line (tools/analyze), hiding the
-    line from the whole-program invariant checks.
-
-Every use (outside the defining/implementing file) must carry a
-same-line justification of three or more words.
+The same discipline applies to ``SEESAW_NO_THREAD_SAFETY_ANALYSIS``,
+which disables Clang's capability analysis for a whole function body:
+every use (outside the defining file) must carry a same-line
+justification of three or more words.
 
 Run as a ctest ("check_nolint") and in CI's lint job; the negative
 self-test runs as ctest "lint_nolint_policy".
@@ -50,13 +44,6 @@ NO_TSA_JUSTIFIED_RE = re.compile(
     NO_TSA_TOKEN + r"\b.*//\s*(.*\S)")
 # The macro's own definition and documentation live here.
 NO_TSA_HOME = os.path.join("src", "common", "thread_annotations.hh")
-
-ANALYZE_IGNORE_TOKEN = "seesaw-analyze-ignore"
-ANALYZE_IGNORE_JUSTIFIED_RE = re.compile(
-    ANALYZE_IGNORE_TOKEN + r"\s*:\s*(.*\S)")
-# The extract tool implements (and documents) the marker.
-ANALYZE_IGNORE_HOME = os.path.join("tools", "analyze",
-                                   "SeesawExtract.cc")
 
 
 def scan_lines(lines: "list[str]", rel: str) -> "list[str]":
@@ -93,16 +80,6 @@ def scan_lines(lines: "list[str]", rel: str) -> "list[str]":
                         f"add a same-line '// <why the analysis cannot "
                         f"express this>' justification "
                         f"({MIN_JUSTIFICATION_WORDS}+ words)")
-        if ANALYZE_IGNORE_TOKEN in line and rel != ANALYZE_IGNORE_HOME:
-            jm = ANALYZE_IGNORE_JUSTIFIED_RE.search(line)
-            words = jm.group(1).split() if jm else []
-            if len(words) < MIN_JUSTIFICATION_WORDS:
-                problems.append(
-                    f"{rel}:{lineno}: {ANALYZE_IGNORE_TOKEN} hides this "
-                    f"line from every seesaw-analyze invariant; write "
-                    f"'// {ANALYZE_IGNORE_TOKEN}: <why the fact is a "
-                    f"false positive>' "
-                    f"({MIN_JUSTIFICATION_WORDS}+ words)")
     return problems
 
 
@@ -120,8 +97,6 @@ def self_test() -> int:
         "// NOLINTNEXTLINE(seesaw-raw-random)",
         "int x; // NOLINT(seesaw-raw-random): no",
         "// NOLINTBEGIN(seesaw-lock-order)",
-        "int x; // seesaw-analyze-ignore",
-        "int x; // seesaw-analyze-ignore: why",
         "void f() SEESAW_NO_THREAD_SAFETY_ANALYSIS {}",
         "void f() SEESAW_NO_THREAD_SAFETY_ANALYSIS {} // recursive",
     ]
@@ -132,7 +107,6 @@ def self_test() -> int:
         "// NOLINTBEGIN(seesaw-lock-order): ordered by the pool invariant",
         "// NOLINTEND(seesaw-lock-order)",
         "int x; // NOLINT(clang-diagnostic-unused): not a seesaw check",
-        "int x; // seesaw-analyze-ignore: alias feeds logging only",
         "void f() SEESAW_NO_THREAD_SAFETY_ANALYSIS {} "
         "// recursion the analysis cannot model",
     ]

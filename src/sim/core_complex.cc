@@ -19,7 +19,7 @@ constexpr unsigned kL1iAssoc = 8;
 CoreComplex::CoreComplex(const SystemConfig &config,
                          const WorkloadSpec &workload,
                          const LatencyTable &latency,
-                         OsMemoryManager &os, EnergyModel &energy,
+                         const OsMemoryManager &os, EnergyModel &energy,
                          Asid asid, Addr heap_base, Addr text_base,
                          CoreId core, std::uint64_t core_seed,
                          SetAssocCache *shared_llc)

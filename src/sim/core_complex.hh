@@ -45,7 +45,7 @@ class CoreComplex
      *        complexes share behind their private L2s.
      */
     CoreComplex(const SystemConfig &config, const WorkloadSpec &workload,
-                const LatencyTable &latency, OsMemoryManager &os,
+                const LatencyTable &latency, const OsMemoryManager &os,
                 EnergyModel &energy, Asid asid, Addr heap_base,
                 Addr text_base, CoreId core, std::uint64_t core_seed,
                 SetAssocCache *shared_llc);
@@ -156,7 +156,8 @@ class CoreComplex
   private:
     const SystemConfig &config_;
     const WorkloadSpec &workload_;
-    OsMemoryManager &os_;
+    /** Read-only: OS events reach a complex through the engine. */
+    const OsMemoryManager &os_;
     EnergyModel &energy_;
 
     std::unique_ptr<TlbHierarchy> tlb_;

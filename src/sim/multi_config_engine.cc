@@ -197,11 +197,11 @@ registerSystemAudits(check::InvariantAuditor &auditor,
                      const SystemConfig &config,
                      std::vector<CoreComplex *> complexes,
                      SetAssocCache *shared_llc, ExactDirectory *directory,
-                     OsMemoryManager &os, Asid asid)
+                     const OsMemoryManager &os, Asid asid)
 {
     const bool multi = config.cores > 1;
     const unsigned n = config.cores;
-    OsMemoryManager *os_p = &os;
+    const OsMemoryManager *os_p = &os;
     const auto cxs = std::move(complexes);
 
     if (directory) {
@@ -396,7 +396,8 @@ void
 MultiConfigEngine::applySplinter(const SplinterEvent &event)
 {
     // invlpg on the old 2MB translation; the microarchitecture also
-    // invalidates the matching TFT entry in parallel (§IV-C2).
+    // invalidates the matching TFT entries in parallel (§IV-C2), on
+    // the I side too, since text superpages splinter like heap ones.
     for (std::size_t g = 0; g < tlbExemplars_.size(); ++g) {
         for (CoreId c = 0; c < cores(); ++c)
             groupTlb(g, c).invalidatePage(event.asid, event.vaBase);
@@ -404,6 +405,8 @@ MultiConfigEngine::applySplinter(const SplinterEvent &event)
     for (Substrate &sub : substrates_) {
         for (auto &cx : sub.complexes) {
             if (SeesawCache *cache = cx->seesawL1())
+                cache->tft().invalidateRegion(event.vaBase);
+            if (SeesawCache *cache = cx->seesawL1i())
                 cache->tft().invalidateRegion(event.vaBase);
             cx->cpu().addStallCycles(sub.config->shootdownCycles);
         }
@@ -700,7 +703,7 @@ collectRunResults(const SystemConfig &config,
                   const WorkloadSpec &workload,
                   const std::vector<CoreComplex *> &complexes,
                   EnergyModel &energy, CoherenceFabric *fabric,
-                  OsMemoryManager &os, Asid asid, Cycles max_cycles)
+                  const OsMemoryManager &os, Asid asid, Cycles max_cycles)
 {
     RunResult r;
     r.workload = workload.name;

@@ -58,7 +58,7 @@ void registerSystemAudits(check::InvariantAuditor &auditor,
                           std::vector<CoreComplex *> complexes,
                           SetAssocCache *shared_llc,
                           ExactDirectory *directory,
-                          OsMemoryManager &os, Asid asid);
+                          const OsMemoryManager &os, Asid asid);
 
 /**
  * Aggregate one system's per-core stats into a RunResult — the one
@@ -70,7 +70,7 @@ RunResult collectRunResults(const SystemConfig &config,
                             const std::vector<CoreComplex *> &complexes,
                             EnergyModel &energy,
                             CoherenceFabric *fabric,
-                            OsMemoryManager &os, Asid asid,
+                            const OsMemoryManager &os, Asid asid,
                             Cycles max_cycles);
 
 /**

@@ -4,6 +4,9 @@
  *  - an N-substrate pass is bit-identical to N serial SimEngine runs
  *    across all six L1 designs, mixed geometries (multiple TLB
  *    groups), the L1I extension and multi-core coherence;
+ *  - every TLB-geometry and substrate leaf of SystemConfig has an
+ *    alternate value that shares the base's pass and matches its solo
+ *    run, so a front end that read such a leaf fails;
  *  - OS events (promotion, splinter, unmap) broadcast to every
  *    substrate;
  *  - a desynced substrate trips its own src/check audit context while
@@ -15,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include "check/invariant_auditor.hh"
+#include "config_leaves.hh"
 #include "sim/multi_config_engine.hh"
 #include "sim/sim_engine.hh"
 
@@ -65,20 +69,28 @@ expectSameResult(const RunResult &one_pass, const RunResult &serial,
     EXPECT_TRUE(one_pass == serial) << label;
 }
 
-void
+/** @return the one-pass results, each checked against its solo run;
+ *  @p labels, when given, names each config in failure messages. */
+std::vector<RunResult>
 expectOnePassMatchesSerial(const std::vector<SystemConfig> &configs,
-                           const WorkloadSpec &workload)
+                           const WorkloadSpec &workload,
+                           const std::vector<std::string> &labels = {})
 {
     MultiConfigEngine engine(configs, workload);
     const std::vector<RunResult> one_pass = engine.run();
-    ASSERT_EQ(one_pass.size(), configs.size());
-
+    if (one_pass.size() != configs.size()) {
+        ADD_FAILURE() << one_pass.size() << " results for "
+                      << configs.size() << " configs";
+        return one_pass;
+    }
     for (std::size_t i = 0; i < configs.size(); ++i) {
         const RunResult serial =
             SimEngine(configs[i], workload).run();
         expectSameResult(one_pass[i], serial,
-                         "substrate " + std::to_string(i));
+                         "substrate " + std::to_string(i) +
+                             (i < labels.size() ? " " + labels[i] : ""));
     }
+    return one_pass;
 }
 
 TEST(MultiConfigEngine, BitIdenticalAcrossAllSixL1Designs)
@@ -233,6 +245,194 @@ TEST(MultiConfigEngine, RandomAndPrefetchAtFourCoresStayBitIdentical)
         configs.push_back(cfg);
     }
     expectOnePassMatchesSerial(configs, w);
+}
+
+/** A base that exercises every shared front-end path: memhog
+ *  fragmentation, promotions, splinters and context switches inside
+ *  the window, and a SEESAW L1I beside the SEESAW L1D. */
+SystemConfig
+richBase(unsigned cores)
+{
+    SystemConfig cfg = baseConfig(L1Kind::Seesaw);
+    cfg.modelInstructionCache = true;
+    cfg.memhogFraction = 0.3;
+    cfg.promotionInterval = 8'000;
+    cfg.splinterInterval = 20'000;
+    cfg.contextSwitchInterval = 12'000;
+    cfg.instructions = 40'000;
+    cfg.warmupInstructions = 10'000;
+    cfg.cores = cores;
+    cfg.fabric = CoherenceKind::Directory;
+    return cfg;
+}
+
+/** One valid non-default value for a TLB-geometry or substrate leaf.
+ *  Some leaves only take effect, or only stay valid, together with
+ *  another: SEESAW needs sets x 64B = 4KB, so size and associativity
+ *  move together, and design-specific knobs select their design. */
+struct Alternate
+{
+    const char *leaf;
+    void (*apply)(SystemConfig &);
+};
+
+const Alternate kAlternates[] = {
+    // TLB geometry.
+    {"coreKind", [](SystemConfig &c) { c.coreKind = CoreKind::InOrder; }},
+    {"unifiedL1Tlb", [](SystemConfig &c) { c.unifiedL1Tlb = true; }},
+    {"unifiedL1TlbEntries",
+     [](SystemConfig &c) {
+         c.unifiedL1Tlb = true;
+         c.unifiedL1TlbEntries = 32;
+     }},
+    {"replacement.kind",
+     [](SystemConfig &c) { c.replacement.kind = ReplacementKind::Fifo; }},
+    {"replacement.rripBits",
+     [](SystemConfig &c) {
+         c.replacement.kind = ReplacementKind::Srrip;
+         c.replacement.rripBits = 3;
+     }},
+    {"replacement.seed",
+     [](SystemConfig &c) {
+         c.replacement.kind = ReplacementKind::Random;
+         c.replacement.seed = 99;
+     }},
+    // Substrate.
+    {"l1Kind",
+     [](SystemConfig &c) { c.l1Kind = L1Kind::ViptBaseline; }},
+    {"l1SizeBytes",
+     [](SystemConfig &c) {
+         c.l1SizeBytes = 64 * 1024;
+         c.l1Assoc = 16;
+     }},
+    {"l1Assoc",
+     [](SystemConfig &c) {
+         c.l1SizeBytes = 16 * 1024;
+         c.l1Assoc = 4;
+     }},
+    {"partitionWays", [](SystemConfig &c) { c.partitionWays = 2; }},
+    {"freqGhz", [](SystemConfig &c) { c.freqGhz = 2.80; }},
+    {"policy",
+     [](SystemConfig &c) { c.policy = InsertionPolicy::FourWayEightWay; }},
+    {"tftEntries", [](SystemConfig &c) { c.tftEntries = 32; }},
+    {"tftAssoc", [](SystemConfig &c) { c.tftAssoc = 4; }},
+    {"piptTlbCycles",
+     [](SystemConfig &c) {
+         c.l1Kind = L1Kind::Pipt;
+         c.piptTlbCycles = 3;
+     }},
+    {"siptAssoc",
+     [](SystemConfig &c) {
+         c.l1Kind = L1Kind::Sipt;
+         c.siptAssoc = 4;
+     }},
+    {"prefetch.kind",
+     [](SystemConfig &c) { c.prefetch.kind = PrefetchKind::NextLine; }},
+    {"prefetch.degree",
+     [](SystemConfig &c) {
+         c.prefetch.kind = PrefetchKind::NextLine;
+         c.prefetch.degree = 2;
+     }},
+    {"prefetch.tableEntries",
+     [](SystemConfig &c) {
+         c.prefetch.kind = PrefetchKind::Stride;
+         c.prefetch.tableEntries = 16;
+     }},
+    {"outer.l2SizeBytes",
+     [](SystemConfig &c) { c.outer.l2SizeBytes = 512 * 1024; }},
+    {"outer.l2Assoc", [](SystemConfig &c) { c.outer.l2Assoc = 16; }},
+    {"outer.l2LatencyNs",
+     [](SystemConfig &c) { c.outer.l2LatencyNs = 4.5; }},
+    {"outer.llcSizeBytes",
+     [](SystemConfig &c) { c.outer.llcSizeBytes = 8ULL << 20; }},
+    {"outer.llcAssoc", [](SystemConfig &c) { c.outer.llcAssoc = 8; }},
+    {"outer.llcLatencyNs",
+     [](SystemConfig &c) { c.outer.llcLatencyNs = 12.0; }},
+    {"outer.dramLatencyNs",
+     [](SystemConfig &c) { c.outer.dramLatencyNs = 70.0; }},
+    {"schedulerCounterPolicy",
+     [](SystemConfig &c) { c.schedulerCounterPolicy = false; }},
+    {"shootdownCycles", [](SystemConfig &c) { c.shootdownCycles = 300; }},
+    {"icacheKind",
+     [](SystemConfig &c) { c.icacheKind = SystemConfig::ICacheKind::Vipt; }},
+};
+
+/** Each leaf's value as bytes, in test::forEachLeaf order. */
+std::vector<std::string>
+leafValues(SystemConfig c)
+{
+    std::vector<std::string> values;
+    test::forEachLeaf(c, [&](const auto &leaf) {
+        FieldWriter w;
+        w.put(leaf);
+        values.push_back(w.bytes());
+    });
+    return values;
+}
+
+TEST(MultiConfigEngine, EveryNonFrontEndLeafSharesOnePass)
+{
+    // The one-pass contract, tested directly: the base plus one
+    // alternate per TLB-geometry and substrate leaf run as one pass,
+    // and each result must equal that config's solo run. A front end
+    // that read any of these leaves would follow the base's value and
+    // diverge from the alternate's solo run.
+    //
+    // First tie the table to the registry, so that a new SystemConfig
+    // field cannot skip this test.
+    const SystemConfig base = richBase(1);
+    const std::vector<std::string> base_values = leafValues(base);
+    std::vector<bool> covered(base_values.size(), false);
+    for (const Alternate &alt : kAlternates) {
+        SystemConfig c = base;
+        alt.apply(c);
+        const std::vector<std::string> values = leafValues(c);
+        EXPECT_NE(values, base_values) << alt.leaf << " moves no leaf";
+        for (std::size_t i = 0; i < values.size(); ++i)
+            covered[i] = covered[i] || values[i] != base_values[i];
+    }
+    SystemConfig probe = base;
+    const auto base_roles = test::roleBytes(probe);
+    std::size_t index = 0;
+    test::forEachLeaf(probe, [&](auto &leaf) {
+        const auto saved = leaf;
+        test::perturb(leaf);
+        const auto roles = test::roleBytes(probe);
+        leaf = saved;
+        const bool front_end =
+            roles[test::kFrontEnd] != base_roles[test::kFrontEnd];
+        const bool forks =
+            roles[test::kTlbGeometry] != base_roles[test::kTlbGeometry] ||
+            roles[test::kSubstrate] != base_roles[test::kSubstrate];
+        if (forks && !front_end) {
+            EXPECT_TRUE(covered[index])
+                << "leaf " << index
+                << " (in declaration order) has no alternate";
+        }
+        ++index;
+    });
+
+    WorkloadSpec w = testWorkload();
+    for (unsigned cores : {1u, 2u}) {
+        std::vector<SystemConfig> configs = {richBase(cores)};
+        std::vector<std::string> labels = {"(base)"};
+        for (const Alternate &alt : kAlternates) {
+            configs.push_back(configs.front());
+            alt.apply(configs.back());
+            labels.push_back(alt.leaf);
+            EXPECT_EQ(MultiConfigEngine::frontEndKey(configs.back()),
+                      MultiConfigEngine::frontEndKey(configs.front()))
+                << alt.leaf << " at cores=" << cores;
+        }
+        SCOPED_TRACE("cores=" + std::to_string(cores));
+        const std::vector<RunResult> results =
+            expectOnePassMatchesSerial(configs, w, labels);
+        // The window really contains the OS events the base asks for.
+        ASSERT_FALSE(results.empty());
+        EXPECT_GT(results[0].promotions, 0u);
+        EXPECT_GT(results[0].splinters, 0u);
+        EXPECT_GT(results[0].l1iAccesses, 0u);
+    }
 }
 
 TEST(MultiConfigEngine, FrontEndKeyIsExact)
