@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <list>
 #include <map>
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -167,6 +168,174 @@ TEST(ReferenceModels, BuddyAllocatorNeverOverlapsAndAlwaysCoalesces)
         buddy.free(frame, order);
     EXPECT_EQ(buddy.freeFrames(), buddy.totalFrames());
     EXPECT_EQ(buddy.fragmentationIndex(9), 0.0);
+}
+
+// ------------------------------------------------------------------
+// BuddyAllocator vs the std::set-per-order allocator it replaced: the
+// same block, from the same free lists, for every call.
+
+class RefBuddyModel
+{
+  public:
+    explicit RefBuddyModel(std::uint64_t frames)
+        : total_(frames), lists_(kOrders), free_(frames, false)
+    {
+        std::uint64_t frame = 0;
+        while (frame < total_) {
+            unsigned order = kOrders - 1;
+            while (frame % size(order) != 0 || frame + size(order) > total_)
+                --order;
+            lists_[order].insert(frame);
+            mark(frame, order, true);
+            frame += size(order);
+        }
+    }
+
+    std::optional<std::uint64_t>
+    allocate(unsigned order)
+    {
+        unsigned have = order;
+        while (have < kOrders && lists_[have].empty())
+            ++have;
+        if (have == kOrders)
+            return std::nullopt;
+        const std::uint64_t frame = *lists_[have].begin();
+        lists_[have].erase(lists_[have].begin());
+        while (have > order) {
+            --have;
+            lists_[have].insert(frame + size(have));
+        }
+        mark(frame, order, false);
+        return frame;
+    }
+
+    bool
+    allocateSpecific(std::uint64_t frame, unsigned order)
+    {
+        if (frame + size(order) > total_)
+            return false;
+        for (unsigned have = order; have < kOrders; ++have) {
+            std::uint64_t start = frame - frame % size(have);
+            if (lists_[have].erase(start) == 0)
+                continue;
+            while (have > order) {
+                --have;
+                if (frame < start + size(have)) {
+                    lists_[have].insert(start + size(have));
+                } else {
+                    lists_[have].insert(start);
+                    start += size(have);
+                }
+            }
+            mark(frame, order, false);
+            return true;
+        }
+        return false;
+    }
+
+    void
+    free(std::uint64_t frame, unsigned order)
+    {
+        mark(frame, order, true);
+        while (order + 1 < kOrders) {
+            const std::uint64_t buddy = frame ^ size(order);
+            if (buddy + size(order) > total_ || !lists_[order].erase(buddy))
+                break;
+            frame = std::min(frame, buddy);
+            ++order;
+        }
+        lists_[order].insert(frame);
+    }
+
+    std::size_t
+    freeBlocksAt(unsigned order) const
+    {
+        return lists_[order].size();
+    }
+
+    bool isFrameFree(std::uint64_t frame) const { return free_[frame]; }
+
+  private:
+    static constexpr unsigned kOrders = BuddyAllocator::kMaxOrder + 1;
+
+    static std::uint64_t
+    size(unsigned order)
+    {
+        return std::uint64_t{1} << order;
+    }
+
+    void
+    mark(std::uint64_t frame, unsigned order, bool state)
+    {
+        std::fill_n(free_.begin() + static_cast<std::ptrdiff_t>(frame),
+                    size(order), state);
+    }
+
+    std::uint64_t total_;
+    std::vector<std::set<std::uint64_t>> lists_;
+    std::vector<bool> free_;
+};
+
+TEST(ReferenceModels, BuddyAllocatorReturnsTheSetModelsBlocks)
+{
+    // Not a power of two: the top of memory is a 12 KB tail in blocks
+    // of order 1 and 0, and the frame bitmap ends inside a word.
+    BuddyAllocator buddy((24ULL << 20) + (12ULL << 10));
+    const std::uint64_t total = buddy.totalFrames();
+    RefBuddyModel ref(total);
+    Rng rng(1717);
+
+    std::vector<std::pair<std::uint64_t, unsigned>> live;
+    auto expectSameState = [&] {
+        std::uint64_t free_frames = 0;
+        for (std::uint64_t f = 0; f < total; ++f) {
+            ASSERT_EQ(buddy.isFrameFree(f), ref.isFrameFree(f))
+                << "frame " << f;
+            free_frames += ref.isFrameFree(f) ? 1 : 0;
+        }
+        ASSERT_EQ(buddy.freeFrames(), free_frames);
+        for (unsigned o = 0; o <= BuddyAllocator::kMaxOrder; ++o)
+            ASSERT_EQ(buddy.freeBlocksAt(o), ref.freeBlocksAt(o))
+                << "order " << o;
+    };
+
+    for (int i = 0; i < 60000; ++i) {
+        const std::uint64_t pick = rng.nextBounded(100);
+        // Orders 0-10, skewed towards small blocks so memory fills and
+        // fragments before the large requests start failing.
+        const unsigned order = rng.nextBounded(1 + rng.nextBounded(11));
+        if (pick < 50 || live.empty()) {
+            const auto got = buddy.allocate(order);
+            ASSERT_EQ(got, ref.allocate(order)) << "op " << i;
+            if (got)
+                live.emplace_back(*got, order);
+        } else if (pick < 60) {
+            const std::uint64_t mask = (std::uint64_t{1} << order) - 1;
+            const std::uint64_t frame = rng.nextBounded(total) & ~mask;
+            const bool got = buddy.allocateSpecific(frame, order);
+            ASSERT_EQ(got, ref.allocateSpecific(frame, order)) << "op " << i;
+            if (got)
+                live.emplace_back(frame, order);
+        } else {
+            const std::size_t k = rng.nextBounded(live.size());
+            const auto block = live[k];
+            live[k] = live.back();
+            live.pop_back();
+            buddy.free(block.first, block.second);
+            ref.free(block.first, block.second);
+        }
+        if (i % 2000 == 0) {
+            ASSERT_NO_FATAL_FAILURE(expectSameState()) << "op " << i;
+        }
+    }
+    ASSERT_NO_FATAL_FAILURE(expectSameState());
+
+    for (const auto &[frame, order] : live) {
+        buddy.free(frame, order);
+        ref.free(frame, order);
+    }
+    ASSERT_NO_FATAL_FAILURE(expectSameState());
+    EXPECT_EQ(buddy.freeFrames(), total);
 }
 
 // ------------------------------------------------------------------

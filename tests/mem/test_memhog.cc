@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "mem/memhog.hh"
 
 namespace seesaw {
@@ -115,6 +117,56 @@ TEST(Memhog, SuperpageCoverageDegradesGracefully)
     EXPECT_GT(coverage_low, 0.8);
     EXPECT_GT(coverage_low, coverage_mid);
     EXPECT_GT(coverage_mid, 0.0);
+}
+
+/**
+ * Check what memhog @p fraction leaves behind on a default 4 GB host:
+ * free frames, held frames, an FNV-1a hash of the per-frame free map
+ * (64 frames a word) and the free-block count of every order.
+ */
+void
+expectPinned(double fraction, std::uint64_t free_frames,
+             std::uint64_t held_frames, std::uint64_t free_map_hash,
+             const std::string &free_blocks)
+{
+    SCOPED_TRACE(fraction);
+    OsMemoryManager os{OsParams{}};
+    Memhog hog(os);
+    hog.consume(fraction);
+    const BuddyAllocator &buddy = os.buddy();
+
+    EXPECT_EQ(buddy.freeFrames(), free_frames);
+    EXPECT_EQ(hog.heldFrames(), held_frames);
+
+    std::uint64_t hash = 0xcbf29ce484222325ULL;
+    for (std::uint64_t base = 0; base < buddy.totalFrames(); base += 64) {
+        std::uint64_t word = 0;
+        for (unsigned i = 0; i < 64; ++i) {
+            if (buddy.isFrameFree(base + i))
+                word |= std::uint64_t{1} << i;
+        }
+        hash = (hash ^ word) * 0x100000001b3ULL;
+    }
+    EXPECT_EQ(hash, free_map_hash);
+
+    std::string blocks;
+    for (unsigned o = 0; o <= BuddyAllocator::kMaxOrder; ++o)
+        blocks += (o ? " " : "") + std::to_string(buddy.freeBlocksAt(o));
+    EXPECT_EQ(blocks, free_blocks);
+}
+
+TEST(Memhog, FourGbResultIsPinned)
+{
+    // The draw sequence and the allocator's block choice together fix
+    // which frames memhog holds. Fig 3 and Fig 12 rest on this state,
+    // so any change to either must show up here, not only in the
+    // nightly goldens. Recorded with the std::set free-list allocator.
+    expectPinned(0.3, 692373, 314572, 0x1e5dd1fe42ecd72eULL,
+                 "3295 3213 3005 2733 2186 1593 934 462 162 42 4 0 42 17 4 "
+                 "0 0 0 0");
+    expectPinned(0.6, 377800, 629145, 0x3cec2c8a72049ddeULL,
+                 "4932 4800 4437 3996 3183 2181 1255 503 150 17 1 0 0 0 0 "
+                 "0 0 0 0");
 }
 
 } // namespace
