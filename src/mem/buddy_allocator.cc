@@ -1,31 +1,49 @@
 #include "mem/buddy_allocator.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/logging.hh"
 
 namespace seesaw {
 
+namespace {
+
+constexpr std::uint64_t
+blockFrames(unsigned order)
+{
+    return std::uint64_t{1} << order;
+}
+
+/** Words holding one bit for each of @p bits positions. */
+constexpr std::size_t
+wordsFor(std::uint64_t bits)
+{
+    return static_cast<std::size_t>((bits + 63) / 64);
+}
+
+} // namespace
+
 BuddyAllocator::BuddyAllocator(std::uint64_t mem_bytes)
     : totalFrames_(mem_bytes >> kFrameBits),
-      freeLists_(kMaxOrder + 1),
-      frameFree_(totalFrames_, false)
+      frameFree_(wordsFor(totalFrames_), 0)
 {
     SEESAW_ASSERT(totalFrames_ > 0, "empty physical memory");
+    for (unsigned order = 0; order <= kMaxOrder; ++order)
+        freeLists_[order].words.assign(wordsFor(totalFrames_ >> order), 0);
 
     // Seed the free lists by carving memory into maximal aligned blocks.
     std::uint64_t frame = 0;
     while (frame < totalFrames_) {
         unsigned order = kMaxOrder;
-        while (order > 0 &&
-               ((frame & ((std::uint64_t{1} << order) - 1)) != 0 ||
-                frame + (std::uint64_t{1} << order) > totalFrames_)) {
+        while ((frame & (blockFrames(order) - 1)) != 0 ||
+               frame + blockFrames(order) > totalFrames_) {
             --order;
         }
         insertBlock(frame, order);
         markRange(frame, order, true);
-        freeFrames_ += std::uint64_t{1} << order;
-        frame += std::uint64_t{1} << order;
+        freeFrames_ += blockFrames(order);
+        frame += blockFrames(order);
     }
 }
 
@@ -33,23 +51,62 @@ void
 BuddyAllocator::markRange(std::uint64_t frame, unsigned order,
                           bool free_state)
 {
-    const std::uint64_t count = std::uint64_t{1} << order;
-    for (std::uint64_t i = 0; i < count; ++i)
-        frameFree_[frame + i] = free_state;
+    // A block of order >= 6 is word aligned and covers whole words;
+    // a smaller one sits inside a single word.
+    if (order >= 6) {
+        const std::uint64_t fill = free_state ? ~std::uint64_t{0} : 0;
+        std::fill_n(&frameFree_[frame >> 6], blockFrames(order) >> 6, fill);
+        return;
+    }
+    const std::uint64_t bits = (std::uint64_t{1} << blockFrames(order)) - 1;
+    const std::uint64_t mask = bits << (frame & 63);
+    std::uint64_t &word = frameFree_[frame >> 6];
+    word = free_state ? (word | mask) : (word & ~mask);
+}
+
+bool
+BuddyAllocator::isFreeBlock(std::uint64_t frame, unsigned order) const
+{
+    // A block that runs past the end of memory is never free: its bit,
+    // if the bitmap has one, is never set.
+    const FreeBitmap &list = freeLists_[order];
+    const std::uint64_t index = frame >> order;
+    return (index >> 6) < list.words.size() &&
+           ((list.words[index >> 6] >> (index & 63)) & 1) != 0;
 }
 
 void
 BuddyAllocator::insertBlock(std::uint64_t frame, unsigned order)
 {
-    auto [it, inserted] = freeLists_[order].insert(frame);
-    SEESAW_ASSERT(inserted, "double insert of free block ", frame);
+    FreeBitmap &list = freeLists_[order];
+    const std::uint64_t index = frame >> order;
+    const std::uint64_t bit = std::uint64_t{1} << (index & 63);
+    std::uint64_t &word = list.words[index >> 6];
+    SEESAW_ASSERT((word & bit) == 0, "double insert of free block ", frame);
+    word |= bit;
+    ++list.count;
+    list.firstWord = std::min<std::size_t>(list.firstWord, index >> 6);
 }
 
 void
 BuddyAllocator::removeBlock(std::uint64_t frame, unsigned order)
 {
-    const auto erased = freeLists_[order].erase(frame);
-    SEESAW_ASSERT(erased == 1, "free block not found ", frame);
+    SEESAW_ASSERT(isFreeBlock(frame, order), "free block not found ", frame);
+    FreeBitmap &list = freeLists_[order];
+    const std::uint64_t index = frame >> order;
+    list.words[index >> 6] &= ~(std::uint64_t{1} << (index & 63));
+    --list.count;
+}
+
+std::uint64_t
+BuddyAllocator::lowestBlock(unsigned order)
+{
+    FreeBitmap &list = freeLists_[order];
+    while (list.words[list.firstWord] == 0)
+        ++list.firstWord;
+    const std::uint64_t word = list.words[list.firstWord];
+    const std::uint64_t index = list.firstWord * 64 + std::countr_zero(word);
+    return index << order;
 }
 
 std::optional<std::uint64_t>
@@ -58,23 +115,23 @@ BuddyAllocator::allocate(unsigned order)
     SEESAW_ASSERT(order <= kMaxOrder, "order too large: ", order);
 
     unsigned have = order;
-    while (have <= kMaxOrder && freeLists_[have].empty())
+    while (have <= kMaxOrder && freeLists_[have].count == 0)
         ++have;
     if (have > kMaxOrder)
         return std::nullopt;
 
-    std::uint64_t frame = *freeLists_[have].begin();
+    std::uint64_t frame = lowestBlock(have);
     removeBlock(frame, have);
 
     // Split down to the requested order, returning upper halves to the
     // free lists.
     while (have > order) {
         --have;
-        insertBlock(frame + (std::uint64_t{1} << have), have);
+        insertBlock(frame + blockFrames(have), have);
     }
 
     markRange(frame, order, false);
-    freeFrames_ -= std::uint64_t{1} << order;
+    freeFrames_ -= blockFrames(order);
     return frame;
 }
 
@@ -83,9 +140,8 @@ BuddyAllocator::findContainingFreeBlock(std::uint64_t frame,
                                         unsigned min_order) const
 {
     for (unsigned order = min_order; order <= kMaxOrder; ++order) {
-        const std::uint64_t start =
-            frame & ~((std::uint64_t{1} << order) - 1);
-        if (freeLists_[order].count(start))
+        const std::uint64_t start = frame & ~(blockFrames(order) - 1);
+        if (isFreeBlock(start, order))
             return std::make_pair(start, order);
     }
     return std::nullopt;
@@ -95,9 +151,9 @@ bool
 BuddyAllocator::allocateSpecific(std::uint64_t frame, unsigned order)
 {
     SEESAW_ASSERT(order <= kMaxOrder, "order too large: ", order);
-    SEESAW_ASSERT((frame & ((std::uint64_t{1} << order) - 1)) == 0,
+    SEESAW_ASSERT((frame & (blockFrames(order) - 1)) == 0,
                   "unaligned specific allocation");
-    if (frame + (std::uint64_t{1} << order) > totalFrames_)
+    if (frame + blockFrames(order) > totalFrames_)
         return false;
 
     auto block = findContainingFreeBlock(frame, order);
@@ -110,7 +166,7 @@ BuddyAllocator::allocateSpecific(std::uint64_t frame, unsigned order)
     // Split the containing block, keeping only the requested sub-block.
     while (have > order) {
         --have;
-        const std::uint64_t half = std::uint64_t{1} << have;
+        const std::uint64_t half = blockFrames(have);
         if (frame < start + half) {
             insertBlock(start + half, have);
         } else {
@@ -121,7 +177,7 @@ BuddyAllocator::allocateSpecific(std::uint64_t frame, unsigned order)
     SEESAW_ASSERT(start == frame, "buddy split logic error");
 
     markRange(frame, order, false);
-    freeFrames_ -= std::uint64_t{1} << order;
+    freeFrames_ -= blockFrames(order);
     return true;
 }
 
@@ -129,20 +185,19 @@ void
 BuddyAllocator::free(std::uint64_t frame, unsigned order)
 {
     SEESAW_ASSERT(order <= kMaxOrder, "order too large: ", order);
-    SEESAW_ASSERT((frame & ((std::uint64_t{1} << order) - 1)) == 0,
-                  "unaligned free");
-    SEESAW_ASSERT(!frameFree_[frame], "double free of frame ", frame);
+    SEESAW_ASSERT((frame & (blockFrames(order) - 1)) == 0, "unaligned free");
+    SEESAW_ASSERT(frame + blockFrames(order) <= totalFrames_,
+                  "free past the end of memory: frame ", frame);
+    SEESAW_ASSERT(!isFrameFree(frame), "double free of frame ", frame);
 
     markRange(frame, order, true);
-    freeFrames_ += std::uint64_t{1} << order;
+    freeFrames_ += blockFrames(order);
 
     // Coalesce with free buddies as far as possible.
     while (order < kMaxOrder) {
         const std::uint64_t buddy = buddyOf(frame, order);
-        if (buddy + (std::uint64_t{1} << order) > totalFrames_ ||
-            !freeLists_[order].count(buddy)) {
+        if (!isFreeBlock(buddy, order))
             break;
-        }
         removeBlock(buddy, order);
         frame = std::min(frame, buddy);
         ++order;
@@ -154,14 +209,14 @@ bool
 BuddyAllocator::isFrameFree(std::uint64_t frame) const
 {
     SEESAW_ASSERT(frame < totalFrames_, "frame out of range");
-    return frameFree_[frame];
+    return ((frameFree_[frame >> 6] >> (frame & 63)) & 1) != 0;
 }
 
 std::size_t
 BuddyAllocator::freeBlocksAt(unsigned order) const
 {
     SEESAW_ASSERT(order <= kMaxOrder, "order too large");
-    return freeLists_[order].size();
+    return freeLists_[order].count;
 }
 
 std::uint64_t
@@ -169,7 +224,7 @@ BuddyAllocator::freeFramesAtOrAbove(unsigned order) const
 {
     std::uint64_t frames = 0;
     for (unsigned o = order; o <= kMaxOrder; ++o)
-        frames += freeLists_[o].size() * (std::uint64_t{1} << o);
+        frames += freeLists_[o].count * blockFrames(o);
     return frames;
 }
 

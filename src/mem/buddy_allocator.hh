@@ -7,14 +7,18 @@
  * (order-9) block is free, exactly as in Linux. Fragmentation induced by
  * memhog (Section III-C / Fig 3) manifests as depleted high-order free
  * lists.
+ *
+ * Each order's free list is a bitmap over the blocks of that order,
+ * searched lowest block first, so allocation order is exactly that of
+ * a sorted free list; per-frame free flags are packed 64 to a word.
  */
 
 #ifndef SEESAW_MEM_BUDDY_ALLOCATOR_HH
 #define SEESAW_MEM_BUDDY_ALLOCATOR_HH
 
+#include <array>
 #include <cstdint>
 #include <optional>
-#include <set>
 #include <vector>
 
 #include "common/types.hh"
@@ -91,18 +95,31 @@ class BuddyAllocator
     }
 
   private:
+    /** One order's free list. */
+    struct FreeBitmap
+    {
+        /** Bit (start >> order) marks the free block at frame start. */
+        std::vector<std::uint64_t> words;
+        std::size_t count = 0;     //!< free blocks (set bits)
+        std::size_t firstWord = 0; //!< every word below this is zero
+    };
+
     std::uint64_t totalFrames_;
     std::uint64_t freeFrames_ = 0;
 
-    /** Free lists indexed by order; each holds block start frames. */
-    std::vector<std::set<std::uint64_t>> freeLists_;
+    /** Free lists indexed by order. */
+    std::array<FreeBitmap, kMaxOrder + 1> freeLists_;
 
-    /** Per-frame free flag to answer isFrameFree in O(1). */
-    std::vector<bool> frameFree_;
+    /** Per-frame free flags, 64 frames a word, for isFrameFree. */
+    std::vector<std::uint64_t> frameFree_;
 
     void markRange(std::uint64_t frame, unsigned order, bool free_state);
+    bool isFreeBlock(std::uint64_t frame, unsigned order) const;
     void insertBlock(std::uint64_t frame, unsigned order);
     void removeBlock(std::uint64_t frame, unsigned order);
+
+    /** First frame of the lowest free block of @p order (non-empty). */
+    std::uint64_t lowestBlock(unsigned order);
 
     /** Find the free block (start, order) containing @p frame. */
     std::optional<std::pair<std::uint64_t, unsigned>>

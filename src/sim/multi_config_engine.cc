@@ -1,6 +1,10 @@
 #include "sim/multi_config_engine.hh"
 
 #include <algorithm>
+#include <cstdlib>
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 #include "check/cache_audits.hh"
 #include "check/coherence_audits.hh"
@@ -52,6 +56,16 @@ MultiConfigEngine::MultiConfigEngine(std::vector<SystemConfig> configs,
       eventRng_((configs_.empty() ? 0 : configs_.front().seed) ^
                 0xe7e27ULL)
 {
+#if defined(__GLIBC__)
+    // Keep freed heap mapped, or each engine page-faults its tag stores
+    // in anew; set both, as either alone ends glibc's dynamic thresholds.
+    static const bool heap_policy_set = [] {
+        mallopt(M_MMAP_THRESHOLD, 32 << 20);
+        mallopt(M_TRIM_THRESHOLD, 1 << 30);
+        return true;
+    }();
+    (void)heap_policy_set;
+#endif
     SEESAW_ASSERT(!configs_.empty(), "the engine needs at least one config");
     const SystemConfig &front = configs_.front();
     SEESAW_ASSERT(front.cores >= 1 && front.cores <= 64,

@@ -61,6 +61,30 @@ TEST(AssertionDeathTest, BuddyRejectsDoubleFree)
         "double free");
 }
 
+TEST(AssertionDeathTest, BuddyRejectsDoubleFreeOfWholeWordBlock)
+{
+    // Order >= 6 marks the per-frame flags a whole word at a time.
+    EXPECT_DEATH(
+        {
+            BuddyAllocator buddy(4ULL << 20);
+            auto f = buddy.allocate(6);
+            buddy.free(*f, 6);
+            buddy.free(*f, 6);
+        },
+        "double free");
+}
+
+TEST(AssertionDeathTest, BuddyRejectsFreePastEndOfMemory)
+{
+    EXPECT_DEATH(
+        {
+            BuddyAllocator buddy(24 * BuddyAllocator::kFrameBytes);
+            auto f = buddy.allocate(3); // frames 16-23, the top block
+            buddy.free(*f, 4);          // would cover frames 16-31
+        },
+        "past the end");
+}
+
 TEST(AssertionDeathTest, BuddyRejectsUnalignedFree)
 {
     EXPECT_DEATH(
