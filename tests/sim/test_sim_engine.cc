@@ -9,7 +9,10 @@
  *    which the old MultiCoreSystem silently ignored;
  *  - every L1 design (PIPT, SIPT, both way-predicted designs, SEESAW
  *    under 4way-8way, and a 4-core snoopy SEESAW) is pinned bit for
- *    bit, so the shared L1 skeleton cannot drift any of them.
+ *    bit, so the shared L1 skeleton cannot drift any of them;
+ *  - the unified L1 TLB (32/64 entries, VIPT and SEESAW, in-order,
+ *    Random victims) and a split hierarchy over a 1GB-page heap are
+ *    pinned the same way, with the TLB hierarchy's hit/walk counters.
  */
 
 #include <gtest/gtest.h>
@@ -199,6 +202,134 @@ TEST(SimEngineGolden, EveryL1DesignIsPinned)
         expectGolden(r, d.golden, d.name);
         EXPECT_EQ(r.wpAccuracy, d.wpAccuracy) << d.name; // exact
         EXPECT_EQ(r.cores, d.cores) << d.name;
+    }
+}
+
+/** The unified-TLB rows' load: an 8x larger heap on a host half
+ *  fragmented by memhog, so the L1 TLB misses, evicts and refills
+ *  4KB and 2MB entries side by side. */
+void
+tlbPressure(SystemConfig &c, WorkloadSpec &w)
+{
+    w.footprintBytes = 256ULL << 20;
+    w.hotSetBytes = 32ULL << 20;
+    c.memhogFraction = 0.5;
+}
+
+/** One pinned L1 TLB organisation: goldenConfig() and goldenWorkload()
+ *  as @c configure leaves them, plus the hierarchy's own counters. */
+struct TlbGoldenRow
+{
+    const char *name;
+    void (*configure)(SystemConfig &, WorkloadSpec &);
+    std::uint64_t l1TlbHits;
+    std::uint64_t l2TlbHits;
+    std::uint64_t walks;
+    GoldenRow golden;
+};
+
+// Captured before the unified L1 TLB became a fully-associative Tlb.
+// The Random row draws TLB victims from the unified TLB's own seed
+// salt; the 1GB-heap row hits only the split 1GB L1 TLB, so SEESAW's
+// fast path depends on its 2MB-region marks.
+const TlbGoldenRow kTlbGolden[] = {
+    {"unified32_vipt",
+     [](SystemConfig &c, WorkloadSpec &w) {
+         tlbPressure(c, w);
+         c.unifiedL1Tlb = true;
+         c.unifiedL1TlbEntries = 32;
+     },
+     31969ULL, 588ULL, 266ULL,
+     {ViptKind, 1ULL, 60000ULL, 59037ULL, 1.0163118044616088, 21856ULL,
+      19958ULL, 1898ULL, 0ULL, 1898ULL, 1268ULL, 195ULL, 0ULL, 0ULL,
+      0ULL, 11675.569251915596, 0.1796875, 1898ULL, 2700ULL, 2441ULL}},
+    {"unified32_seesaw",
+     [](SystemConfig &c, WorkloadSpec &w) {
+         tlbPressure(c, w);
+         c.unifiedL1Tlb = true;
+         c.unifiedL1TlbEntries = 32;
+     },
+     31969ULL, 588ULL, 266ULL,
+     {SeesawKind, 1ULL, 60000ULL, 61271ULL, 0.97925609178893769,
+      21856ULL, 19925ULL, 1931ULL, 17810ULL, 1931ULL, 1268ULL, 195ULL,
+      21856ULL, 17810ULL, 17875ULL, 11425.843504683937, 0.1796875,
+      1931ULL, 2700ULL, 2463ULL}},
+    {"unified64_vipt",
+     [](SystemConfig &c, WorkloadSpec &w) {
+         tlbPressure(c, w);
+         c.unifiedL1Tlb = true;
+         c.unifiedL1TlbEntries = 64;
+     },
+     32376ULL, 182ULL, 265ULL,
+     {ViptKind, 1ULL, 60000ULL, 56371ULL, 1.0643770733178408, 21856ULL,
+      19958ULL, 1898ULL, 0ULL, 1898ULL, 1268ULL, 195ULL, 0ULL, 0ULL,
+      0ULL, 11484.243838381784, 0.1796875, 1898ULL, 2700ULL, 2441ULL}},
+    {"unified64_seesaw",
+     [](SystemConfig &c, WorkloadSpec &w) {
+         tlbPressure(c, w);
+         c.unifiedL1Tlb = true;
+         c.unifiedL1TlbEntries = 64;
+     },
+     32376ULL, 182ULL, 265ULL,
+     {SeesawKind, 1ULL, 60000ULL, 56742ULL, 1.0574177857671565,
+      21856ULL, 19925ULL, 1931ULL, 17810ULL, 1931ULL, 1268ULL, 195ULL,
+      21856ULL, 17810ULL, 17875ULL, 11121.057188894549, 0.1796875,
+      1931ULL, 2700ULL, 2463ULL}},
+    {"unified64_seesaw_inorder",
+     [](SystemConfig &c, WorkloadSpec &w) {
+         tlbPressure(c, w);
+         c.unifiedL1Tlb = true;
+         c.coreKind = CoreKind::InOrder;
+     },
+     32376ULL, 182ULL, 265ULL,
+     {SeesawKind, 1ULL, 60000ULL, 92194ULL, 0.65080157060112376,
+      21856ULL, 19925ULL, 1931ULL, 17810ULL, 1931ULL, 1268ULL, 195ULL,
+      21856ULL, 17810ULL, 17875ULL, 13280.163955811844, 0.1796875, 0ULL,
+      2700ULL, 2463ULL}},
+    {"unified64_seesaw_random",
+     [](SystemConfig &c, WorkloadSpec &w) {
+         tlbPressure(c, w);
+         c.unifiedL1Tlb = true;
+         c.replacement.kind = ReplacementKind::Random;
+     },
+     32125ULL, 429ULL, 269ULL,
+     {SeesawKind, 1ULL, 60000ULL, 61344ULL, 0.97809076682316121,
+      21856ULL, 19678ULL, 2178ULL, 17810ULL, 2178ULL, 1268ULL, 195ULL,
+      21856ULL, 17810ULL, 17875ULL, 11599.527769345519, 0.1796875,
+      2178ULL, 2700ULL, 2348ULL}},
+    {"split_seesaw_1gb_heap",
+     [](SystemConfig &c, WorkloadSpec &) {
+         // 1GB pages are reserved at boot, before kernel allocations
+         // fragment gigabyte contiguity.
+         c.useOneGbHeap = true;
+         c.os.memBytes = 4ULL << 30;
+         c.os.kernelReservedFraction = 0.0;
+         c.os.pollutedRegionFraction = 0.0;
+     },
+     32822ULL, 0ULL, 1ULL,
+     {SeesawKind, 1ULL, 60000ULL, 40451ULL, 1.4832760623964798,
+      21856ULL, 19775ULL, 2081ULL, 21851ULL, 2081ULL, 1199ULL, 16ULL,
+      21856ULL, 21851ULL, 21856ULL, 5225.2234461996495, 1, 2081ULL,
+      2700ULL, 2445ULL}},
+};
+
+TEST(SimEngineGolden, EveryTlbOrganisationIsPinned)
+{
+    for (const TlbGoldenRow &t : kTlbGolden) {
+        SystemConfig cfg = goldenConfig(t.golden.kind, t.golden.seed);
+        WorkloadSpec w = goldenWorkload();
+        t.configure(cfg, w);
+        SimEngine engine(cfg, w);
+        const RunResult r = engine.run();
+
+        expectGolden(r, t.golden, t.name);
+        const StatGroup &tlb = engine.complex(0).tlb().stats();
+        EXPECT_EQ(tlb.get("l1_hits"), static_cast<double>(t.l1TlbHits))
+            << t.name;
+        EXPECT_EQ(tlb.get("l2_hits"), static_cast<double>(t.l2TlbHits))
+            << t.name;
+        EXPECT_EQ(tlb.get("walks"), static_cast<double>(t.walks))
+            << t.name;
     }
 }
 
