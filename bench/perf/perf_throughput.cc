@@ -197,7 +197,7 @@ runMicroSuite(unsigned repeats)
     {
         Tlb tlb("perf", 64, 4, PageSize::Base4KB);
         for (Addr p = 0; p < 64; ++p)
-            tlb.insert(1, p << 12, p << 12);
+            tlb.insert(1, p << 12, p << 12, PageSize::Base4KB);
         out.push_back(runMicro(
             "tlb_lookup", 8'000'000, repeats,
             [&](std::uint64_t iters) {

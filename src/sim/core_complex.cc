@@ -33,7 +33,8 @@ CoreComplex::CoreComplex(const SystemConfig &config,
             ? TlbHierarchyParams::atom()
             : TlbHierarchyParams::sandybridge();
     if (config_.unifiedL1Tlb) {
-        tlb_params.unifiedL1 = true;
+        SEESAW_ASSERT(config_.unifiedL1TlbEntries > 0,
+                      "unified TLB needs entries");
         tlb_params.unifiedL1Entries = config_.unifiedL1TlbEntries;
     }
     // Replacement seeds decorrelate per structure AND per core: the

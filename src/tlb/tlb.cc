@@ -6,9 +6,10 @@
 namespace seesaw {
 
 Tlb::Tlb(std::string name, unsigned entries, unsigned assoc,
-         PageSize size, ReplacementParams replacement)
+         std::initializer_list<PageSize> sizes,
+         ReplacementParams replacement)
     : name_(std::move(name)), entries_(entries), assoc_(assoc),
-      size_(size), slots_(entries), stats_(name_),
+      slots_(entries), stats_(name_),
       stLookups_(&stats_.scalar("lookups")),
       stHits_(&stats_.scalar("hits")),
       stMisses_(&stats_.scalar("misses")),
@@ -21,6 +22,14 @@ Tlb::Tlb(std::string name, unsigned entries, unsigned assoc,
     numSets_ = entries_ / assoc_;
     SEESAW_ASSERT(numSets_ == 1 || isPowerOfTwo(numSets_),
                   "TLB set count must be a power of two");
+    SEESAW_ASSERT(sizes.size() > 0, "TLB holds no page size");
+    for (PageSize size : sizes)
+        sizeMask_ |= static_cast<std::uint8_t>(
+            1U << static_cast<unsigned>(size));
+    SEESAW_ASSERT(sizes.size() == 1 || numSets_ == 1,
+                  "a TLB holding several page sizes must be fully "
+                  "associative");
+    indexShift_ = pageOffsetBits(*sizes.begin());
     policy_.emplace(replacement, numSets_, assoc_);
 }
 
@@ -31,38 +40,23 @@ Tlb::slotOf(const TlbEntry *e) const
 }
 
 TlbEntry *
-Tlb::find(Asid asid, Addr vpn)
+Tlb::find(Asid asid, Addr va)
 {
-    const unsigned set = setOf(vpn);
-    TlbEntry *base = &slots_[static_cast<std::size_t>(set) * assoc_];
+    TlbEntry *base = &slots_[std::size_t{setOf(va)} * assoc_];
     for (unsigned way = 0; way < assoc_; ++way) {
         TlbEntry &e = base[way];
-        if (e.valid && e.asid == asid && e.vpn == vpn)
+        if (e.valid && e.asid == asid &&
+            e.vpn == va >> pageOffsetBits(e.size))
             return &e;
     }
     return nullptr;
 }
 
 const TlbEntry *
-Tlb::find(Asid asid, Addr vpn) const
-{
-    return const_cast<Tlb *>(this)->find(asid, vpn);
-}
-
-std::optional<TlbEntry>
 Tlb::lookup(Asid asid, Addr va)
 {
-    const TlbEntry *e = lookupEntry(asid, va);
-    if (!e)
-        return std::nullopt;
-    return *e;
-}
-
-const TlbEntry *
-Tlb::lookupEntry(Asid asid, Addr va)
-{
     ++*stLookups_;
-    TlbEntry *e = find(asid, vpnOf(va));
+    TlbEntry *e = find(asid, va);
     if (!e) {
         ++*stMisses_;
         return nullptr;
@@ -72,84 +66,67 @@ Tlb::lookupEntry(Asid asid, Addr va)
     return e;
 }
 
-std::optional<TlbEntry>
-Tlb::peek(Asid asid, Addr va) const
-{
-    const TlbEntry *e = find(asid, vpnOf(va));
-    if (!e)
-        return std::nullopt;
-    return *e;
-}
-
 void
-Tlb::insert(Asid asid, Addr va, Addr pa_base)
+Tlb::insert(Asid asid, Addr va, Addr pa_base, PageSize size)
 {
-    const Addr vpn = vpnOf(va);
-    SEESAW_ASSERT(pa_base % pageBytes(size_) == 0,
-                  "unaligned TLB fill");
+    SEESAW_ASSERT(holds(size), "TLB fill of a page size it does not hold");
+    SEESAW_ASSERT(pa_base % pageBytes(size) == 0, "unaligned TLB fill");
+    const TlbEntry fill{true, asid, va >> pageOffsetBits(size), pa_base,
+                        size};
 
-    if (TlbEntry *existing = find(asid, vpn)) {
-        existing->paBase = pa_base;
+    if (TlbEntry *existing = find(asid, va)) {
+        // Refresh. In a multi-size TLB the covering entry may be of
+        // another size (a promotion or splinter the shootdown missed):
+        // the fill rewrites it.
+        superpageCount_ += isSuperpage(size) ? 1 : 0;
+        superpageCount_ -= isSuperpage(existing->size) ? 1 : 0;
+        *existing = fill;
         policy_->touchAt(slotOf(existing));
         return;
     }
 
-    const unsigned set = setOf(vpn);
-    TlbEntry *base = &slots_[static_cast<std::size_t>(set) * assoc_];
-    const unsigned victim = policy_->victim(set, 0, assoc_);
-
-    if (base[victim].valid)
+    const unsigned set = setOf(va);
+    const unsigned way = policy_->victim(set, 0, assoc_);
+    TlbEntry &victim = slots_[std::size_t{set} * assoc_ + way];
+    if (victim.valid) {
         ++*stEvictions_;
-    else
+        superpageCount_ -= isSuperpage(victim.size) ? 1 : 0;
+    } else {
         ++validCount_;
-    base[victim] = TlbEntry{true, asid, vpn, pa_base, size_};
-    policy_->fill(set, victim);
+    }
+    superpageCount_ += isSuperpage(size) ? 1 : 0;
+    victim = fill;
+    policy_->fill(set, way);
     ++*stFills_;
+}
+
+void
+Tlb::drop(TlbEntry &e)
+{
+    e.valid = false;
+    policy_->invalidateAt(slotOf(&e));
+    --validCount_;
+    superpageCount_ -= isSuperpage(e.size) ? 1 : 0;
 }
 
 bool
 Tlb::invalidatePage(Asid asid, Addr va)
 {
-    TlbEntry *e = find(asid, vpnOf(va));
+    TlbEntry *e = find(asid, va);
     if (!e)
         return false;
-    e->valid = false;
-    policy_->invalidateAt(slotOf(e));
-    --validCount_;
+    drop(*e);
     ++*stInvalidations_;
     return true;
 }
 
 void
-Tlb::flushAsid(Asid asid)
-{
-    for (std::size_t i = 0; i < slots_.size(); ++i) {
-        TlbEntry &e = slots_[i];
-        if (e.valid && e.asid == asid) {
-            e.valid = false;
-            policy_->invalidateAt(i);
-            --validCount_;
-        }
-    }
-}
-
-void
 Tlb::flushAll()
 {
-    for (std::size_t i = 0; i < slots_.size(); ++i) {
-        TlbEntry &e = slots_[i];
-        if (e.valid) {
-            e.valid = false;
-            policy_->invalidateAt(i);
-        }
+    for (TlbEntry &e : slots_) {
+        if (e.valid)
+            drop(e);
     }
-    validCount_ = 0;
-}
-
-unsigned
-Tlb::validCount() const
-{
-    return validCount_;
 }
 
 void

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <optional>
 #include <string>
 #include <vector>
@@ -31,11 +32,13 @@ struct TlbEntry
 };
 
 /**
- * A TLB caching translations of exactly one page size class.
+ * A TLB caching translations of one or more page size classes. Each
+ * way matches at its own entry's page size.
  *
  * Intel-style split L1 TLBs (Table II) instantiate one of these per
- * size; a unified structure (ARM/SPARC-style, or Intel's L2 STLB that
- * holds 4KB and 2MB entries) composes several via UnifiedTlb.
+ * size, indexed by that size. An ARM/SPARC-style unified L1 TLB is one
+ * fully-associative Tlb holding every size, so a superpage-heavy phase
+ * can fill the whole structure with superpage entries, and vice versa.
  */
 class Tlb
 {
@@ -45,54 +48,58 @@ class Tlb
      * @param entries Total entry count.
      * @param assoc Ways (entries == sets*assoc); pass entries for a
      *        fully-associative structure.
-     * @param size The page size class cached here.
+     * @param sizes The page size classes cached here. Sets are indexed
+     *        by the page number of the one size; a TLB holding several
+     *        sizes must be fully associative.
      * @param replacement Victim policy (default LRU).
      */
     Tlb(std::string name, unsigned entries, unsigned assoc,
-        PageSize size, ReplacementParams replacement = {});
+        std::initializer_list<PageSize> sizes,
+        ReplacementParams replacement = {});
 
-    /** Probe for the translation of @p va; touches the policy on
-     *  hit. */
-    std::optional<TlbEntry> lookup(Asid asid, Addr va);
+    /** A TLB for the one page size @p size. */
+    Tlb(std::string name, unsigned entries, unsigned assoc,
+        PageSize size, ReplacementParams replacement = {})
+        : Tlb(std::move(name), entries, assoc, {size}, replacement)
+    {
+    }
 
-    /** Hot-path probe: like lookup(), but returns a pointer into the
-     *  slot array (nullptr on miss) instead of copying the entry into
-     *  an optional. The pointer is valid until the next mutation. */
-    const TlbEntry *lookupEntry(Asid asid, Addr va);
+    /** Probe for the translation of @p va; touches the policy on hit.
+     *  @return The entry (valid until the next mutation), or nullptr
+     *  on a miss. */
+    const TlbEntry *lookup(Asid asid, Addr va);
 
-    /** Non-mutating probe. */
-    std::optional<TlbEntry> peek(Asid asid, Addr va) const;
-
-    /** Install a translation (policy victim within the set). */
-    void insert(Asid asid, Addr va, Addr pa_base);
+    /** Install the translation of the @p size page holding @p va
+     *  (policy victim within the set; a refresh if an entry already
+     *  covers @p va). */
+    void insert(Asid asid, Addr va, Addr pa_base, PageSize size);
 
     /** Invalidate the entry covering @p va (invlpg). @return hit? */
     bool invalidatePage(Asid asid, Addr va);
 
-    /** Drop every entry of @p asid. */
-    void flushAsid(Asid asid);
-
     /** Drop everything. */
     void flushAll();
 
+    /** Whether entries of @p size are cached here. */
+    bool holds(PageSize size) const
+    {
+        return (sizeMask_ >> static_cast<unsigned>(size)) & 1U;
+    }
+
     /** Number of currently valid entries (scheduler counter, §IV-B3). */
-    unsigned validCount() const;
+    unsigned validCount() const { return validCount_; }
+
+    /** Valid entries caching superpage (2MB/1GB) translations. */
+    unsigned superpageValidCount() const { return superpageCount_; }
 
     /** Visit every valid entry (invariant audits against the page
      *  table, dumps). */
     void forEachValidEntry(
         const std::function<void(const TlbEntry &)> &fn) const;
 
-    PageSize pageSize() const { return size_; }
     unsigned entries() const { return entries_; }
     unsigned assoc() const { return assoc_; }
     unsigned numSets() const { return numSets_; }
-
-    /** The victim-selection policy (invariant audits). */
-    const ReplacementPolicy &replacementPolicy() const
-    {
-        return *policy_;
-    }
 
     /** Valid entries displaced by fills. */
     std::uint64_t evictions() const { return stEvictions_->count(); }
@@ -105,10 +112,13 @@ class Tlb
     unsigned entries_;
     unsigned assoc_;
     unsigned numSets_;
-    PageSize size_;
+    std::uint8_t sizeMask_ = 0; //!< bit i: PageSize value i is held
+    unsigned indexShift_ = 0;   //!< page offset bits of the set index
     std::vector<TlbEntry> slots_;
     std::optional<ReplacementPolicy> policy_;
-    unsigned validCount_ = 0; //!< maintained incrementally (hot path)
+    // Maintained incrementally: the scheduler reads both per access.
+    unsigned validCount_ = 0;
+    unsigned superpageCount_ = 0;
     StatGroup stats_;
 
     // Hot-path stat handles, registered once at construction so the
@@ -120,14 +130,16 @@ class Tlb
     StatScalar *stEvictions_;
     StatScalar *stInvalidations_;
 
-    Addr vpnOf(Addr va) const { return va >> pageOffsetBits(size_); }
-    unsigned setOf(Addr vpn) const
+    unsigned setOf(Addr va) const
     {
-        return static_cast<unsigned>(vpn % numSets_);
+        return static_cast<unsigned>((va >> indexShift_) &
+                                     (numSets_ - 1));
     }
-    TlbEntry *find(Asid asid, Addr vpn);
-    const TlbEntry *find(Asid asid, Addr vpn) const;
+    /** @return The slot covering @p va, or nullptr. */
+    TlbEntry *find(Asid asid, Addr va);
     std::size_t slotOf(const TlbEntry *e) const;
+    /** Mark @p e invalid and drop it from the counters. */
+    void drop(TlbEntry &e);
 };
 
 } // namespace seesaw

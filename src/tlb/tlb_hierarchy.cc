@@ -7,6 +7,18 @@
 
 namespace seesaw {
 
+namespace {
+
+/** The translation @p e gives the page holding @p va. */
+Translation
+translationOf(const TlbEntry &e, Addr va)
+{
+    return Translation{e.paBase, alignDown(va, pageBytes(e.size)),
+                       e.size};
+}
+
+} // namespace
+
 TlbHierarchyParams
 TlbHierarchyParams::sandybridge()
 {
@@ -43,31 +55,13 @@ TlbHierarchyParams
 TlbHierarchyParams::unified(unsigned entries)
 {
     TlbHierarchyParams p;
-    p.unifiedL1 = true;
     p.unifiedL1Entries = entries;
     return p;
 }
 
 TlbHierarchy::TlbHierarchy(const TlbHierarchyParams &params,
                            const PageTable &page_table)
-    : params_(params),
-      l14k_("l1tlb_4k", params.l1Entries4k, params.l1Assoc4k,
-            PageSize::Base4KB,
-            withSeedSalt(params.replacement, 0x11ULL)),
-      l12m_("l1tlb_2m", params.l1Entries2m, params.l1Assoc2m,
-            PageSize::Super2MB,
-            withSeedSalt(params.replacement, 0x12ULL)),
-      l11g_("l1tlb_1g", params.l1Entries1g, params.l1Assoc1g,
-            PageSize::Super1GB,
-            withSeedSalt(params.replacement, 0x13ULL)),
-      l24k_("l2tlb_4k", params.l2Entries, params.l2Assoc,
-            PageSize::Base4KB,
-            withSeedSalt(params.replacement, 0x24ULL)),
-      l22m_("l2tlb_2m",
-            std::max(params.l2Assoc, params.l2Entries / 4),
-            params.l2Assoc, PageSize::Super2MB,
-            withSeedSalt(params.replacement, 0x22ULL)),
-      walker_(page_table, params.walkCyclesPerLevel),
+    : params_(params), walker_(page_table, params.walkCyclesPerLevel),
       stats_("tlb"),
       stLookups_(&stats_.scalar("lookups")),
       stL1Hits_(&stats_.scalar("l1_hits")),
@@ -77,57 +71,80 @@ TlbHierarchy::TlbHierarchy(const TlbHierarchyParams &params,
       stFaults_(&stats_.scalar("faults")),
       stInvlpg_(&stats_.scalar("invlpg"))
 {
-    if (params_.unifiedL1) {
-        unified_ = std::make_unique<UnifiedTlb>(
-            "l1tlb_unified", params_.unifiedL1Entries,
-            withSeedSalt(params_.replacement, 0x1fULL));
+    const ReplacementParams &r = params_.replacement;
+    l1_.reserve(3);
+    if (params_.unifiedL1Entries) {
+        l1_.push_back({"l1.unified",
+                       Tlb("l1tlb_unified", params_.unifiedL1Entries,
+                           params_.unifiedL1Entries,
+                           {PageSize::Base4KB, PageSize::Super2MB,
+                            PageSize::Super1GB},
+                           withSeedSalt(r, 0x1fULL))});
+    } else {
+        l1_.push_back({"l1.4k", Tlb("l1tlb_4k", params_.l1Entries4k,
+                                    params_.l1Assoc4k, PageSize::Base4KB,
+                                    withSeedSalt(r, 0x11ULL))});
+        l1_.push_back({"l1.2m", Tlb("l1tlb_2m", params_.l1Entries2m,
+                                    params_.l1Assoc2m, PageSize::Super2MB,
+                                    withSeedSalt(r, 0x12ULL))});
+        l1_.push_back({"l1.1g", Tlb("l1tlb_1g", params_.l1Entries1g,
+                                    params_.l1Assoc1g, PageSize::Super1GB,
+                                    withSeedSalt(r, 0x13ULL))});
+    }
+    l2_.reserve(2);
+    l2_.push_back({"l2.4k", Tlb("l2tlb_4k", params_.l2Entries,
+                                params_.l2Assoc, PageSize::Base4KB,
+                                withSeedSalt(r, 0x24ULL))});
+    if (params_.l2Holds2m) {
+        l2_.push_back(
+            {"l2.2m",
+             Tlb("l2tlb_2m", std::max(params_.l2Assoc, params_.l2Entries / 4),
+                 params_.l2Assoc, PageSize::Super2MB,
+                 withSeedSalt(r, 0x22ULL))});
+    }
+}
+
+const Tlb &
+TlbHierarchy::l1For(PageSize size) const
+{
+    for (const Level &l : l1_) {
+        if (l.tlb.holds(size))
+            return l.tlb;
+    }
+    SEESAW_PANIC("no L1 TLB holds this page size");
+}
+
+const TlbEntry *
+TlbHierarchy::probe(std::vector<Level> &levels, Asid asid, Addr va)
+{
+    for (Level &l : levels) {
+        if (const TlbEntry *e = l.tlb.lookup(asid, va))
+            return e;
+    }
+    return nullptr;
+}
+
+void
+TlbHierarchy::fill(std::vector<Level> &levels, Asid asid,
+                   const Translation &t)
+{
+    for (Level &l : levels) {
+        if (l.tlb.holds(t.size)) {
+            l.tlb.insert(asid, t.vaBase, t.paBase, t.size);
+            return;
+        }
     }
 }
 
 void
-TlbHierarchy::fillL1(Asid asid, const Translation &t, Addr va)
+TlbHierarchy::markRegion(Asid asid, const Translation &t, Addr va)
 {
-    if (unified_) {
-        unified_->insert(asid, t.vaBase, t.paBase, t.size);
-        if (isSuperpage(t.size) && on2mFill_)
-            on2mFill_(asid, alignDown(va, 2 * 1024 * 1024));
-        return;
-    }
-    switch (t.size) {
-      case PageSize::Base4KB:
-        l14k_.insert(asid, t.vaBase, t.paBase);
-        break;
-      case PageSize::Super2MB:
-        l12m_.insert(asid, t.vaBase, t.paBase);
-        if (on2mFill_)
-            on2mFill_(asid, t.vaBase);
-        break;
-      case PageSize::Super1GB:
-        l11g_.insert(asid, t.vaBase, t.paBase);
-        // The TFT tracks 2MB regions; any 2MB-aligned region inside a
-        // 1GB page is superpage-backed (>=21 page-offset bits), so the
-        // design "generalizes readily to 1GB superpages" (§IV) by
-        // marking the region around the access.
-        if (on2mFill_)
-            on2mFill_(asid, alignDown(va, 2 * 1024 * 1024));
-        break;
-    }
-}
-
-void
-TlbHierarchy::fillL2(Asid asid, const Translation &t)
-{
-    switch (t.size) {
-      case PageSize::Base4KB:
-        l24k_.insert(asid, t.vaBase, t.paBase);
-        break;
-      case PageSize::Super2MB:
-        if (params_.l2Holds2m)
-            l22m_.insert(asid, t.vaBase, t.paBase);
-        break;
-      case PageSize::Super1GB:
-        break; // 1GB entries are not cached in the L2 TLB
-    }
+    // The TFT tracks 2MB regions; any 2MB-aligned region inside a 1GB
+    // page is superpage-backed (>=21 page-offset bits), so the design
+    // "generalizes readily to 1GB superpages" (§IV) by marking the
+    // region around the access.
+    if (isSuperpage(t.size) && on2mFill_)
+        on2mFill_(asid, alignDown(va, 2 * 1024 * 1024));
 }
 
 TlbLookupResult
@@ -136,114 +153,58 @@ TlbHierarchy::lookup(Asid asid, Addr va)
     TlbLookupResult res;
     ++*stLookups_;
 
-    if (unified_) {
-        if (auto e = unified_->lookup(asid, va)) {
-            res.l1Hit = true;
-            res.translation =
-                Translation{e->paBase,
-                            alignDown(va, pageBytes(e->size)), e->size};
-            ++*stL1Hits_;
-            if (params_.refreshOn2mHit && isSuperpage(e->size) &&
-                on2mFill_) {
-                on2mFill_(asid, alignDown(va, 2 * 1024 * 1024));
-            }
-            return res;
-        }
-    } else
-    // All split L1 TLBs are probed in parallel, hidden under the L1
-    // cache's set access.
-    if (const TlbEntry *e = l14k_.lookupEntry(asid, va)) {
+    // All L1 TLBs are probed in parallel, hidden under the L1 cache's
+    // set access.
+    if (const TlbEntry *e = probe(l1_, asid, va)) {
         res.l1Hit = true;
-        res.translation = Translation{e->paBase,
-                                      alignDown(va, pageBytes(e->size)),
-                                      e->size};
+        res.translation = translationOf(*e, va);
         ++*stL1Hits_;
-        return res;
-    }
-    if (const TlbEntry *e = l12m_.lookupEntry(asid, va)) {
-        res.l1Hit = true;
-        res.translation = Translation{e->paBase,
-                                      alignDown(va, pageBytes(e->size)),
-                                      e->size};
-        ++*stL1Hits_;
-        if (params_.refreshOn2mHit && on2mFill_)
-            on2mFill_(asid, res.translation.vaBase);
-        return res;
-    }
-    if (const TlbEntry *e = l11g_.lookupEntry(asid, va)) {
-        res.l1Hit = true;
-        res.translation = Translation{e->paBase,
-                                      alignDown(va, pageBytes(e->size)),
-                                      e->size};
-        ++*stL1Hits_;
-        if (params_.refreshOn2mHit && on2mFill_)
-            on2mFill_(asid, alignDown(va, 2 * 1024 * 1024));
+        if (params_.refreshOn2mHit)
+            markRegion(asid, res.translation, va);
         return res;
     }
 
-    // L2 TLB.
     res.penaltyCycles += params_.l2LatencyCycles;
     ++*stL2Lookups_;
-    if (const TlbEntry *e = l24k_.lookupEntry(asid, va)) {
+    if (const TlbEntry *e = probe(l2_, asid, va)) {
         res.l2Hit = true;
-        res.translation = Translation{e->paBase,
-                                      alignDown(va, pageBytes(e->size)),
-                                      e->size};
+        res.translation = translationOf(*e, va);
         ++*stL2Hits_;
-        fillL1(asid, res.translation, va);
-        return res;
-    }
-    if (params_.l2Holds2m) {
-        if (const TlbEntry *e = l22m_.lookupEntry(asid, va)) {
-            res.l2Hit = true;
-            res.translation =
-                Translation{e->paBase,
-                            alignDown(va, pageBytes(e->size)), e->size};
-            ++*stL2Hits_;
-            fillL1(asid, res.translation, va);
+    } else {
+        auto walk = walker_.walk(asid, va);
+        if (!walk) {
+            res.fault = true;
+            ++*stFaults_;
             return res;
         }
+        res.walked = true;
+        ++*stWalks_;
+        res.penaltyCycles += walk->cycles;
+        res.translation = walk->translation;
+        fill(l2_, asid, res.translation);
     }
-
-    // Page walk.
-    auto walk = walker_.walk(asid, va);
-    if (!walk) {
-        res.fault = true;
-        ++*stFaults_;
-        return res;
-    }
-    res.walked = true;
-    ++*stWalks_;
-    res.penaltyCycles += walk->cycles;
-    res.translation = walk->translation;
-    fillL2(asid, res.translation);
-    fillL1(asid, res.translation, va);
+    fill(l1_, asid, res.translation);
+    markRegion(asid, res.translation, va);
     return res;
 }
 
 void
 TlbHierarchy::invalidatePage(Asid asid, Addr va)
 {
-    if (unified_)
-        unified_->invalidatePage(asid, va);
-    l14k_.invalidatePage(asid, va);
-    l12m_.invalidatePage(asid, va);
-    l11g_.invalidatePage(asid, va);
-    l24k_.invalidatePage(asid, va);
-    l22m_.invalidatePage(asid, va);
+    for (std::vector<Level> *levels : {&l1_, &l2_}) {
+        for (Level &l : *levels)
+            l.tlb.invalidatePage(asid, va);
+    }
     ++*stInvlpg_;
 }
 
 void
 TlbHierarchy::flushAll()
 {
-    if (unified_)
-        unified_->flushAll();
-    l14k_.flushAll();
-    l12m_.flushAll();
-    l11g_.flushAll();
-    l24k_.flushAll();
-    l22m_.flushAll();
+    for (std::vector<Level> *levels : {&l1_, &l2_}) {
+        for (Level &l : *levels)
+            l.tlb.flushAll();
+    }
 }
 
 void
@@ -251,21 +212,12 @@ TlbHierarchy::forEachValidEntry(
     const std::function<void(const char *level, const TlbEntry &)> &fn)
     const
 {
-    if (unified_) {
-        unified_->forEachValidEntry(
-            [&](const TlbEntry &e) { fn("l1.unified", e); });
-    } else {
-        l14k_.forEachValidEntry(
-            [&](const TlbEntry &e) { fn("l1.4k", e); });
-        l12m_.forEachValidEntry(
-            [&](const TlbEntry &e) { fn("l1.2m", e); });
-        l11g_.forEachValidEntry(
-            [&](const TlbEntry &e) { fn("l1.1g", e); });
+    for (const std::vector<Level> *levels : {&l1_, &l2_}) {
+        for (const Level &l : *levels) {
+            l.tlb.forEachValidEntry(
+                [&](const TlbEntry &e) { fn(l.name, e); });
+        }
     }
-    l24k_.forEachValidEntry(
-        [&](const TlbEntry &e) { fn("l2.4k", e); });
-    l22m_.forEachValidEntry(
-        [&](const TlbEntry &e) { fn("l2.2m", e); });
 }
 
 } // namespace seesaw

@@ -1,24 +1,24 @@
 /**
  * @file
  * The two-level TLB hierarchy of Table II: split per-page-size L1 TLBs
- * (Intel style) backed by a unified L2 TLB and a hardware page walker.
+ * (Intel style) or one unified L1 TLB (ARM/SPARC style), backed by a
+ * unified L2 TLB and a hardware page walker.
  *
  * The hierarchy exposes the hook SEESAW builds on: a callback fired on
- * every 2MB L1 TLB fill, which the TFT uses to mark superpage regions
- * (Fig 5), and the superpage-TLB occupancy counter the out-of-order
- * scheduler policy reads (Section IV-B3).
+ * every superpage L1 TLB fill, which the TFT uses to mark superpage
+ * regions (Fig 5), and the superpage-TLB occupancy counter the
+ * out-of-order scheduler policy reads (Section IV-B3).
  */
 
 #ifndef SEESAW_TLB_TLB_HIERARCHY_HH
 #define SEESAW_TLB_TLB_HIERARCHY_HH
 
 #include <functional>
-#include <memory>
+#include <vector>
 
 #include "common/stats.hh"
 #include "tlb/page_walker.hh"
 #include "tlb/tlb.hh"
-#include "tlb/unified_tlb.hh"
 
 namespace seesaw {
 
@@ -36,28 +36,26 @@ struct TlbHierarchyParams
     unsigned l2Assoc = 4;
     bool l2Holds2m = true; //!< modern STLBs also cache 2MB entries
 
-    unsigned l1LatencyCycles = 1; //!< hidden under the VIPT L1 access
     unsigned l2LatencyCycles = 7;
     unsigned walkCyclesPerLevel = 12;
 
     /**
-     * Refresh the 2MB-fill hook on 2MB L1 TLB *hits* as well as fills.
-     * The paper's Fig 5 marks the TFT only on L1 TLB fills; with that
-     * policy alone, a TFT entry displaced by a direct-mapped conflict
-     * is never restored while its TLB entry stays resident, and hot
-     * regions degrade to permanent TFT misses. The TLB hit signal
-     * already carries the page size, so refreshing on hits is a
+     * Refresh the 2MB-fill hook on superpage L1 TLB *hits* as well as
+     * fills. The paper's Fig 5 marks the TFT only on L1 TLB fills;
+     * with that policy alone, a TFT entry displaced by a direct-mapped
+     * conflict is never restored while its TLB entry stays resident,
+     * and hot regions degrade to permanent TFT misses. The TLB hit
+     * signal already carries the page size, so refreshing on hits is a
      * one-gate change; it is what Fig 13's >90% TFT coverage requires.
      */
     bool refreshOn2mHit = true;
 
     /**
-     * Use one fully-associative L1 TLB shared across page sizes
-     * (ARM/SPARC style) instead of Intel-style split L1 TLBs. The
-     * paper's design works with either (Fig 4).
+     * Entries of one fully-associative L1 TLB shared across page sizes
+     * (ARM/SPARC style); 0 selects the Intel-style split L1 TLBs above.
+     * The paper's design works with either (Fig 4).
      */
-    bool unifiedL1 = false;
-    unsigned unifiedL1Entries = 64;
+    unsigned unifiedL1Entries = 0;
 
     /** Victim policy for every level; each structure decorrelates the
      *  Random seed with its own salt. */
@@ -87,7 +85,7 @@ struct TlbLookupResult
 };
 
 /**
- * Split L1 TLBs + unified L2 TLB + page walker.
+ * L1 TLBs (split per size, or unified) + L2 TLB + page walker.
  */
 class TlbHierarchy
 {
@@ -114,41 +112,43 @@ class TlbHierarchy
     /** Full flush (e.g., non-ASID context switch models). */
     void flushAll();
 
-    /** Valid superpage entries at the L1 level (scheduler counter). */
+    /** Valid superpage entries in the L1 TLB that holds 2MB pages
+     *  (scheduler counter). */
     unsigned
     superpageL1ValidCount() const
     {
-        return unified_ ? unified_->superpageValidCount()
-                        : l12m_.validCount();
+        return l1For(PageSize::Super2MB).superpageValidCount();
     }
 
-    /** Superpage capacity at the L1 level. */
+    /** Superpage capacity at the L1 level: the entries of the L1 TLB
+     *  that holds 2MB pages. */
     unsigned
     superpageL1Capacity() const
     {
-        return unified_ ? unified_->entries() : l12m_.entries();
+        return l1For(PageSize::Super2MB).entries();
     }
 
     /**
      * The §IV-B3 scheduler counter policy: are superpages plentiful
      * enough for the scheduler to assume the fast hit time? Split
-     * TLBs use the paper's rule (>= a quarter of the dedicated
-     * superpage TLB's entries valid); a unified TLB has no dedicated
-     * structure, so the equivalent signal is superpage entries
-     * holding at least a third of the valid pool.
+     * TLBs use the paper's rule (>= a quarter of a dedicated
+     * superpage TLB's entries valid; a single resident 1GB entry
+     * already covers a gigabyte of fast-path heap); a unified TLB has
+     * no dedicated structure, so the equivalent signal is superpage
+     * entries holding at least a third of the valid pool.
      */
     bool
     superpagesAmple() const
     {
-        if (unified_) {
-            return unified_->superpageValidCount() * 3 >=
-                   unified_->validCount();
+        if (params_.unifiedL1Entries) {
+            const Tlb &u = l1_.front().tlb;
+            return u.superpageValidCount() * 3 >= u.validCount();
         }
-        // Either dedicated superpage TLB being at least a quarter
-        // full signals plenty (a single resident 1GB entry already
-        // covers a gigabyte of fast-path heap).
-        return l12m_.validCount() * 4 >= l12m_.entries() ||
-               l11g_.validCount() * 4 >= l11g_.entries();
+        for (const Level &l : l1_) {
+            if (l.tlb.superpageValidCount() * 4 >= l.tlb.entries())
+                return true;
+        }
+        return false;
     }
 
     const TlbHierarchyParams &params() const { return params_; }
@@ -160,12 +160,6 @@ class TlbHierarchy
         const std::function<void(const char *level, const TlbEntry &)>
             &fn) const;
 
-    const UnifiedTlb *unifiedL1Tlb() const { return unified_.get(); }
-    const Tlb &l1Tlb4k() const { return l14k_; }
-    const Tlb &l1Tlb2m() const { return l12m_; }
-    const Tlb &l1Tlb1g() const { return l11g_; }
-    const Tlb &l2Tlb4k() const { return l24k_; }
-    const Tlb &l2Tlb2m() const { return l22m_; }
     const PageWalker &walker() const { return walker_; }
 
     /** Lookups that missed every L1 TLB and probed the L2. */
@@ -178,15 +172,20 @@ class TlbHierarchy
     StatGroup &stats() { return stats_; }
 
   private:
+    /** One TLB structure and its audit name. */
+    struct Level
+    {
+        const char *name;
+        Tlb tlb;
+    };
+
     TlbHierarchyParams params_;
-    Tlb l14k_;
-    Tlb l12m_;
-    Tlb l11g_;
-    // The unified L2 is modelled as parallel per-size views sharing one
-    // latency; capacity is split in proportion to typical occupancy.
-    Tlb l24k_;
-    Tlb l22m_;
-    std::unique_ptr<UnifiedTlb> unified_; //!< replaces the split L1s
+    /** In probe order: {4KB, 2MB, 1GB} split, or {unified}. */
+    std::vector<Level> l1_;
+    /** The unified L2 is modelled as parallel per-size views sharing
+     *  one latency: {4KB} plus {2MB} when it holds 2MB entries;
+     *  capacity is split in proportion to typical occupancy. */
+    std::vector<Level> l2_;
     PageWalker walker_;
     std::function<void(Asid, Addr)> on2mFill_;
     StatGroup stats_;
@@ -200,13 +199,22 @@ class TlbHierarchy
     StatScalar *stFaults_;
     StatScalar *stInvlpg_;
 
-    /** Fill the right L1 TLB (and maybe the TFT hook); @p va is the
-     *  accessing address (needed to locate the 2MB region inside a
-     *  1GB page). */
-    void fillL1(Asid asid, const Translation &t, Addr va);
+    /** The L1 TLB holding @p size pages (one always does). */
+    const Tlb &l1For(PageSize size) const;
 
-    /** Fill the L2 TLB when it holds this size. */
-    void fillL2(Asid asid, const Translation &t);
+    /** Probe @p levels in order. @return The first hit, or nullptr. */
+    static const TlbEntry *probe(std::vector<Level> &levels, Asid asid,
+                                 Addr va);
+
+    /** Install @p t in the level of @p levels that holds its size, if
+     *  any. */
+    static void fill(std::vector<Level> &levels, Asid asid,
+                     const Translation &t);
+
+    /** The one hook rule: a superpage translation marks the 2MB
+     *  region around the accessing address @p va (inside a 1GB page,
+     *  any 2MB-aligned region is superpage-backed). */
+    void markRegion(Asid asid, const Translation &t, Addr va);
 };
 
 } // namespace seesaw

@@ -111,9 +111,29 @@ TEST(AssertionDeathTest, TlbRejectsUnalignedFill)
     EXPECT_DEATH(
         {
             Tlb tlb("t", 16, 4, PageSize::Super2MB);
-            tlb.insert(1, 0x200000, 0x1234);
+            tlb.insert(1, 0x200000, 0x1234, PageSize::Super2MB);
         },
         "unaligned");
+}
+
+TEST(AssertionDeathTest, TlbRejectsFillOfASizeItDoesNotHold)
+{
+    EXPECT_DEATH(
+        {
+            Tlb tlb("t", 16, 4, PageSize::Base4KB);
+            tlb.insert(1, 0x200000, 0x200000, PageSize::Super2MB);
+        },
+        "does not hold");
+}
+
+TEST(AssertionDeathTest, MultiSizeTlbMustBeFullyAssociative)
+{
+    EXPECT_DEATH(
+        {
+            Tlb tlb("t", 16, 4,
+                    {PageSize::Base4KB, PageSize::Super2MB});
+        },
+        "fully");
 }
 
 } // namespace

@@ -353,11 +353,11 @@ TEST(ReferenceModels, TlbMatchesNaiveModel)
         const unsigned set = static_cast<unsigned>(vpn % 8);
 
         const bool model_hit = ref.lookup(set, vpn);
-        const bool tlb_hit = tlb.lookup(1, va).has_value();
+        const bool tlb_hit = tlb.lookup(1, va) != nullptr;
         ASSERT_EQ(tlb_hit, model_hit) << "op " << i;
         if (!tlb_hit) {
             ref.insert(set, vpn);
-            tlb.insert(1, va, va);
+            tlb.insert(1, va, va, PageSize::Base4KB);
         }
     }
 }

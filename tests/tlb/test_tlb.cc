@@ -1,4 +1,4 @@
-/** @file Tests for the generic per-page-size TLB. */
+/** @file Tests for the TLB structure, indexed by one page size. */
 
 #include <gtest/gtest.h>
 
@@ -7,40 +7,43 @@
 namespace seesaw {
 namespace {
 
+constexpr PageSize k4K = PageSize::Base4KB;
+
 TEST(Tlb, MissThenHitAfterInsert)
 {
-    Tlb tlb("t", 16, 4, PageSize::Base4KB);
-    EXPECT_FALSE(tlb.lookup(1, 0x1234).has_value());
-    tlb.insert(1, 0x1000, 0x9000);
-    auto e = tlb.lookup(1, 0x1234);
-    ASSERT_TRUE(e.has_value());
+    Tlb tlb("t", 16, 4, k4K);
+    EXPECT_EQ(tlb.lookup(1, 0x1234), nullptr);
+    tlb.insert(1, 0x1000, 0x9000, k4K);
+    const TlbEntry *e = tlb.lookup(1, 0x1234);
+    ASSERT_NE(e, nullptr);
     EXPECT_EQ(e->paBase, 0x9000u);
-    EXPECT_EQ(e->size, PageSize::Base4KB);
+    EXPECT_EQ(e->size, k4K);
 }
 
 TEST(Tlb, EntriesAreAsidTagged)
 {
-    Tlb tlb("t", 16, 4, PageSize::Base4KB);
-    tlb.insert(1, 0x1000, 0x9000);
-    EXPECT_TRUE(tlb.lookup(1, 0x1000).has_value());
-    EXPECT_FALSE(tlb.lookup(2, 0x1000).has_value());
+    Tlb tlb("t", 16, 4, k4K);
+    tlb.insert(1, 0x1000, 0x9000, k4K);
+    EXPECT_NE(tlb.lookup(1, 0x1000), nullptr);
+    EXPECT_EQ(tlb.lookup(2, 0x1000), nullptr);
 }
 
 TEST(Tlb, SuperpageGranularity)
 {
     Tlb tlb("t", 16, 4, PageSize::Super2MB);
-    tlb.insert(1, 0x200000, 0x40000000);
+    tlb.insert(1, 0x200000, 0x40000000, PageSize::Super2MB);
     // Any address in the 2MB page hits.
-    EXPECT_TRUE(tlb.lookup(1, 0x200000).has_value());
-    EXPECT_TRUE(tlb.lookup(1, 0x3fffff).has_value());
-    EXPECT_FALSE(tlb.lookup(1, 0x400000).has_value());
+    EXPECT_NE(tlb.lookup(1, 0x200000), nullptr);
+    EXPECT_NE(tlb.lookup(1, 0x3fffff), nullptr);
+    EXPECT_EQ(tlb.lookup(1, 0x400000), nullptr);
+    EXPECT_EQ(tlb.superpageValidCount(), 1u);
 }
 
 TEST(Tlb, InsertUpdatesExistingEntry)
 {
-    Tlb tlb("t", 16, 4, PageSize::Base4KB);
-    tlb.insert(1, 0x1000, 0x9000);
-    tlb.insert(1, 0x1000, 0xa000);
+    Tlb tlb("t", 16, 4, k4K);
+    tlb.insert(1, 0x1000, 0x9000, k4K);
+    tlb.insert(1, 0x1000, 0xa000, k4K);
     EXPECT_EQ(tlb.validCount(), 1u);
     EXPECT_EQ(tlb.lookup(1, 0x1000)->paBase, 0xa000u);
 }
@@ -48,14 +51,14 @@ TEST(Tlb, InsertUpdatesExistingEntry)
 TEST(Tlb, LruEvictionWithinSet)
 {
     // Fully associative 4-entry TLB (1 set).
-    Tlb tlb("t", 4, 4, PageSize::Base4KB);
+    Tlb tlb("t", 4, 4, k4K);
     for (Addr p = 0; p < 4; ++p)
-        tlb.insert(1, p << 12, p << 12);
+        tlb.insert(1, p << 12, p << 12, k4K);
     // Touch page 0 so page 1 is LRU.
-    EXPECT_TRUE(tlb.lookup(1, 0x0).has_value());
-    tlb.insert(1, 4ULL << 12, 4ULL << 12);
-    EXPECT_TRUE(tlb.lookup(1, 0x0).has_value());
-    EXPECT_FALSE(tlb.lookup(1, 1ULL << 12).has_value());
+    EXPECT_NE(tlb.lookup(1, 0x0), nullptr);
+    tlb.insert(1, 4ULL << 12, 4ULL << 12, k4K);
+    EXPECT_NE(tlb.lookup(1, 0x0), nullptr);
+    EXPECT_EQ(tlb.lookup(1, 1ULL << 12), nullptr);
     // Only the fifth fill displaced a valid entry.
     EXPECT_EQ(tlb.evictions(), 1u);
 }
@@ -63,59 +66,50 @@ TEST(Tlb, LruEvictionWithinSet)
 TEST(Tlb, SetIndexingSeparatesConflicts)
 {
     // 16 entries, 4-way: 4 sets. Pages 0 and 4 share set 0.
-    Tlb tlb("t", 16, 4, PageSize::Base4KB);
+    Tlb tlb("t", 16, 4, k4K);
     for (Addr p = 0; p < 16; ++p)
-        tlb.insert(1, p << 12, p << 12);
+        tlb.insert(1, p << 12, p << 12, k4K);
     EXPECT_EQ(tlb.validCount(), 16u);
 }
 
 TEST(Tlb, InvalidatePage)
 {
-    Tlb tlb("t", 16, 4, PageSize::Base4KB);
-    tlb.insert(1, 0x1000, 0x9000);
+    Tlb tlb("t", 16, 4, k4K);
+    tlb.insert(1, 0x1000, 0x9000, k4K);
     EXPECT_TRUE(tlb.invalidatePage(1, 0x1fff));
-    EXPECT_FALSE(tlb.lookup(1, 0x1000).has_value());
+    EXPECT_EQ(tlb.lookup(1, 0x1000), nullptr);
     EXPECT_FALSE(tlb.invalidatePage(1, 0x1000));
-}
-
-TEST(Tlb, FlushAsidKeepsOtherAsids)
-{
-    Tlb tlb("t", 16, 4, PageSize::Base4KB);
-    tlb.insert(1, 0x1000, 0x9000);
-    tlb.insert(2, 0x2000, 0xa000);
-    tlb.flushAsid(1);
-    EXPECT_FALSE(tlb.lookup(1, 0x1000).has_value());
-    EXPECT_TRUE(tlb.lookup(2, 0x2000).has_value());
+    EXPECT_EQ(tlb.validCount(), 0u);
 }
 
 TEST(Tlb, FlushAllEmptiesEverything)
 {
-    Tlb tlb("t", 16, 4, PageSize::Base4KB);
-    tlb.insert(1, 0x1000, 0x9000);
-    tlb.insert(2, 0x2000, 0xa000);
+    Tlb tlb("t", 16, 4, k4K);
+    tlb.insert(1, 0x1000, 0x9000, k4K);
+    tlb.insert(2, 0x2000, 0xa000, k4K);
     tlb.flushAll();
     EXPECT_EQ(tlb.validCount(), 0u);
-}
-
-TEST(Tlb, PeekDoesNotCountOrTouch)
-{
-    Tlb tlb("t", 16, 4, PageSize::Base4KB);
-    tlb.insert(1, 0x1000, 0x9000);
-    const double lookups_before = tlb.stats().get("lookups");
-    EXPECT_TRUE(tlb.peek(1, 0x1000).has_value());
-    EXPECT_EQ(tlb.stats().get("lookups"), lookups_before);
+    EXPECT_EQ(tlb.lookup(2, 0x2000), nullptr);
 }
 
 TEST(Tlb, StatsTrackHitsAndMisses)
 {
-    Tlb tlb("t", 16, 4, PageSize::Base4KB);
+    Tlb tlb("t", 16, 4, k4K);
     tlb.lookup(1, 0x1000);
-    tlb.insert(1, 0x1000, 0x9000);
+    tlb.insert(1, 0x1000, 0x9000, k4K);
     tlb.lookup(1, 0x1000);
     EXPECT_EQ(tlb.stats().get("lookups"), 2.0);
     EXPECT_EQ(tlb.stats().get("misses"), 1.0);
     EXPECT_EQ(tlb.stats().get("hits"), 1.0);
     EXPECT_EQ(tlb.stats().get("fills"), 1.0);
+}
+
+TEST(Tlb, HoldsOnlyItsPageSize)
+{
+    Tlb tlb("t", 16, 4, PageSize::Super2MB);
+    EXPECT_TRUE(tlb.holds(PageSize::Super2MB));
+    EXPECT_FALSE(tlb.holds(k4K));
+    EXPECT_FALSE(tlb.holds(PageSize::Super1GB));
 }
 
 } // namespace

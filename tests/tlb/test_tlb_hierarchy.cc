@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "tlb/tlb_hierarchy.hh"
@@ -158,6 +159,44 @@ TEST_F(TlbHierarchyTest, SuperpageCapacityMatchesPreset)
 {
     TlbHierarchy tlb(TlbHierarchyParams::sandybridge(), table_);
     EXPECT_EQ(tlb.superpageL1Capacity(), 16u);
+}
+
+TEST_F(TlbHierarchyTest, SuperpagesAmpleWhenADedicatedTlbIsAQuarterFull)
+{
+    // 16-entry 2MB L1 TLB: four resident 2MB entries are a quarter.
+    for (Addr r = 2; r < 5; ++r)
+        table_.map(1, r << 21, r << 21, PageSize::Super2MB);
+    table_.map(1, 1ULL << 30, 1ULL << 30, PageSize::Super1GB);
+    TlbHierarchy tlb(TlbHierarchyParams::sandybridge(), table_);
+    tlb.lookup(1, 0x1000);
+    EXPECT_FALSE(tlb.superpagesAmple());
+    for (Addr r = 1; r < 4; ++r)
+        tlb.lookup(1, r << 21);
+    EXPECT_FALSE(tlb.superpagesAmple()); // 3 of 16
+    tlb.lookup(1, 4ULL << 21);
+    EXPECT_TRUE(tlb.superpagesAmple()); // 4 of 16
+
+    // One resident entry already fills a quarter of the 1GB L1 TLB.
+    tlb.flushAll();
+    tlb.lookup(1, (1ULL << 30) + 0x1234);
+    EXPECT_TRUE(tlb.superpagesAmple());
+    EXPECT_EQ(tlb.superpageL1ValidCount(), 0u); // counts the 2MB TLB
+}
+
+TEST_F(TlbHierarchyTest, SplitL1ProbesEachSizeInOrder)
+{
+    table_.map(1, 1ULL << 30, 1ULL << 30, PageSize::Super1GB);
+    TlbHierarchy tlb(TlbHierarchyParams::sandybridge(), table_);
+    tlb.lookup(1, 0x1000);
+    tlb.lookup(1, 0x200000);
+    tlb.lookup(1, 1ULL << 30);
+    std::vector<std::string> levels;
+    tlb.forEachValidEntry([&](const char *level, const TlbEntry &) {
+        levels.emplace_back(level);
+    });
+    EXPECT_EQ(levels, (std::vector<std::string>{"l1.4k", "l1.2m",
+                                                "l1.1g", "l2.4k",
+                                                "l2.2m"}));
 }
 
 TEST_F(TlbHierarchyTest, PenaltyOrderingL1HitFastestWalkSlowest)
