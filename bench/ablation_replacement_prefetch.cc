@@ -46,11 +46,11 @@ main(int argc, char **argv)
             cfg.replacement.kind = rk;
             cfg.prefetch.kind = pk;
             const std::string point =
-                std::string(replacementLabel(rk)) + "/" +
-                prefetchLabel(pk);
+                std::string(nameOf(kReplacementNames, rk)) + "/" +
+                nameOf(kPrefetchNames, pk);
             for (L1Kind kind :
                  {L1Kind::ViptBaseline, L1Kind::Seesaw}) {
-                spec.variant(point + "/" + designLabel(kind),
+                spec.variant(point + "/" + nameOf(kDesignNames, kind),
                              withDesign(cfg, kind));
             }
         }
@@ -64,8 +64,8 @@ main(int argc, char **argv)
     for (const ReplacementKind rk : policies) {
         for (const PrefetchKind pk : prefetchers) {
             const std::string point =
-                std::string(replacementLabel(rk)) + "/" +
-                prefetchLabel(pk) + "/";
+                std::string(nameOf(kReplacementNames, rk)) + "/" +
+                nameOf(kPrefetchNames, pk) + "/";
             double improvement_sum = 0.0;
             std::uint64_t issued = 0, useful = 0, dropped = 0;
             for (const auto &w : cloudWorkloads()) {
@@ -87,7 +87,8 @@ main(int argc, char **argv)
                 lru_none_improvement = improvement;
             worst_improvement =
                 std::min(worst_improvement, improvement);
-            table.addRow({replacementLabel(rk), prefetchLabel(pk),
+            table.addRow({nameOf(kReplacementNames, rk),
+                          nameOf(kPrefetchNames, pk),
                           TableReporter::pct(improvement, 2),
                           std::to_string(issued),
                           std::to_string(useful),

@@ -39,7 +39,7 @@ main(int argc, char **argv)
         SystemConfig cfg = policy.apply(makeConfig(kCacheOrgs[1], 1.33));
         cfg.memhogFraction = level;
         for (L1Kind kind : {L1Kind::ViptBaseline, L1Kind::Seesaw}) {
-            spec.variant(level_label(level) + "/" + designLabel(kind),
+            spec.variant(level_label(level) + "/" + nameOf(kDesignNames, kind),
                          withDesign(cfg, kind));
         }
     }

@@ -48,7 +48,7 @@ main()
                 cfg.l1Kind = kind;
                 const std::string cell_name =
                     std::string(name) + "/c" + std::to_string(cores) +
-                    "/" + designLabel(kind);
+                    "/" + nameOf(kDesignNames, kind);
                 spec.cell(
                     cell_name,
                     [cfg, w] { return SimEngine(cfg, w).run(); },

@@ -38,25 +38,6 @@ splitList(const std::string &arg)
     return out;
 }
 
-inline L1Kind
-parseDesign(const std::string &kind)
-{
-    if (kind == "vipt")
-        return L1Kind::ViptBaseline;
-    if (kind == "pipt")
-        return L1Kind::Pipt;
-    if (kind == "sipt")
-        return L1Kind::Sipt;
-    if (kind == "seesaw")
-        return L1Kind::Seesaw;
-    if (kind == "wp")
-        return L1Kind::ViptWayPredicted;
-    if (kind == "wpseesaw")
-        return L1Kind::SeesawWayPredicted;
-    std::fprintf(stderr, "unknown design %s\n", kind.c_str());
-    std::exit(1);
-}
-
 inline bench::CacheOrg
 parseOrg(const std::string &size)
 {
@@ -99,7 +80,8 @@ parseMcCell(const std::string &tok)
     mc.cores = static_cast<unsigned>(std::strtoul(
         tok.substr(c1 + 1, c2 - c1 - 1).c_str(), nullptr, 10));
     mc.kindName = tok.substr(c2 + 1);
-    mc.kind = parseDesign(mc.kindName);
+    mc.kind = bench::parseName(bench::kDesignNames, "design",
+                                mc.kindName);
     if (mc.cores < 2) {
         std::fprintf(stderr,
                      "--mc-cells needs >= 2 cores (got %s); use the "
@@ -188,7 +170,8 @@ struct GridOptions
         if (!designs.empty()) {
             designKinds.clear();
             for (const auto &kind : splitList(designs))
-                designKinds.push_back(parseDesign(kind));
+                designKinds.push_back(
+                    parseName(kDesignNames, "design", kind));
         }
         std::vector<CacheOrg> orgs(std::begin(kCacheOrgs),
                                    std::end(kCacheOrgs));
@@ -220,13 +203,15 @@ struct GridOptions
         if (!replacement.empty()) {
             policies.clear();
             for (const auto &name : splitList(replacement))
-                policies.push_back(parseReplacement(name));
+                policies.push_back(
+                    parseName(kReplacementNames, "replacement", name));
         }
         std::vector<PrefetchKind> prefetchers{PrefetchKind::None};
         if (!prefetch.empty()) {
             prefetchers.clear();
             for (const auto &name : splitList(prefetch))
-                prefetchers.push_back(parsePrefetch(name));
+                prefetchers.push_back(
+                    parseName(kPrefetchNames, "prefetcher", name));
         }
         // Suffix cell labels only when the axis leaves its pinned
         // default, so existing campaign stores keep their cell names.
@@ -234,9 +219,11 @@ struct GridOptions
                                       PrefetchKind pk) {
             std::string suffix;
             if (policies.size() > 1 || rk != ReplacementKind::Lru)
-                suffix += std::string("/") + replacementLabel(rk);
+                suffix +=
+                    std::string("/") + nameOf(kReplacementNames, rk);
             if (prefetchers.size() > 1 || pk != PrefetchKind::None)
-                suffix += std::string("/") + prefetchLabel(pk);
+                suffix +=
+                    std::string("/") + nameOf(kPrefetchNames, pk);
             return suffix;
         };
         const std::uint64_t instr =
@@ -274,30 +261,8 @@ struct GridOptions
                                      std::to_string(static_cast<int>(
                                          mh * 100));
                         }
-                        label +=
-                            std::string("/") + designLabel(kind);
-                        if (kind != L1Kind::ViptBaseline &&
-                            kind != L1Kind::Seesaw) {
-                            // designLabel only distinguishes the two
-                            // paper designs; spell the rest out.
-                            label =
-                                label.substr(0, label.rfind('/') + 1);
-                            switch (kind) {
-                              case L1Kind::Pipt:
-                                label += "pipt";
-                                break;
-                              case L1Kind::Sipt:
-                                label += "sipt";
-                                break;
-                              case L1Kind::ViptWayPredicted:
-                                label += "wp";
-                                break;
-                              case L1Kind::SeesawWayPredicted:
-                                label += "wpseesaw";
-                                break;
-                              default: break;
-                            }
-                        }
+                        label += std::string("/") +
+                                 nameOf(kDesignNames, kind);
                         for (const ReplacementKind rk : policies) {
                             for (const PrefetchKind pk : prefetchers) {
                                 SystemConfig vcfg =

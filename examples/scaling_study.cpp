@@ -22,35 +22,13 @@
 #include <string>
 #include <vector>
 
+#include "enum_names.hh"
 #include "sim/report.hh"
 #include "sim/sim_engine.hh"
 
 namespace {
 
 using namespace seesaw;
-
-bool
-parseDesign(const std::string &name, L1Kind &out)
-{
-    if (name == "vipt") out = L1Kind::ViptBaseline;
-    else if (name == "pipt") out = L1Kind::Pipt;
-    else if (name == "seesaw") out = L1Kind::Seesaw;
-    else if (name == "wp") out = L1Kind::ViptWayPredicted;
-    else if (name == "wpseesaw") out = L1Kind::SeesawWayPredicted;
-    else if (name == "sipt") out = L1Kind::Sipt;
-    else return false;
-    return true;
-}
-
-bool
-parseFabric(const std::string &name, CoherenceKind &out)
-{
-    if (name == "directory") out = CoherenceKind::Directory;
-    else if (name == "snoopy") out = CoherenceKind::Snoopy;
-    else if (name == "none") out = CoherenceKind::None;
-    else return false;
-    return true;
-}
 
 std::vector<unsigned>
 parseCores(const std::string &list)
@@ -100,18 +78,12 @@ main(int argc, char **argv)
             core_counts = parseCores(value());
         } else if (arg == "--l1") {
             design_name = value();
-            if (!parseDesign(design_name, design)) {
-                std::fprintf(stderr, "unknown --l1 design '%s'\n",
-                             design_name.c_str());
-                return 2;
-            }
+            design = bench::parseName(bench::kDesignNames, "design",
+                                      design_name);
         } else if (arg == "--fabric") {
             fabric_name = value();
-            if (!parseFabric(fabric_name, fabric)) {
-                std::fprintf(stderr, "unknown --fabric '%s'\n",
-                             fabric_name.c_str());
-                return 2;
-            }
+            fabric = bench::parseName(bench::kFabricNames, "fabric",
+                                      fabric_name);
         } else if (arg == "--workload") {
             workload_name = value();
         } else {
