@@ -33,15 +33,6 @@ SnoopBus::SnoopBus(CoherenceKind kind, double snoop_absent_factor,
 {
 }
 
-std::vector<SnoopBus::ProbeRequest>
-SnoopBus::generate(unsigned directed, double invalidating_fraction,
-                   const ResidentLineTracker &resident)
-{
-    std::vector<ProbeRequest> probes;
-    generate(directed, invalidating_fraction, resident, probes);
-    return probes;
-}
-
 void
 SnoopBus::generate(unsigned directed, double invalidating_fraction,
                    const ResidentLineTracker &resident,

@@ -77,15 +77,11 @@ class SnoopBus
 
     /**
      * Generate the probes for a window in which @p directed directed
-     * probes are due, drawing targets from @p resident.
+     * probes are due, drawing targets from @p resident, into @p out
+     * (cleared first, so steady-state callers reuse one buffer instead
+     * of allocating per window).
      * @param invalidating_fraction Probability a probe invalidates.
      */
-    std::vector<ProbeRequest> generate(unsigned directed,
-                                       double invalidating_fraction,
-                                       const ResidentLineTracker &resident);
-
-    /** Same, appending into @p out (cleared first) so steady-state
-     *  callers reuse one buffer instead of allocating per window. */
     void generate(unsigned directed, double invalidating_fraction,
                   const ResidentLineTracker &resident,
                   std::vector<ProbeRequest> &out);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "cache/baseline_caches.hh"
 #include "coherence/probe_engine.hh"
 #include "core/seesaw_cache.hh"
@@ -43,7 +45,8 @@ TEST(SnoopBus, DirectoryGeneratesOnlyDirectedProbes)
     SnoopBus bus(CoherenceKind::Directory, 3.0, 5);
     ResidentLineTracker tracker(16);
     tracker.note(0x1000);
-    const auto probes = bus.generate(10, 0.5, tracker);
+    std::vector<SnoopBus::ProbeRequest> probes;
+    bus.generate(10, 0.5, tracker, probes);
     EXPECT_EQ(probes.size(), 10u);
     for (const auto &p : probes)
         EXPECT_TRUE(p.expectedResident);
@@ -54,7 +57,8 @@ TEST(SnoopBus, SnoopyAddsAbsentBroadcasts)
     SnoopBus bus(CoherenceKind::Snoopy, 3.0, 5);
     ResidentLineTracker tracker(16);
     tracker.note(0x1000);
-    const auto probes = bus.generate(10, 0.5, tracker);
+    std::vector<SnoopBus::ProbeRequest> probes;
+    bus.generate(10, 0.5, tracker, probes);
     EXPECT_EQ(probes.size(), 10u + 30u);
     unsigned absent = 0;
     for (const auto &p : probes)
@@ -66,7 +70,10 @@ TEST(SnoopBus, EmptyTrackerYieldsNothing)
 {
     SnoopBus bus(CoherenceKind::Directory, 3.0, 5);
     ResidentLineTracker tracker(16);
-    EXPECT_TRUE(bus.generate(10, 0.5, tracker).empty());
+    // A stale buffer is cleared, not appended to.
+    std::vector<SnoopBus::ProbeRequest> probes(3);
+    bus.generate(10, 0.5, tracker, probes);
+    EXPECT_TRUE(probes.empty());
 }
 
 class ProbeEngineTest : public ::testing::Test
