@@ -29,6 +29,7 @@ Tlb::Tlb(std::string name, unsigned entries, unsigned assoc,
     SEESAW_ASSERT(sizes.size() == 1 || numSets_ == 1,
                   "a TLB holding several page sizes must be fully "
                   "associative");
+    multiSize_ = sizes.size() > 1;
     indexShift_ = pageOffsetBits(*sizes.begin());
     policy_.emplace(replacement, numSets_, assoc_);
 }
@@ -43,10 +44,13 @@ TlbEntry *
 Tlb::find(Asid asid, Addr va)
 {
     TlbEntry *base = &slots_[std::size_t{setOf(va)} * assoc_];
+    // Every entry of a one-size TLB shares the set index's page size,
+    // so it shifts once; a multi-size TLB shifts per way.
+    const Addr vpn = va >> indexShift_;
     for (unsigned way = 0; way < assoc_; ++way) {
         TlbEntry &e = base[way];
         if (e.valid && e.asid == asid &&
-            e.vpn == va >> pageOffsetBits(e.size))
+            e.vpn == (multiSize_ ? va >> pageOffsetBits(e.size) : vpn))
             return &e;
     }
     return nullptr;

@@ -113,6 +113,7 @@ class Tlb
     unsigned assoc_;
     unsigned numSets_;
     std::uint8_t sizeMask_ = 0; //!< bit i: PageSize value i is held
+    bool multiSize_ = false;
     unsigned indexShift_ = 0;   //!< page offset bits of the set index
     std::vector<TlbEntry> slots_;
     std::optional<ReplacementPolicy> policy_;

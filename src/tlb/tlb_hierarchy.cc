@@ -96,11 +96,11 @@ TlbHierarchy::TlbHierarchy(const TlbHierarchyParams &params,
                                 params_.l2Assoc, PageSize::Base4KB,
                                 withSeedSalt(r, 0x24ULL))});
     if (params_.l2Holds2m) {
-        l2_.push_back(
-            {"l2.2m",
-             Tlb("l2tlb_2m", std::max(params_.l2Assoc, params_.l2Entries / 4),
-                 params_.l2Assoc, PageSize::Super2MB,
-                 withSeedSalt(r, 0x22ULL))});
+        const unsigned entries2m =
+            std::max(params_.l2Assoc, params_.l2Entries / 4);
+        l2_.push_back({"l2.2m", Tlb("l2tlb_2m", entries2m,
+                                    params_.l2Assoc, PageSize::Super2MB,
+                                    withSeedSalt(r, 0x22ULL))});
     }
 }
 

@@ -183,7 +183,7 @@ TEST_F(TlbHierarchyTest, SuperpagesAmpleWhenADedicatedTlbIsAQuarterFull)
     EXPECT_EQ(tlb.superpageL1ValidCount(), 0u); // counts the 2MB TLB
 }
 
-TEST_F(TlbHierarchyTest, SplitL1ProbesEachSizeInOrder)
+TEST_F(TlbHierarchyTest, AuditsVisitEverySplitLevelInOrder)
 {
     table_.map(1, 1ULL << 30, 1ULL << 30, PageSize::Super1GB);
     TlbHierarchy tlb(TlbHierarchyParams::sandybridge(), table_);

@@ -159,7 +159,7 @@ TEST(UnifiedTlbHierarchy, InvalidateAndFlushCoverUnified)
     EXPECT_EQ(tlb.superpageL1ValidCount(), 0u);
 }
 
-TEST(UnifiedTlbHierarchy, OnlyTheUnifiedL1IsBuilt)
+TEST(UnifiedTlbHierarchy, AuditsVisitTheUnifiedLevelThenTheL2)
 {
     PageTable table;
     table.map(1, 0x1000, 0x5000, k4K);
