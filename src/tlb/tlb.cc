@@ -79,9 +79,8 @@ Tlb::insert(Asid asid, Addr va, Addr pa_base, PageSize size)
                         size};
 
     if (TlbEntry *existing = find(asid, va)) {
-        // Refresh. In a multi-size TLB the covering entry may be of
-        // another size (a promotion or splinter the shootdown missed):
-        // the fill rewrites it.
+        // Refresh in place. In a multi-size TLB the covering entry may
+        // be of another size; the fill rewrites it.
         superpageCount_ += isSuperpage(size) ? 1 : 0;
         superpageCount_ -= isSuperpage(existing->size) ? 1 : 0;
         *existing = fill;
