@@ -155,6 +155,67 @@ TEST(AuditIntegrationTest, MultiCoreParanoidRunsClean)
     EXPECT_TRUE(system.checkDirectoryInvariant());
 }
 
+/** Push the first resident line of core @p core's L1 past its LRU
+ *  clock, then run every registered check and collect the reports. */
+std::vector<check::Violation>
+auditWithAgedLine(SimEngine &system, unsigned core)
+{
+    SetAssocCache &tags = system.l1(core).tags();
+    bool aged = false;
+    for (unsigned set = 0; set < tags.numSets() && !aged; ++set) {
+        for (unsigned way = 0; way < tags.assoc() && !aged; ++way) {
+            if (tags.lineAt(set, way).valid) {
+                tags.replacementPolicy().debugStateAt(set, way) += 100;
+                aged = true;
+            }
+        }
+    }
+    EXPECT_TRUE(aged) << "core " << core << " holds no line";
+    std::vector<check::Violation> seen;
+    system.auditor()->setViolationHandler(
+        [&seen](const check::Violation &v) { seen.push_back(v); });
+    system.auditor()->runAll(0);
+    return seen;
+}
+
+TEST(AuditIntegrationTest, SystemChecksKeepTheirNamesOrderAndCore)
+{
+    // One core, SEESAW L1D and L1I: every layer's check, in
+    // registration order, and reports carry no core.
+    SystemConfig one = paranoidConfig(L1Kind::Seesaw);
+    one.audit.mode = check::AuditMode::End;
+    one.modelInstructionCache = true;
+    SimEngine single(one, shrunk(findWorkload("nutch")));
+    single.run();
+    ASSERT_NE(single.auditor(), nullptr);
+    EXPECT_EQ(single.auditor()->checkNames(),
+              (std::vector<std::string>{
+                  "l1.tags", "tlb", "mem.tcache", "l1.partition",
+                  "l1.prefetch", "l1.tft", "l1i.tags", "l1i.partition",
+                  "l1i.tft"}));
+    const auto single_seen = auditWithAgedLine(single, 0);
+    ASSERT_EQ(single_seen.size(), 1u);
+    EXPECT_EQ(single_seen[0].check, "l1.tags");
+    EXPECT_EQ(single_seen[0].core, -1);
+
+    // Four VIPT cores under the directory: the per-core checks name
+    // the core they caught.
+    SystemConfig four = paranoidConfig(L1Kind::ViptBaseline);
+    four.audit.mode = check::AuditMode::End;
+    four.cores = 4;
+    four.fabric = CoherenceKind::Directory;
+    SimEngine multi(four, shrunk(findWorkload("cann")));
+    multi.run();
+    ASSERT_NE(multi.auditor(), nullptr);
+    EXPECT_EQ(multi.auditor()->checkNames(),
+              (std::vector<std::string>{"directory", "l1.tags", "tlb",
+                                        "mem.tcache", "outer.tags"}));
+    const auto multi_seen = auditWithAgedLine(multi, 2);
+    ASSERT_EQ(multi_seen.size(), 1u);
+    EXPECT_EQ(multi_seen[0].check, "l1.tags");
+    EXPECT_EQ(multi_seen[0].core, 2);
+}
+
 TEST(AuditIntegrationTest, MultiCoreAuditCatchesSeededDirectoryDrift)
 {
     if constexpr (!check::kAuditCompiledIn)
