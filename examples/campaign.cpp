@@ -75,8 +75,8 @@ usage()
         "off)\n"
         "  --audit MODE        invariant audits: off | end | periodic "
         "|\n"
-        "                      paranoid (default off; needs a "
-        "-DSEESAW_AUDIT=ON build)\n"
+        "                      paranoid (default off; results are "
+        "the same in every mode)\n"
         "  --audit-period N    events between periodic audits "
         "(default 65536)\n"
         "  --out DIR           results directory (default results/)\n"

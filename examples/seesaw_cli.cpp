@@ -59,8 +59,8 @@ usage()
         "  --seed N            RNG seed (default 1)\n"
         "  --audit MODE        invariant audits: off | end | periodic "
         "|\n"
-        "                      paranoid (default end; needs a\n"
-        "                      -DSEESAW_AUDIT=ON build)\n"
+        "                      paranoid (default end; results are\n"
+        "                      the same in every mode)\n"
         "  --audit-period N    events between periodic audits\n"
         "                      (default 65536)\n"
         "  --baseline          also run baseline VIPT and report the\n"

@@ -2,7 +2,6 @@
 # Local mirror of the CI correctness matrix:
 #
 #   default    -Wall -Wextra -Werror build, full test suite
-#   audit-off  verify the hooks compile out cleanly (SEESAW_AUDIT=OFF)
 #   asan-ubsan AddressSanitizer + UBSan build, full test suite
 #   tsan       ThreadSanitizer build, threaded harness tests + a
 #              2-worker smoke campaign
@@ -35,8 +34,8 @@ repo="$(cd "$(dirname "$0")/.." && pwd)"
 jobs="$(nproc)"
 stages=("$@")
 [ ${#stages[@]} -eq 0 ] && \
-    stages=(default audit-off asan-ubsan tsan tidy lint format perf
-        resume threads)
+    stages=(default asan-ubsan tsan tidy lint format perf resume
+        threads)
 
 banner() { printf '\n=== %s ===\n' "$*"; }
 
@@ -52,10 +51,6 @@ for stage in "${stages[@]}"; do
     default)
         banner "default build + tests"
         configure_build_test "$repo/build"
-        ;;
-    audit-off)
-        banner "SEESAW_AUDIT=OFF build + tests"
-        configure_build_test "$repo/build-noaudit" -DSEESAW_AUDIT=OFF
         ;;
     asan-ubsan)
         banner "ASan+UBSan build + tests"
@@ -165,8 +160,8 @@ for stage in "${stages[@]}"; do
         ;;
     *)
         echo "unknown stage: $stage" >&2
-        echo "stages: default audit-off asan-ubsan tsan tidy lint" \
-            "format perf resume threads" >&2
+        echo "stages: default asan-ubsan tsan tidy lint format" \
+            "perf resume threads" >&2
         exit 1
         ;;
     esac

@@ -1,12 +1,12 @@
 /**
  * @file
- * Shared vocabulary of the invariant-audit layer: audit cadence modes,
- * the structured violation report, and the compile-time switch.
+ * Shared vocabulary of the invariant-audit layer: audit cadence modes
+ * and the structured violation report.
  *
- * The audit hooks in the simulators are compiled in only when the
- * `SEESAW_AUDIT` CMake option is ON (the default); release builds can
- * turn them off and pay exactly nothing. When compiled in, the cadence
- * is still selected at runtime (`--audit=off|end|periodic|paranoid`).
+ * Every build compiles the audit hooks in; the runtime mode
+ * (`--audit=off|end|periodic|paranoid`) is their only switch. Off
+ * builds no auditor, and since audits only observe, every mode gives
+ * the result Off gives.
  */
 
 #ifndef SEESAW_CHECK_AUDIT_HH
@@ -19,14 +19,6 @@
 #include "common/types.hh"
 
 namespace seesaw::check {
-
-/** True when the simulators' audit hooks are compiled in
- *  (CMake option SEESAW_AUDIT, ON by default). */
-#if defined(SEESAW_AUDIT)
-inline constexpr bool kAuditCompiledIn = true;
-#else
-inline constexpr bool kAuditCompiledIn = false;
-#endif
 
 /** When the registered invariant checks run. */
 enum class AuditMode : std::uint8_t

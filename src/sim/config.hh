@@ -174,9 +174,8 @@ struct SystemConfig
      */
     std::string tracePath;
 
-    /** Invariant-audit cadence (src/check). Modes other than Off need
-     *  a build with -DSEESAW_AUDIT=ON; otherwise a warning is issued
-     *  and no audits run. */
+    /** Invariant-audit cadence (src/check). Audits only observe: every
+     *  mode gives the result Off gives. */
     check::AuditOptions audit;
 };
 

@@ -32,6 +32,120 @@ tlbGeometryKey(const SystemConfig &config)
 
 constexpr Addr k2MB = 2ULL * 1024 * 1024;
 
+/** Register @p name as @p audit run on each core's complex in turn;
+ *  at cores > 1 every report carries the core it was found on. */
+template <typename Audit>
+void
+registerPerCore(check::InvariantAuditor &auditor, std::string name,
+                const std::vector<CoreComplex *> &cxs, Audit audit)
+{
+    auditor.registerCheck(
+        std::move(name), [cxs, audit](check::AuditContext &ctx) {
+            for (std::size_t c = 0; c < cxs.size(); ++c) {
+                if (cxs.size() > 1)
+                    ctx.core = static_cast<int>(c);
+                audit(*cxs[c], ctx);
+            }
+        });
+}
+
+/**
+ * Register the standard per-layer invariant checks for one substrate.
+ * The TLB check audits each complex's *active* hierarchy, so shared
+ * TLB groups are covered per substrate.
+ */
+void
+registerSystemAudits(check::InvariantAuditor &auditor,
+                     const SystemConfig &config,
+                     const std::vector<CoreComplex *> &cxs,
+                     SetAssocCache *shared_llc, ExactDirectory *directory,
+                     const OsMemoryManager &os, Asid asid)
+{
+    using check::AuditContext;
+    if (directory) {
+        auditor.registerCheck(
+            "directory", [cxs, directory](AuditContext &ctx) {
+                std::vector<const L1Cache *> l1s;
+                l1s.reserve(cxs.size());
+                for (CoreComplex *cx : cxs)
+                    l1s.push_back(&cx->l1());
+                check::auditDirectoryConsistency(*directory, l1s, ctx);
+            });
+    }
+
+    // Duplicate lines (one PA in two ways) are legal only under the
+    // 4way-8way SEESAW policy, where a page mapped both base and super
+    // can be installed twice (§IV-B1).
+    const bool allow_dup =
+        isSeesawKind(config.l1Kind) &&
+        config.policy == InsertionPolicy::FourWayEightWay;
+
+    registerPerCore(auditor, "l1.tags", cxs,
+                    [allow_dup](CoreComplex &cx, AuditContext &ctx) {
+                        check::auditTagStoreSanity(cx.l1().tags(), ctx,
+                                                   allow_dup);
+                    });
+    registerPerCore(auditor, "tlb", cxs,
+                    [os = &os](CoreComplex &cx, AuditContext &ctx) {
+                        check::auditTlbAgainstPageTable(
+                            cx.activeTlb(), os->pageTable(), ctx);
+                    });
+    auditor.registerCheck("mem.tcache", [os = &os](AuditContext &ctx) {
+        check::auditTranslationCacheAgainstPageTable(os->pageTable(), ctx);
+    });
+    if (cxs.size() > 1) {
+        auditor.registerCheck(
+            "outer.tags", [cxs, shared_llc](AuditContext &ctx) {
+                for (std::size_t c = 0; c < cxs.size(); ++c) {
+                    ctx.core = static_cast<int>(c);
+                    check::auditTagStoreSanity(cxs[c]->outer().l2(),
+                                               ctx);
+                }
+                ctx.core = -1;
+                check::auditTagStoreSanity(*shared_llc, ctx);
+            });
+    }
+    if (isSeesawKind(config.l1Kind)) {
+        registerPerCore(auditor, "l1.partition", cxs,
+                        [](CoreComplex &cx, AuditContext &ctx) {
+                            check::auditSeesawPlacement(*cx.seesawL1(),
+                                                        ctx);
+                        });
+        registerPerCore(auditor, "l1.prefetch", cxs,
+                        [](CoreComplex &cx, AuditContext &ctx) {
+                            check::auditPrefetchPlacement(*cx.seesawL1(),
+                                                          ctx);
+                        });
+        registerPerCore(auditor, "l1.tft", cxs,
+                        [os = &os, asid](CoreComplex &cx, AuditContext &ctx) {
+                            check::auditTftAgainstPageTable(
+                                cx.seesawL1()->tft(), os->pageTable(),
+                                asid, ctx);
+                        });
+    }
+    if (cxs[0]->l1i()) {
+        registerPerCore(auditor, "l1i.tags", cxs,
+                        [allow_dup](CoreComplex &cx, AuditContext &ctx) {
+                            check::auditTagStoreSanity(cx.l1i()->tags(),
+                                                       ctx, allow_dup);
+                        });
+        if (cxs[0]->seesawL1i()) {
+            registerPerCore(auditor, "l1i.partition", cxs,
+                            [](CoreComplex &cx, AuditContext &ctx) {
+                                check::auditSeesawPlacement(
+                                    *cx.seesawL1i(), ctx);
+                            });
+            registerPerCore(auditor, "l1i.tft", cxs,
+                            [os = &os, asid](CoreComplex &cx,
+                                        AuditContext &ctx) {
+                                check::auditTftAgainstPageTable(
+                                    cx.seesawL1i()->tft(),
+                                    os->pageTable(), asid, ctx);
+                            });
+        }
+    }
+}
+
 } // namespace
 
 std::string
@@ -207,159 +321,17 @@ MultiConfigEngine::MultiConfigEngine(std::vector<SystemConfig> configs,
 MultiConfigEngine::~MultiConfigEngine() = default;
 
 void
-registerSystemAudits(check::InvariantAuditor &auditor,
-                     const SystemConfig &config,
-                     std::vector<CoreComplex *> complexes,
-                     SetAssocCache *shared_llc, ExactDirectory *directory,
-                     const OsMemoryManager &os, Asid asid)
-{
-    const bool multi = config.cores > 1;
-    const unsigned n = config.cores;
-    const OsMemoryManager *os_p = &os;
-    const auto cxs = std::move(complexes);
-
-    if (directory) {
-        auditor.registerCheck(
-            "directory", [cxs, directory](check::AuditContext &ctx) {
-                std::vector<const L1Cache *> l1s;
-                l1s.reserve(cxs.size());
-                for (CoreComplex *cx : cxs)
-                    l1s.push_back(&cx->l1());
-                check::auditDirectoryConsistency(*directory, l1s, ctx);
-            });
-    }
-
-    // Duplicate lines (one PA in two ways) are legal only under the
-    // 4way-8way SEESAW policy, where a page mapped both base and super
-    // can be installed twice (§IV-B1).
-    const bool allow_dup =
-        isSeesawKind(config.l1Kind) &&
-        config.policy == InsertionPolicy::FourWayEightWay;
-
-    auditor.registerCheck(
-        "l1.tags",
-        [cxs, allow_dup, multi, n](check::AuditContext &ctx) {
-            for (unsigned c = 0; c < n; ++c) {
-                if (multi)
-                    ctx.core = static_cast<int>(c);
-                check::auditTagStoreSanity(cxs[c]->l1().tags(), ctx,
-                                           allow_dup);
-            }
-        });
-    auditor.registerCheck(
-        "tlb", [cxs, os_p, multi, n](check::AuditContext &ctx) {
-            for (unsigned c = 0; c < n; ++c) {
-                if (multi)
-                    ctx.core = static_cast<int>(c);
-                check::auditTlbAgainstPageTable(cxs[c]->activeTlb(),
-                                                os_p->pageTable(), ctx);
-            }
-        });
-    auditor.registerCheck(
-        "mem.tcache", [os_p](check::AuditContext &ctx) {
-            check::auditTranslationCacheAgainstPageTable(
-                os_p->pageTable(), ctx);
-        });
-    if (multi) {
-        auditor.registerCheck(
-            "outer.tags", [cxs, shared_llc, n](check::AuditContext &ctx) {
-                for (unsigned c = 0; c < n; ++c) {
-                    ctx.core = static_cast<int>(c);
-                    check::auditTagStoreSanity(cxs[c]->outer().l2(),
-                                               ctx);
-                }
-                ctx.core = -1;
-                check::auditTagStoreSanity(*shared_llc, ctx);
-            });
-    }
-    if (isSeesawKind(config.l1Kind)) {
-        auditor.registerCheck(
-            "l1.partition",
-            [cxs, multi, n](check::AuditContext &ctx) {
-                for (unsigned c = 0; c < n; ++c) {
-                    if (multi)
-                        ctx.core = static_cast<int>(c);
-                    check::auditSeesawPlacement(*cxs[c]->seesawL1(),
-                                                ctx);
-                }
-            });
-        auditor.registerCheck(
-            "l1.prefetch",
-            [cxs, multi, n](check::AuditContext &ctx) {
-                for (unsigned c = 0; c < n; ++c) {
-                    if (multi)
-                        ctx.core = static_cast<int>(c);
-                    check::auditPrefetchPlacement(*cxs[c]->seesawL1(),
-                                                  ctx);
-                }
-            });
-        auditor.registerCheck(
-            "l1.tft", [cxs, os_p, asid, multi, n](check::AuditContext &ctx) {
-                for (unsigned c = 0; c < n; ++c) {
-                    if (multi)
-                        ctx.core = static_cast<int>(c);
-                    check::auditTftAgainstPageTable(
-                        cxs[c]->seesawL1()->tft(), os_p->pageTable(),
-                        asid, ctx);
-                }
-            });
-    }
-    if (cxs[0]->l1i()) {
-        auditor.registerCheck(
-            "l1i.tags",
-            [cxs, allow_dup, multi, n](check::AuditContext &ctx) {
-                for (unsigned c = 0; c < n; ++c) {
-                    if (multi)
-                        ctx.core = static_cast<int>(c);
-                    check::auditTagStoreSanity(cxs[c]->l1i()->tags(),
-                                               ctx, allow_dup);
-                }
-            });
-        if (cxs[0]->seesawL1i()) {
-            auditor.registerCheck(
-                "l1i.partition",
-                [cxs, multi, n](check::AuditContext &ctx) {
-                    for (unsigned c = 0; c < n; ++c) {
-                        if (multi)
-                            ctx.core = static_cast<int>(c);
-                        check::auditSeesawPlacement(
-                            *cxs[c]->seesawL1i(), ctx);
-                    }
-                });
-            auditor.registerCheck(
-                "l1i.tft",
-                [cxs, os_p, asid, multi, n](check::AuditContext &ctx) {
-                    for (unsigned c = 0; c < n; ++c) {
-                        if (multi)
-                            ctx.core = static_cast<int>(c);
-                        check::auditTftAgainstPageTable(
-                            cxs[c]->seesawL1i()->tft(),
-                            os_p->pageTable(), asid, ctx);
-                    }
-                });
-        }
-    }
-}
-
-void
 MultiConfigEngine::setupAuditor(Substrate &sub)
 {
     if (sub.config->audit.mode == check::AuditMode::Off)
         return;
-    if (!check::kAuditCompiledIn) {
-        SEESAW_WARN("audit mode '",
-                    check::auditModeName(sub.config->audit.mode),
-                    "' requested but the audit layer is compiled out; "
-                    "rebuild with -DSEESAW_AUDIT=ON");
-        return;
-    }
     sub.auditor =
         std::make_unique<check::InvariantAuditor>(sub.config->audit);
     std::vector<CoreComplex *> cxs;
     cxs.reserve(sub.complexes.size());
     for (auto &cx : sub.complexes)
         cxs.push_back(cx.get());
-    registerSystemAudits(*sub.auditor, *sub.config, std::move(cxs),
+    registerSystemAudits(*sub.auditor, *sub.config, cxs,
                          sub.sharedLlc.get(), sub.directory, *os_,
                          asid_);
 }
@@ -527,13 +499,11 @@ MultiConfigEngine::stepOne(CoreId c, std::uint64_t room)
     if (ProbeEngine *probes = cx.probeEngine())
         probes->tick(retired);
     osTick(c);
-    if constexpr (check::kAuditCompiledIn) {
-        if (sub.auditor) {
-            const Cycles now = cx.cpu().cycles();
-            if (sub.fabric && transition)
-                sub.auditor->onCoherenceTransition(now);
-            sub.auditor->onEvent(retired, now);
-        }
+    if (sub.auditor) {
+        const Cycles now = cx.cpu().cycles();
+        if (sub.fabric && transition)
+            sub.auditor->onCoherenceTransition(now);
+        sub.auditor->onEvent(retired, now);
     }
     return retired;
 }
@@ -619,18 +589,16 @@ MultiConfigEngine::step(CoreId c, std::uint64_t room)
             probes->tick(retired);
     }
     osTick(c);
-    if constexpr (check::kAuditCompiledIn) {
-        // Fabric state and caches are mutually consistent again here:
-        // audit after every completed transition in Paranoid mode.
-        for (std::size_t s = 0; s < substrates_.size(); ++s) {
-            Substrate &sub = substrates_[s];
-            if (!sub.auditor)
-                continue;
-            const Cycles now = sub.complexes[c]->cpu().cycles();
-            if (sub.fabric && transitions_[s])
-                sub.auditor->onCoherenceTransition(now);
-            sub.auditor->onEvent(retired, now);
-        }
+    // Fabric state and caches are mutually consistent again here:
+    // audit after every completed transition in Paranoid mode.
+    for (std::size_t s = 0; s < substrates_.size(); ++s) {
+        Substrate &sub = substrates_[s];
+        if (!sub.auditor)
+            continue;
+        const Cycles now = sub.complexes[c]->cpu().cycles();
+        if (sub.fabric && transitions_[s])
+            sub.auditor->onCoherenceTransition(now);
+        sub.auditor->onEvent(retired, now);
     }
     return retired;
 }
@@ -684,10 +652,8 @@ MultiConfigEngine::run()
         for (auto &cx : sub.complexes)
             max_cycles = std::max(max_cycles, cx->cpu().cycles());
 
-        if constexpr (check::kAuditCompiledIn) {
-            if (sub.auditor)
-                sub.auditor->onEndOfRun(max_cycles);
-        }
+        if (sub.auditor)
+            sub.auditor->onEndOfRun(max_cycles);
 
         // Static energy over the whole run: every core's L1 leakage
         // plus the outer hierarchy's background power (this is where

@@ -47,20 +47,6 @@ class InvariantAuditor;
 namespace seesaw {
 
 /**
- * Register the standard per-layer invariant checks for one simulated
- * system (one substrate), which is why the components arrive as
- * explicit parameters rather than an engine. The TLB check audits
- * each complex's *active* hierarchy, so shared TLB groups are covered
- * per substrate.
- */
-void registerSystemAudits(check::InvariantAuditor &auditor,
-                          const SystemConfig &config,
-                          std::vector<CoreComplex *> complexes,
-                          SetAssocCache *shared_llc,
-                          ExactDirectory *directory,
-                          const OsMemoryManager &os, Asid asid);
-
-/**
  * Aggregate one system's per-core stats into a RunResult — the one
  * sanctioned place for string-keyed stat reads. The engine calls it
  * once per substrate.
@@ -134,8 +120,7 @@ class MultiConfigEngine
     {
         return substrates_[substrate].directory;
     }
-    /** The invariant auditor, or nullptr when audits are off or the
-     *  audit layer is compiled out. */
+    /** The invariant auditor, or nullptr when audits are off. */
     check::InvariantAuditor *auditor(unsigned substrate)
     {
         return substrates_[substrate].auditor.get();

@@ -78,8 +78,7 @@ class SimEngine
      */
     bool checkDirectoryInvariant();
 
-    /** The invariant auditor, or nullptr when audits are off or the
-     *  audit layer is compiled out. */
+    /** The invariant auditor, or nullptr when audits are off. */
     check::InvariantAuditor *auditor() { return engine_.auditor(0); }
     /// @}
 

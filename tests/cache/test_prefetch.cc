@@ -143,8 +143,6 @@ TEST(Prefetch, ParanoidAuditsStayCleanWithPrefetchOn)
     // The paranoid cadence aborts on any violation, so surviving the
     // run is the assertion — including the prefetch-placement audit
     // over every prefetched line.
-    if (!check::kAuditCompiledIn)
-        GTEST_SKIP() << "audits compiled out";
     WorkloadSpec w = findWorkload("redis");
     w.footprintBytes = 16ULL << 20;
     w.hotSetBytes = 2ULL << 20;

@@ -42,9 +42,6 @@ paranoidConfig(L1Kind kind)
 
 TEST(AuditIntegrationTest, ParanoidRunsCleanOverAllPaperWorkloads)
 {
-    if constexpr (!check::kAuditCompiledIn)
-        GTEST_SKIP() << "audit layer compiled out";
-
     for (L1Kind kind : {L1Kind::Seesaw, L1Kind::ViptBaseline}) {
         for (const WorkloadSpec &spec : paperWorkloads()) {
             SimEngine system(paranoidConfig(kind), shrunk(spec));
@@ -60,9 +57,6 @@ TEST(AuditIntegrationTest, ParanoidRunsCleanOverAllPaperWorkloads)
 
 TEST(AuditIntegrationTest, ParanoidRunsCleanWithAnInstructionCache)
 {
-    if constexpr (!check::kAuditCompiledIn)
-        GTEST_SKIP() << "audit layer compiled out";
-
     SystemConfig cfg = paranoidConfig(L1Kind::Seesaw);
     cfg.modelInstructionCache = true;
     SimEngine system(cfg, shrunk(findWorkload("nutch")));
@@ -84,9 +78,6 @@ TEST(AuditIntegrationTest, OffModeInstantiatesNoAuditor)
 
 TEST(AuditIntegrationTest, EndModeAuditsExactlyOnce)
 {
-    if constexpr (!check::kAuditCompiledIn)
-        GTEST_SKIP() << "audit layer compiled out";
-
     SystemConfig cfg;
     cfg.instructions = 5'000;
     cfg.warmupInstructions = 1'000;
@@ -100,9 +91,6 @@ TEST(AuditIntegrationTest, EndModeAuditsExactlyOnce)
 
 TEST(AuditIntegrationTest, CatchesTftDesyncAfterHiddenSplinter)
 {
-    if constexpr (!check::kAuditCompiledIn)
-        GTEST_SKIP() << "audit layer compiled out";
-
     SystemConfig cfg;
     cfg.instructions = 20'000;
     cfg.warmupInstructions = 5'000;
@@ -139,9 +127,6 @@ TEST(AuditIntegrationTest, CatchesTftDesyncAfterHiddenSplinter)
 
 TEST(AuditIntegrationTest, MultiCoreParanoidRunsClean)
 {
-    if constexpr (!check::kAuditCompiledIn)
-        GTEST_SKIP() << "audit layer compiled out";
-
     SystemConfig cfg;
     cfg.cores = 2;
     cfg.instructions = 4'000;
@@ -153,6 +138,40 @@ TEST(AuditIntegrationTest, MultiCoreParanoidRunsClean)
     EXPECT_GT(system.auditor()->auditsRun(), 0u);
     EXPECT_EQ(system.auditor()->violations(), 0u);
     EXPECT_TRUE(system.checkDirectoryInvariant());
+}
+
+/** Run @p cfg under @p mode. */
+RunResult
+runUnder(SystemConfig cfg, check::AuditMode mode, const WorkloadSpec &w)
+{
+    cfg.audit.mode = mode;
+    return SimEngine(cfg, w).run();
+}
+
+TEST(AuditIntegrationTest, ModeNeverChangesTheResult)
+{
+    // Audits only observe: a paranoid run, which audits after every
+    // event, must match the run that builds no auditor at all.
+    const WorkloadSpec w = shrunk(findWorkload("redis"));
+    for (L1Kind kind :
+         {L1Kind::ViptBaseline, L1Kind::Pipt, L1Kind::Seesaw,
+          L1Kind::ViptWayPredicted, L1Kind::SeesawWayPredicted,
+          L1Kind::Sipt}) {
+        SystemConfig cfg = paranoidConfig(kind);
+        cfg.modelInstructionCache = true;
+        EXPECT_EQ(runUnder(cfg, check::AuditMode::Off, w),
+                  runUnder(cfg, check::AuditMode::Paranoid, w))
+            << static_cast<int>(kind);
+    }
+
+    SystemConfig four = paranoidConfig(L1Kind::Seesaw);
+    four.cores = 4;
+    four.fabric = CoherenceKind::Directory;
+    four.instructions = 500;
+    four.warmupInstructions = 100;
+    const WorkloadSpec mt = shrunk(findWorkload("cann"));
+    EXPECT_EQ(runUnder(four, check::AuditMode::Off, mt),
+              runUnder(four, check::AuditMode::Paranoid, mt));
 }
 
 /** Push the first resident line of core @p core's L1 past its LRU
@@ -218,9 +237,6 @@ TEST(AuditIntegrationTest, SystemChecksKeepTheirNamesOrderAndCore)
 
 TEST(AuditIntegrationTest, MultiCoreAuditCatchesSeededDirectoryDrift)
 {
-    if constexpr (!check::kAuditCompiledIn)
-        GTEST_SKIP() << "audit layer compiled out";
-
     SystemConfig cfg;
     cfg.cores = 2;
     cfg.instructions = 4'000;

@@ -1,7 +1,7 @@
 // seesaw-audit-side-effect positive fixture: callbacks registered
 // with InvariantAuditor that mutate captured state must be diagnosed
-// — audits compile out under -DSEESAW_AUDIT=OFF, so any mutation
-// would make audited and audit-free builds diverge.
+// — every audit mode must give the result audits off gives, so any
+// mutation would make audited and unaudited runs diverge.
 
 #include "check/invariant_auditor.hh"
 

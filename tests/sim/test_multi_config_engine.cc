@@ -511,9 +511,6 @@ TEST(MultiConfigEngine, UnmapBroadcastReachesEverySubstrate)
 
 TEST(MultiConfigEngine, DesyncedSubstrateTripsItsOwnAudits)
 {
-    if constexpr (!check::kAuditCompiledIn)
-        GTEST_SKIP() << "audit layer compiled out";
-
     // thpEligibleFraction=0 keeps the heap base-paged, so marking any
     // heap region in one substrate's TFT fabricates a superpage that
     // the page table disavows — exactly the desync the per-substrate

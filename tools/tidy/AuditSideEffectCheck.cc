@@ -117,9 +117,9 @@ AuditSideEffectCheck::check(
         if (loc.isInvalid())
             return;
         diag(loc,
-             "audit callback %0; audits are compiled out under "
-             "-DSEESAW_AUDIT=OFF, so they must not mutate simulator "
-             "state (report via the AuditContext instead)")
+             "audit callback %0; every audit mode must give the "
+             "result audits off gives, so they must not mutate "
+             "simulator state (report via the AuditContext instead)")
             << how;
     };
 

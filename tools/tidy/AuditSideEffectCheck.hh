@@ -5,10 +5,10 @@
  * — assignments or increments through captured variables or a
  * captured `this`, and non-const member calls on captured objects.
  *
- * Rule: audits are observers. A build with -DSEESAW_AUDIT=OFF
- * compiles them out entirely, so any state an audit mutates would
- * diverge between audited and audit-free builds, breaking the
- * "audit-off is bit-identical" guarantee. Callbacks may read
+ * Rule: audits are observers. They run only when the --audit mode is
+ * not off, and every mode must give the result off gives, so any state
+ * an audit mutates would make audited and unaudited runs diverge.
+ * Callbacks may read
  * anything, build local scratch, and report via the AuditContext
  * parameter — nothing else.
  */
