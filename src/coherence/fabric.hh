@@ -10,10 +10,10 @@
  *  - SnoopFabric: broadcast coherence — every bus transaction probes
  *    every other L1, resident or not, which is where SEESAW's cheap
  *    4-way probes buy the most (§VI-B).
- *  - NullFabric: no coherence at all (cores share only the LLC).
  *
- * Single-core runs keep the paper's stochastic probe load instead
- * (coherence/probe_engine.hh): the engine drives a ProbeEngine
+ * CoherenceKind::None builds no fabric at all: the cores share only
+ * the LLC. Single-core runs keep the paper's stochastic probe load
+ * instead (coherence/probe_engine.hh): the engine drives a ProbeEngine
  * directly so the cores=1 hot path is unchanged.
  */
 
@@ -29,6 +29,15 @@
 #include "model/energy_model.hh"
 
 namespace seesaw {
+
+/** Coherence fabric kind. */
+enum class CoherenceKind : std::uint8_t {
+    Directory,
+    Snoopy,
+    /** No coherence traffic at all: single-core runs skip the
+     *  synthetic probe load, multi-core runs share only the LLC. */
+    None,
+};
 
 /** What the fabric did ahead of one local L1 access. */
 struct FabricPreAccess
@@ -88,20 +97,6 @@ class CoherenceFabric
     std::uint64_t probeHits_ = 0;
     std::uint64_t invalidations_ = 0;
     std::uint64_t ownerSupplies_ = 0;
-};
-
-/** No coherence: preAccess/postAccess are no-ops. */
-class NullFabric final : public CoherenceFabric
-{
-  public:
-    FabricPreAccess preAccess(CoreId, Addr, AccessType) override
-    {
-        return {};
-    }
-    void postAccess(CoreId, Addr, AccessType, const L1AccessResult &,
-                    const FabricPreAccess &) override
-    {
-    }
 };
 
 /**

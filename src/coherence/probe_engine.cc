@@ -1,11 +1,35 @@
 #include "coherence/probe_engine.hh"
 
+#include "common/logging.hh"
+
 namespace seesaw {
+
+ResidentLineTracker::ResidentLineTracker(std::size_t capacity)
+    : ring_(capacity, 0)
+{
+    SEESAW_ASSERT(capacity > 0, "tracker capacity must be positive");
+}
+
+void
+ResidentLineTracker::note(Addr pa)
+{
+    ring_[head_] = pa & ~Addr{63};
+    head_ = (head_ + 1) % ring_.size();
+    if (count_ < ring_.size())
+        ++count_;
+}
+
+Addr
+ResidentLineTracker::sample(Rng &rng) const
+{
+    if (count_ == 0)
+        return 0;
+    return ring_[rng.nextBounded(count_)];
+}
 
 ProbeEngine::ProbeEngine(const ProbeEngineParams &params, L1Cache &l1,
                          EnergyModel &energy)
-    : params_(params), l1_(l1), energy_(energy),
-      bus_(params.fabric, params.snoopAbsentFactor, params.seed),
+    : params_(params), l1_(l1), energy_(energy), rng_(params.seed),
       stats_("probe_engine"),
       stProbes_(&stats_.scalar("probes")),
       stProbeHits_(&stats_.scalar("probe_hits")),
@@ -27,21 +51,41 @@ ProbeEngine::tick(std::uint64_t instructions)
 
     const auto due = static_cast<unsigned>(directedCarry_);
     directedCarry_ -= due;
+    if (resident_.empty())
+        return;
 
-    bus_.generate(due, params_.invalidatingFraction, resident_,
-                  probeBuf_);
-    for (const auto &p : probeBuf_) {
-        const L1ProbeResult res = l1_.probe(p.pa, p.invalidating);
-        ++*stProbes_;
-        if (res.hit)
-            ++*stProbeHits_;
-        if (p.invalidating && res.hit)
-            ++*stInvalidations_;
-        if (res.wasDirty)
-            ++*stDirtySupplies_;
-        energy_.addL1Lookup(l1_.tags().sizeBytes(), l1_.tags().assoc(),
-                            res.waysRead, /*coherent=*/true);
+    for (unsigned i = 0; i < due; ++i) {
+        const Addr pa = resident_.sample(rng_);
+        issue(pa, rng_.chance(params_.invalidatingFraction));
     }
+
+    if (params_.fabric == CoherenceKind::Snoopy) {
+        // Broadcast fabric: remote misses also snoop this L1. Their
+        // addresses are unrelated to our working set, so we synthesise
+        // them by perturbing resident lines — overwhelmingly absent.
+        absentCarry_ += due * params_.snoopAbsentFactor;
+        while (absentCarry_ >= 1.0) {
+            absentCarry_ -= 1.0;
+            const Addr base = resident_.sample(rng_);
+            const Addr pa = base ^ ((1 + rng_.nextBounded(1 << 20)) << 6);
+            issue(pa, rng_.chance(params_.invalidatingFraction));
+        }
+    }
+}
+
+void
+ProbeEngine::issue(Addr pa, bool invalidating)
+{
+    const L1ProbeResult res = l1_.probe(pa, invalidating);
+    ++*stProbes_;
+    if (res.hit)
+        ++*stProbeHits_;
+    if (invalidating && res.hit)
+        ++*stInvalidations_;
+    if (res.wasDirty)
+        ++*stDirtySupplies_;
+    energy_.addL1Lookup(l1_.tags().sizeBytes(), l1_.tags().assoc(),
+                        res.waysRead, /*coherent=*/true);
 }
 
 } // namespace seesaw

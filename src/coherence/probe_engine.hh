@@ -8,6 +8,12 @@
  * even under single-threaded applications. Every probe pays an L1
  * lookup whose width depends on the cache design — the whole set for
  * baseline VIPT, one partition for SEESAW with the 4way policy.
+ *
+ * The address stream depends on the fabric the paper evaluates: a
+ * directory forwards probes only for lines the L1 actually holds, while
+ * a snoopy bus broadcasts every remote transaction, so the L1 is also
+ * probed for many absent lines — which is why SEESAW's cheap probes buy
+ * an extra 2-5% in snoopy systems (Section VI-B).
  */
 
 #ifndef SEESAW_COHERENCE_PROBE_ENGINE_HH
@@ -16,11 +22,37 @@
 #include <vector>
 
 #include "cache/l1_cache.hh"
-#include "coherence/snoop_bus.hh"
+#include "coherence/fabric.hh"
+#include "common/random.hh"
 #include "common/stats.hh"
 #include "model/energy_model.hh"
 
 namespace seesaw {
+
+/**
+ * Tracks lines recently resident in the local L1 so the probe stream
+ * can target real data (a directory forwards probes only for lines the
+ * directory believes we hold).
+ */
+class ResidentLineTracker
+{
+  public:
+    explicit ResidentLineTracker(std::size_t capacity = 8192);
+
+    /** Record that the line containing @p pa is (still) resident. */
+    void note(Addr pa);
+
+    /** @return A recently resident line address, or 0 if empty. */
+    Addr sample(Rng &rng) const;
+
+    bool empty() const { return count_ == 0; }
+    std::size_t size() const { return count_; }
+
+  private:
+    std::vector<Addr> ring_;
+    std::size_t head_ = 0;
+    std::size_t count_ = 0;
+};
 
 /** Probe-load parameters. */
 struct ProbeEngineParams
@@ -62,7 +94,8 @@ class ProbeEngine
 
     /**
      * Advance by @p instructions committed instructions, issuing the
-     * probes that fall due in that window.
+     * probes that fall due in that window: the directed probes to
+     * resident lines, then (snoopy only) the absent-line broadcasts.
      */
     void tick(std::uint64_t instructions);
 
@@ -91,10 +124,13 @@ class ProbeEngine
     double directedRate() const { return directedRate_; }
 
   private:
+    /** Probe the L1 at @p pa and account the probe. */
+    void issue(Addr pa, bool invalidating);
+
     ProbeEngineParams params_;
     L1Cache &l1_;
     EnergyModel &energy_;
-    SnoopBus bus_;
+    Rng rng_;
     ResidentLineTracker resident_;
     StatGroup stats_;
     // Hot-path stat handles (registered once; see common/stats.hh).
@@ -104,7 +140,7 @@ class ProbeEngine
     StatScalar *stDirtySupplies_;
     double directedRate_;
     double directedCarry_ = 0.0;
-    std::vector<SnoopBus::ProbeRequest> probeBuf_; //!< reused per tick
+    double absentCarry_ = 0.0;
 };
 
 } // namespace seesaw

@@ -18,7 +18,7 @@
 #include "cache/prefetch/prefetch.hh"
 #include "cache/replacement.hh"
 #include "check/audit.hh"
-#include "coherence/snoop_bus.hh"
+#include "coherence/fabric.hh"
 #include "core/seesaw_cache.hh"
 #include "cpu/cpu_model.hh"
 #include "mem/memhog.hh"

@@ -261,23 +261,18 @@ MultiConfigEngine::MultiConfigEngine(std::vector<SystemConfig> configs,
             sub.complexes.back()->setActiveTlb(
                 &groupTlb(sub.tlbGroup, static_cast<CoreId>(c)));
         }
-        if (front.cores > 1) {
+        if (front.cores > 1 &&
+            sub.config->fabric != CoherenceKind::None) {
             // Probe latency models directory/bus indirection plus the
             // remote round trip — the engine charges its LLC latency.
             const unsigned probe_cycles =
                 sub.complexes[0]->outer().llcCycles();
-            switch (sub.config->fabric) {
-              case CoherenceKind::Directory:
+            if (sub.config->fabric == CoherenceKind::Directory) {
                 sub.fabric = std::make_unique<DirectoryFabric>(
                     front.cores, probe_cycles, *sub.energy);
-                break;
-              case CoherenceKind::Snoopy:
+            } else {
                 sub.fabric = std::make_unique<SnoopFabric>(
                     front.cores, probe_cycles, *sub.energy);
-                break;
-              case CoherenceKind::None:
-                sub.fabric = std::make_unique<NullFabric>();
-                break;
             }
             sub.directory = sub.fabric->directory();
             for (auto &cx : sub.complexes)

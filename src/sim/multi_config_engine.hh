@@ -109,7 +109,8 @@ class MultiConfigEngine
     {
         return *substrates_[substrate].energy;
     }
-    /** The coherence fabric (cores>1), or nullptr at cores=1. */
+    /** The coherence fabric, or nullptr when none is modelled (cores=1,
+     *  or CoherenceKind::None). */
     CoherenceFabric *fabric(unsigned substrate)
     {
         return substrates_[substrate].fabric.get();

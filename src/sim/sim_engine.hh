@@ -64,7 +64,8 @@ class SimEngine
         return engine_.complex(0, core);
     }
 
-    /** The coherence fabric (cores>1), or nullptr at cores=1. */
+    /** The coherence fabric, or nullptr when none is modelled (cores=1,
+     *  or CoherenceKind::None). */
     CoherenceFabric *fabric() { return engine_.fabric(0); }
 
     /** The exact directory, or nullptr unless a cores>1 directory

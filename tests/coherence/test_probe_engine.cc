@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <vector>
-
 #include "cache/baseline_caches.hh"
 #include "coherence/probe_engine.hh"
 #include "core/seesaw_cache.hh"
@@ -40,42 +38,6 @@ TEST(ResidentLineTracker, RingWrapsAtCapacity)
     EXPECT_EQ(tracker.size(), 4u);
 }
 
-TEST(SnoopBus, DirectoryGeneratesOnlyDirectedProbes)
-{
-    SnoopBus bus(CoherenceKind::Directory, 3.0, 5);
-    ResidentLineTracker tracker(16);
-    tracker.note(0x1000);
-    std::vector<SnoopBus::ProbeRequest> probes;
-    bus.generate(10, 0.5, tracker, probes);
-    EXPECT_EQ(probes.size(), 10u);
-    for (const auto &p : probes)
-        EXPECT_TRUE(p.expectedResident);
-}
-
-TEST(SnoopBus, SnoopyAddsAbsentBroadcasts)
-{
-    SnoopBus bus(CoherenceKind::Snoopy, 3.0, 5);
-    ResidentLineTracker tracker(16);
-    tracker.note(0x1000);
-    std::vector<SnoopBus::ProbeRequest> probes;
-    bus.generate(10, 0.5, tracker, probes);
-    EXPECT_EQ(probes.size(), 10u + 30u);
-    unsigned absent = 0;
-    for (const auto &p : probes)
-        absent += p.expectedResident ? 0 : 1;
-    EXPECT_EQ(absent, 30u);
-}
-
-TEST(SnoopBus, EmptyTrackerYieldsNothing)
-{
-    SnoopBus bus(CoherenceKind::Directory, 3.0, 5);
-    ResidentLineTracker tracker(16);
-    // A stale buffer is cleared, not appended to.
-    std::vector<SnoopBus::ProbeRequest> probes(3);
-    bus.generate(10, 0.5, tracker, probes);
-    EXPECT_TRUE(probes.empty());
-}
-
 class ProbeEngineTest : public ::testing::Test
 {
   protected:
@@ -93,6 +55,54 @@ class ProbeEngineTest : public ::testing::Test
     EnergyModel energy_;
     std::unique_ptr<ViptCache> vipt_;
 };
+
+/** Ten directed probes per tick(1000), never invalidating, over an
+ *  L1 and tracker that hold the single line 0x1000. */
+ProbeEngineParams
+tenPerKilo(CoherenceKind fabric)
+{
+    ProbeEngineParams params;
+    params.systemProbesPerKiloInstr = 10.0;
+    params.invalidatingFraction = 0.0;
+    params.fabric = fabric;
+    params.snoopAbsentFactor = 3.0;
+    return params;
+}
+
+TEST_F(ProbeEngineTest, DirectoryIssuesOnlyDirectedProbes)
+{
+    ProbeEngine engine(tenPerKilo(CoherenceKind::Directory), *vipt_,
+                       energy_);
+    vipt_->access({0x1000, 0x1000, PageSize::Base4KB, AccessType::Read});
+    engine.noteResident(0x1000);
+    engine.tick(1000);
+    // Every probe is directed at the one resident line.
+    EXPECT_EQ(engine.probes(), 10u);
+    EXPECT_EQ(engine.probeHits(), 10u);
+}
+
+TEST_F(ProbeEngineTest, SnoopyAddsAbsentBroadcasts)
+{
+    ProbeEngine engine(tenPerKilo(CoherenceKind::Snoopy), *vipt_,
+                       energy_);
+    vipt_->access({0x1000, 0x1000, PageSize::Base4KB, AccessType::Read});
+    engine.noteResident(0x1000);
+    engine.tick(1000);
+    // Ten directed hits plus three absent-line broadcasts per directed
+    // probe, each of which misses.
+    EXPECT_EQ(engine.probes(), 10u + 30u);
+    EXPECT_EQ(engine.probeHits(), 10u);
+}
+
+TEST_F(ProbeEngineTest, EmptyTrackerIssuesNothingOnEitherFabric)
+{
+    for (CoherenceKind fabric :
+         {CoherenceKind::Directory, CoherenceKind::Snoopy}) {
+        ProbeEngine engine(tenPerKilo(fabric), *vipt_, energy_);
+        engine.tick(1000);
+        EXPECT_EQ(engine.probes(), 0u) << static_cast<int>(fabric);
+    }
+}
 
 TEST_F(ProbeEngineTest, RateScalesWithSharingThreads)
 {

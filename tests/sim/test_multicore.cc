@@ -206,6 +206,7 @@ TEST(MultiCore, NoneFabricSharesOnlyTheLlc)
     const RunResult r = sys.run();
     EXPECT_EQ(r.probes, 0u);
     EXPECT_EQ(r.ownerSupplies, 0u);
+    EXPECT_EQ(sys.fabric(), nullptr);
     EXPECT_EQ(sys.directory(), nullptr);
     EXPECT_TRUE(sys.checkDirectoryInvariant());
     EXPECT_GT(r.l1Accesses, 0u);
