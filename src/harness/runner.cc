@@ -1,11 +1,10 @@
 #include "harness/runner.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <map>
-#include <sstream>
 
 #include "common/logging.hh"
 #include "common/thread_annotations.hh"
@@ -92,32 +91,11 @@ runCell(const Cell &cell, Progress &progress, CellHooks &hooks)
 }
 
 /**
- * Canonical serialization of a WorkloadSpec. One-pass groups must
- * share the exact spec, not just its name: benches override footprints
- * and fractions under the same workload name. hexfloat keeps doubles
- * exact.
- */
-std::string
-workloadKey(const WorkloadSpec &w)
-{
-    std::ostringstream os;
-    os << std::hexfloat << w.name << '|' << w.footprintBytes << '|'
-       << w.memRefFraction << '|' << w.writeFraction << '|'
-       << w.repeatFraction << '|' << w.streamingFraction << '|'
-       << w.pointerChaseFraction << '|' << w.conflictFraction << '|'
-       << w.chaseRegionStayRefs << '|' << w.chasePoolRegions << '|'
-       << w.zipfAlpha << '|' << w.hotSetBytes << '|' << w.threads
-       << '|' << w.sharedFraction << '|' << w.thpEligibleFraction
-       << '|' << w.systemProbesPerKiloInstr << '|'
-       << w.codeFootprintBytes;
-    return os.str();
-}
-
-/**
  * Execution plan: normally one task per cell; with one-pass grouping,
- * simulate() cells that share (workload, front-end key) collapse into
- * one multi-config task each, in first-member order. Custom-thunk
- * cells always stay singletons.
+ * simulate() cells that share the whole WorkloadSpec (benches override
+ * footprints and fractions under one workload name) and the front-end
+ * key collapse into one multi-config task each, in first-member order.
+ * Custom-thunk cells always stay singletons.
  */
 std::vector<std::vector<std::size_t>>
 planTasks(const std::vector<Cell> &cells, bool one_pass)
@@ -129,22 +107,32 @@ planTasks(const std::vector<Cell> &cells, bool one_pass)
             tasks.push_back({i});
         return tasks;
     }
-    std::map<std::string, std::size_t> group_of;
+    struct Group
+    {
+        const WorkloadSpec *workload;
+        std::string frontEnd;
+        std::size_t task;
+    };
+    std::vector<Group> groups;
     for (std::size_t i = 0; i < cells.size(); ++i) {
         if (!cells[i].onePass) {
             tasks.push_back({i});
             continue;
         }
-        std::string key =
-            workloadKey(cells[i].onePass->workload);
-        key += '\x1f';
-        key += MultiConfigEngine::frontEndKey(cells[i].onePass->config);
-        const auto [it, fresh] =
-            group_of.try_emplace(std::move(key), tasks.size());
-        if (fresh)
-            tasks.push_back({i});
-        else
-            tasks[it->second].push_back(i);
+        const Cell::OnePassInfo &info = *cells[i].onePass;
+        std::string front_end = MultiConfigEngine::frontEndKey(info.config);
+        const auto it = std::find_if(
+            groups.begin(), groups.end(), [&](const Group &g) {
+                return g.frontEnd == front_end &&
+                       *g.workload == info.workload;
+            });
+        if (it != groups.end()) {
+            tasks[it->task].push_back(i);
+            continue;
+        }
+        groups.push_back({&info.workload, std::move(front_end),
+                          tasks.size()});
+        tasks.push_back({i});
     }
     return tasks;
 }

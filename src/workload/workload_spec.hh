@@ -106,6 +106,10 @@ struct WorkloadSpec
 
     /** @return True for multi-threaded workloads. */
     bool multithreaded() const { return threads > 1; }
+
+    /** Field-wise equality: one-pass grouping shares a pass only
+     *  between cells whose whole spec matches. */
+    bool operator==(const WorkloadSpec &) const = default;
 };
 
 /** The 16 workloads of Figs 3/7/11, in the paper's order:

@@ -182,9 +182,20 @@ TEST(CampaignRunner, OnePassSplitsIncompatibleFrontEnds)
 {
     // Different seeds feed the shared front end, so they must land in
     // different groups; a custom-thunk cell (no one-pass info) rides
-    // along untouched. Everything still matches per-cell execution.
+    // along untouched. Two cells whose workloads differ only in their
+    // text segment must run as separate passes too: one shared pass
+    // would run both on the first cell's workload. Everything still
+    // matches per-cell execution.
     CampaignSpec spec = twoByTwo();
     spec.seeds({1, 2});
+    SystemConfig icache = tinyConfig(L1Kind::Seesaw);
+    icache.modelInstructionCache = true;
+    WorkloadSpec small_text = findWorkload("nutch");
+    small_text.codeFootprintBytes = 1ULL << 20;
+    WorkloadSpec large_text = small_text;
+    large_text.codeFootprintBytes = 32ULL << 20;
+    spec.cell("text-1m", small_text, icache);
+    spec.cell("text-32m", large_text, icache);
     spec.cell(
         "custom",
         [] {
@@ -214,6 +225,10 @@ TEST(CampaignRunner, OnePassSplitsIncompatibleFrontEnds)
                   baseline.results[i].result)
             << "cell " << baseline.results[i].name;
     }
+    // The text segment really moves the result, so a shared pass
+    // would have shown above.
+    EXPECT_NE(findResult(baseline.results, "text-1m").l1iMisses,
+              findResult(baseline.results, "text-32m").l1iMisses);
     // The completion hook fired exactly once per cell.
     EXPECT_EQ(done.size(), spec.cells().size());
     std::set<std::string> unique(done.begin(), done.end());
