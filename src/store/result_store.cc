@@ -1,11 +1,15 @@
 #include "store/result_store.hh"
 
+#include <fcntl.h>
+#include <sys/file.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <iterator>
 #include <sstream>
@@ -488,10 +492,28 @@ SegmentWriter::SegmentWriter(const std::string &dir,
     : path_(writerSegmentPath(dir, writerName)),
       ownerPid_(static_cast<long>(::getpid()))
 {
+    // Lock before the cut: a tail without a newline may be the line a
+    // live writer is still appending, not a killed writer's fragment.
+    lockFd_ = ::open(path_.c_str(), O_WRONLY | O_CREAT | O_CLOEXEC, 0644);
+    if (lockFd_ < 0)
+        SEESAW_FATAL("cannot open store segment ", path_, ": ",
+                     std::strerror(errno));
+    if (::flock(lockFd_, LOCK_EX | LOCK_NB) != 0) {
+        if (errno == EWOULDBLOCK)
+            SEESAW_FATAL("store segment ", path_,
+                         " is being written by another process");
+        SEESAW_FATAL("cannot lock store segment ", path_, ": ",
+                     std::strerror(errno));
+    }
     dropTornTail(path_);
     os_.open(path_, std::ios::app);
     if (!os_)
         SEESAW_FATAL("cannot open store segment ", path_);
+}
+
+SegmentWriter::~SegmentWriter()
+{
+    ::close(lockFd_); // releases the flock
 }
 
 void

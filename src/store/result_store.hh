@@ -167,7 +167,11 @@ void canonicalDump(std::ostream &os, const StoreSnapshot &snap);
  * so appends stay ordered.
  *
  * Single-writer-per-segment: the segment file belongs to exactly one
- * process for the writer's lifetime. A fork() that keeps using an
+ * writer for that writer's lifetime. The constructor takes an
+ * exclusive flock() on the segment and holds it until destruction, so
+ * a second writer on the same segment (another campaign on the same
+ * store, say) fails loudly instead of cutting the line the first one
+ * is still writing as a "torn" tail. A fork() that keeps using an
  * inherited writer would interleave two processes' buffered appends
  * into one file, a corruption neither tsan (single process) nor the
  * thread-safety analysis (single address space) can see. upsert()
@@ -177,10 +181,12 @@ void canonicalDump(std::ostream &os, const StoreSnapshot &snap);
 class SegmentWriter
 {
   public:
-    /** Initializes the store (fatal on schema mismatch), drops a torn
-     *  final line a killed writer left in segments/<writerName>.jsonl
-     *  and opens that segment for append. */
+    /** Initializes the store (fatal on schema mismatch), locks
+     *  segments/<writerName>.jsonl (fatal while another writer holds
+     *  it), drops a torn final line a killed writer left there and
+     *  opens the segment for append. */
     SegmentWriter(const std::string &dir, const std::string &writerName);
+    ~SegmentWriter();
 
     /** Append @p record and flush (fatal on a write error or when
      *  called from a process other than the constructing one). */
@@ -195,6 +201,7 @@ class SegmentWriter
 
     const std::string path_;
     const long ownerPid_; //!< process that owns this segment
+    int lockFd_ = -1;     //!< holds the segment's flock()
     AnnotatedMutex mutex_;
     std::ofstream os_ SEESAW_GUARDED_BY(mutex_);
 };

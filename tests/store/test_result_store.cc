@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 
@@ -177,6 +178,40 @@ TEST(ResultStore, ToleratesExactlyOneTornSegmentTail)
     }
     const std::string error = loadStore(store.dir(), snap);
     EXPECT_FALSE(error.empty());
+}
+
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream is(path, std::ios::binary);
+    std::ostringstream os;
+    os << is.rdbuf();
+    return os.str();
+}
+
+TEST(ResultStoreDeathTest, SecondLiveWriterOnASegmentIsFatal)
+{
+    // Two campaigns on one store both write segments/driver.jsonl. The
+    // second must fail before it cuts the line the first one is still
+    // writing as if it were a killed writer's torn tail.
+    TempStore store;
+    const std::string segment = store.dir() + "/segments/driver.jsonl";
+    auto first = std::make_unique<SegmentWriter>(store.dir(), "driver");
+    const std::string in_flight = "{\"v\":1,\"workload\":\"in-fli";
+    {
+        std::ofstream os(segment, std::ios::app);
+        os << in_flight;
+    }
+    EXPECT_DEATH({ SegmentWriter second(store.dir(), "driver"); },
+                 "store segment .*driver.jsonl is being written by "
+                 "another process");
+    EXPECT_EQ(readFile(segment), in_flight);
+
+    // Once the first writer is gone, its unfinished line is a torn
+    // tail, and the next writer cuts it.
+    first.reset();
+    SegmentWriter next(store.dir(), "driver");
+    EXPECT_EQ(readFile(segment), "");
 }
 
 TEST(ResultStore, CompactionFoldsSegmentsWithoutChangingTheDump)
