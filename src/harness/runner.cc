@@ -156,9 +156,14 @@ runTask(const std::vector<Cell> &cells,
     for (const std::size_t i : members)
         configs.push_back(cells[i].onePass->config);
     const auto start = Clock::now();
-    MultiConfigEngine engine(std::move(configs),
-                             cells[members[0]].onePass->workload);
-    std::vector<RunResult> results = engine.run();
+    // The engine is gone before the results that outlive it are built,
+    // so its memory frees as one block the next group's engine reuses;
+    // built while it lived, they split that block and grew peak RSS
+    // from group to group.
+    std::vector<RunResult> results =
+        MultiConfigEngine(std::move(configs),
+                          cells[members[0]].onePass->workload)
+            .run();
     // One pass produced every member's result; report the shared wall
     // time as an even split so per-cell accounting stays meaningful.
     const double wall = secondsSince(start) / members.size();
