@@ -14,7 +14,8 @@ void
 ResidentLineTracker::note(Addr pa)
 {
     ring_[head_] = pa & ~Addr{63};
-    head_ = (head_ + 1) % ring_.size();
+    if (++head_ == ring_.size()) // no division on every L1 access
+        head_ = 0;
     if (count_ < ring_.size())
         ++count_;
 }
