@@ -56,8 +56,7 @@ class ProbeEngineTest : public ::testing::Test
     std::unique_ptr<ViptCache> vipt_;
 };
 
-/** Ten directed probes per tick(1000), never invalidating, over an
- *  L1 and tracker that hold the single line 0x1000. */
+/** Ten directed probes per tick(1000), none invalidating. */
 ProbeEngineParams
 tenPerKilo(CoherenceKind fabric)
 {
