@@ -7,7 +7,7 @@
  * the per-probe energy gap (§IV-C1: 4-way vs full-set lookups) and
  * the share of SEESAW's L1 energy savings that coherence contributes.
  *
- * Runs as a parallel campaign of explicit cells — one SimEngine per
+ * Runs as a parallel campaign of explicit cells — one simulation per
  * (workload, cores, design) — archiving every native RunResult to
  * results/multicore_coherence.{json,csv}.
  */
@@ -15,7 +15,6 @@
 #include <cstdio>
 
 #include "bench_common.hh"
-#include "sim/sim_engine.hh"
 
 int
 main()
@@ -49,10 +48,7 @@ main()
                 const std::string cell_name =
                     std::string(name) + "/c" + std::to_string(cores) +
                     "/" + nameOf(kDesignNames, kind);
-                spec.cell(
-                    cell_name,
-                    [cfg, w] { return SimEngine(cfg, w).run(); },
-                    cfg.seed);
+                spec.cell(cell_name, w, cfg);
             }
         }
     }

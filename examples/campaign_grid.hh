@@ -10,6 +10,9 @@
 #ifndef SEESAW_EXAMPLES_CAMPAIGN_GRID_HH
 #define SEESAW_EXAMPLES_CAMPAIGN_GRID_HH
 
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -36,6 +39,45 @@ splitList(const std::string &arg)
         start = comma + 1;
     }
     return out;
+}
+
+/** Reject @p token as the value of @p flag: exit 1. */
+[[noreturn]] inline void
+badValue(const char *flag, const std::string &token)
+{
+    std::fprintf(stderr, "bad %s value %s\n", flag, token.c_str());
+    std::exit(1);
+}
+
+/** @p token as a whole unsigned decimal number, else badValue(). */
+inline std::uint64_t
+parseCount(const char *flag, const std::string &token)
+{
+    // strtoull alone skips blanks, negates a '-' and stops at the
+    // first non-digit, so "2e4" would read as 2.
+    if (token.empty() ||
+        !std::isdigit(static_cast<unsigned char>(token.front())))
+        badValue(flag, token);
+    errno = 0;
+    char *end = nullptr;
+    const std::uint64_t value = std::strtoull(token.c_str(), &end, 10);
+    if (*end != '\0' || errno == ERANGE)
+        badValue(flag, token);
+    return value;
+}
+
+/** @p token as a whole finite real number, else badValue(). */
+inline double
+parseReal(const char *flag, const std::string &token)
+{
+    if (token.empty() ||
+        std::isspace(static_cast<unsigned char>(token.front())))
+        badValue(flag, token);
+    char *end = nullptr;
+    const double value = std::strtod(token.c_str(), &end);
+    if (*end != '\0' || !std::isfinite(value))
+        badValue(flag, token);
+    return value;
 }
 
 inline bench::CacheOrg
@@ -77,18 +119,16 @@ parseMcCell(const std::string &tok)
     }
     McCellSpec mc;
     mc.workload = tok.substr(0, c1);
-    mc.cores = static_cast<unsigned>(std::strtoul(
-        tok.substr(c1 + 1, c2 - c1 - 1).c_str(), nullptr, 10));
+    // 2-64 cores: a single-core cell belongs to the regular grid, and
+    // the engine models at most 64.
+    const std::string cores = tok.substr(c1 + 1, c2 - c1 - 1);
+    const std::uint64_t count = parseCount("--mc-cells", cores);
+    if (count < 2 || count > 64)
+        badValue("--mc-cells", cores);
+    mc.cores = static_cast<unsigned>(count);
     mc.kindName = tok.substr(c2 + 1);
     mc.kind = bench::parseName(bench::kDesignNames, "design",
                                 mc.kindName);
-    if (mc.cores < 2) {
-        std::fprintf(stderr,
-                     "--mc-cells needs >= 2 cores (got %s); use the "
-                     "regular grid for single-core cells\n",
-                     tok.c_str());
-        std::exit(1);
-    }
     return mc;
 }
 
@@ -183,21 +223,23 @@ struct GridOptions
         std::vector<double> freqs{1.33};
         if (!freq.empty()) {
             freqs.clear();
-            for (const auto &f : splitList(freq))
-                freqs.push_back(std::atof(f.c_str()));
+            for (const auto &f : splitList(freq)) {
+                freqs.push_back(parseReal("--freq", f));
+                if (freqs.back() <= 0.0)
+                    badValue("--freq", f);
+            }
         }
         std::vector<double> memhogs{0.0};
         if (!memhog.empty()) {
             memhogs.clear();
             for (const auto &f : splitList(memhog))
-                memhogs.push_back(std::atof(f.c_str()));
+                memhogs.push_back(parseReal("--memhog", f));
         }
         std::vector<std::uint64_t> seedList{1};
         if (!seeds.empty()) {
             seedList.clear();
             for (const auto &s : splitList(seeds))
-                seedList.push_back(
-                    std::strtoull(s.c_str(), nullptr, 10));
+                seedList.push_back(parseCount("--seeds", s));
         }
         std::vector<ReplacementKind> policies{ReplacementKind::Lru};
         if (!replacement.empty()) {
@@ -229,14 +271,16 @@ struct GridOptions
         const std::uint64_t instr =
             instructions.empty()
                 ? experimentInstructions(300'000)
-                : std::strtoull(instructions.c_str(), nullptr, 10);
+                : parseCount("--instructions", instructions);
+        if (instr < 1 && !instructions.empty())
+            badValue("--instructions", instructions);
         check::AuditOptions auditOptions;
         auditOptions.mode = audit.empty()
                                 ? check::AuditMode::Off
                                 : check::parseAuditMode(audit);
         if (!auditPeriod.empty())
             auditOptions.periodEvents =
-                std::strtoull(auditPeriod.c_str(), nullptr, 10);
+                parseCount("--audit-period", auditPeriod);
 
         harness::CampaignSpec spec(campaign);
         if (workloads.empty()) {

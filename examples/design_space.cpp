@@ -7,18 +7,13 @@
  * LatencyTable directly to chart the latency/energy wall, then runs
  * the simulator to compare candidate organisations — including SEESAW
  * partition widths (the §IV-A4 "4 ways per partition" choice) — on a
- * real workload.
- *
- * With --one-pass on, the candidate organisations share one trace
- * pass through MultiConfigEngine instead of re-simulating the
- * workload per configuration — same numbers, one front end:
+ * real workload. The candidate organisations share one front end, so
+ * they run as one trace pass through MultiConfigEngine:
  *
  *   $ ./build/examples/design_space
- *   $ ./build/examples/design_space --one-pass on
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <vector>
 
@@ -31,20 +26,9 @@ main(int argc, char **argv)
 {
     using namespace seesaw;
 
-    bool one_pass = false;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--one-pass") == 0 && i + 1 < argc) {
-            const std::string value = argv[++i];
-            if (value != "on" && value != "off") {
-                std::fprintf(stderr, "--one-pass wants on|off\n");
-                return 1;
-            }
-            one_pass = value == "on";
-        } else {
-            std::fprintf(stderr,
-                         "usage: design_space [--one-pass on|off]\n");
-            return std::strcmp(argv[i], "--help") == 0 ? 0 : 1;
-        }
+    if (argc > 1) {
+        std::fprintf(stderr, "usage: design_space\n");
+        return std::strcmp(argv[1], "--help") == 0 ? 0 : 1;
     }
 
     printBanner("design_space", "Choosing an L1 organisation");
@@ -84,7 +68,7 @@ main(int argc, char **argv)
 
     // Candidates: the VIPT baseline plus three partition widths. All
     // four share the workload, seed and OS policy — exactly one front
-    // end — so --one-pass on runs them as a single trace pass.
+    // end — so they run as a single trace pass.
     const unsigned widths[] = {2, 4, 8};
     std::vector<SystemConfig> configs{base_cfg};
     for (const unsigned ways : widths) {
@@ -94,14 +78,8 @@ main(int argc, char **argv)
         configs.push_back(cfg);
     }
 
-    std::vector<RunResult> results;
-    if (one_pass) {
-        MultiConfigEngine engine(configs, w);
-        results = engine.run();
-    } else {
-        for (const SystemConfig &cfg : configs)
-            results.push_back(simulate(w, cfg));
-    }
+    const std::vector<RunResult> results =
+        MultiConfigEngine(configs, w).run();
     const RunResult &base = results[0];
 
     TableReporter sweep({"partition", "fast-hit cycles", "speedup",

@@ -3,7 +3,8 @@
  * Low-level API example: capture a reference trace to disk (the same
  * binary format an external Pin-style tool could produce), then
  * replay it through hand-wired components — OS memory manager, TLB
- * hierarchy, TFT-linked SEESAW cache — instead of the System harness.
+ * hierarchy, TFT-linked SEESAW cache — instead of the simulation engine
+ * (SimEngine / MultiConfigEngine).
  *
  * This is the integration path for users who have their own traces.
  *

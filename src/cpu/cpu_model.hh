@@ -13,8 +13,8 @@
  *
  * CpuModel is concrete: the retire fast path branches on CoreKind
  * instead of going through virtual dispatch, so the per-reference calls
- * from System::runLoop inline. InOrderCore / OoOCore remain as thin
- * preset subclasses for tests and direct construction.
+ * from MultiConfigEngine::runLoop inline. InOrderCore / OoOCore remain
+ * as thin preset subclasses for tests and direct construction.
  */
 
 #ifndef SEESAW_CPU_CPU_MODEL_HH

@@ -1,57 +1,23 @@
 #include "harness/campaign.hh"
 
 #include <set>
-#include <type_traits>
 
 #include "common/logging.hh"
 #include "sim/config_fields.hh"
-#include "sim/experiment.hh"
 
 namespace seesaw::harness {
-
-namespace {
-
-/** Incremental FNV-1a over the raw bytes of trivially-copyable data. */
-class Fnv1a
-{
-  public:
-    template <typename T>
-    void mix(const T &value)
-    {
-        static_assert(std::is_trivially_copyable_v<T>);
-        const auto *bytes = reinterpret_cast<const unsigned char *>(
-            &value);
-        for (std::size_t i = 0; i < sizeof(T); ++i) {
-            hash_ ^= bytes[i];
-            hash_ *= 0x100000001b3ULL;
-        }
-    }
-
-    void mix(const std::string &value)
-    {
-        for (const char c : value)
-            mix(c);
-        mix(value.size());
-    }
-
-    std::uint64_t value() const { return hash_; }
-
-  private:
-    std::uint64_t hash_ = 0xcbf29ce484222325ULL;
-};
-
-} // namespace
 
 std::uint64_t
 configHash(const SystemConfig &config)
 {
-    FieldWriter w;
+    // Hash only, keeping no bytes: the runner hashes each result
+    // between engines, where an allocation would split the heap region
+    // the next engine reuses.
+    FieldWriter w(/*keep_bytes=*/false);
     writeFrontEndFields(config, w);
     writeTlbGeometryFields(config, w);
     writeSubstrateFields(config, w);
-    Fnv1a h;
-    h.mix(w.bytes());
-    return h.value();
+    return w.hash();
 }
 
 CampaignSpec::CampaignSpec(std::string name) : name_(std::move(name))
@@ -90,34 +56,10 @@ CampaignSpec::seeds(std::vector<std::uint64_t> seeds)
 }
 
 CampaignSpec &
-CampaignSpec::cell(std::string name, std::function<RunResult()> run,
-                   std::uint64_t seed, std::uint64_t config_hash,
-                   std::string workload)
-{
-    SEESAW_ASSERT(run, "explicit cell needs a runner");
-    Cell c;
-    c.name = std::move(name);
-    c.workload = std::move(workload);
-    c.seed = seed;
-    c.configHash = config_hash;
-    c.run = std::move(run);
-    explicit_.push_back(std::move(c));
-    return *this;
-}
-
-CampaignSpec &
 CampaignSpec::cell(std::string name, const WorkloadSpec &workload,
                    const SystemConfig &config)
 {
-    Cell c;
-    c.name = std::move(name);
-    c.workload = workload.name;
-    c.seed = config.seed;
-    c.configHash = configHash(config);
-    c.onePass = std::make_shared<const Cell::OnePassInfo>(
-        Cell::OnePassInfo{workload, config});
-    c.run = [workload, config] { return simulate(workload, config); };
-    explicit_.push_back(std::move(c));
+    explicit_.push_back(Cell{std::move(name), workload, config});
     return *this;
 }
 
@@ -130,18 +72,10 @@ CampaignSpec::cells() const
     for (const auto &w : workloads_) {
         for (const auto &[label, config] : variants_) {
             for (const std::uint64_t seed : seeds_) {
-                Cell c;
-                c.name = w.name + "/" + label;
+                Cell c{w.name + "/" + label, w, config};
                 if (seeds_.size() > 1)
                     c.name += "/s" + std::to_string(seed);
-                c.workload = w.name;
-                c.seed = seed;
-                SystemConfig seeded = config;
-                seeded.seed = seed;
-                c.configHash = configHash(seeded);
-                c.onePass = std::make_shared<const Cell::OnePassInfo>(
-                    Cell::OnePassInfo{w, seeded});
-                c.run = [w, seeded] { return simulate(w, seeded); };
+                c.config.seed = seed;
                 out.push_back(std::move(c));
             }
         }

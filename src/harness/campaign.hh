@@ -2,18 +2,16 @@
  * @file
  * Declarative experiment campaigns: a CampaignSpec describes a sweep
  * as the cross-product of workloads × named SystemConfig variants ×
- * seeds, expanded into uniquely-named Cells. Each cell owns everything
- * it needs to run (a fresh SimEngine is constructed inside the cell's
- * thunk), so cells are independent and safe to execute in parallel in
- * any order with bit-identical results.
+ * seeds, expanded into uniquely-named Cells. Each cell is one
+ * simulation point, simulate(workload, config), run on a fresh engine,
+ * so cells are independent and safe to execute in parallel in any
+ * order with bit-identical results.
  */
 
 #ifndef SEESAW_HARNESS_CAMPAIGN_HH
 #define SEESAW_HARNESS_CAMPAIGN_HH
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -22,32 +20,16 @@
 
 namespace seesaw::harness {
 
-/** One runnable unit of a campaign. */
+/**
+ * One simulation point of a campaign: simulate(workload, config). Its
+ * seed is config.seed and its hash configHash(config), so the two can
+ * never disagree with the config that produced the result.
+ */
 struct Cell
 {
-    std::string name;     //!< unique within the campaign
-    std::string workload; //!< workload name, known before running
-    std::uint64_t seed = 0;
-    std::uint64_t configHash = 0;
-
-    /** Runs the cell; must be self-contained (no shared mutable
-     *  state) so cells can execute concurrently. */
-    std::function<RunResult()> run;
-
-    /**
-     * Present when the cell is a plain simulate(workload, config):
-     * the inputs the one-pass grouping layer needs to batch compatible
-     * cells into a single MultiConfigEngine trace pass
-     * (RunnerOptions::onePass). Cells without it always execute their
-     * own thunk. Results are bit-identical either way, so names,
-     * hashes, sinks and store keys never see the difference.
-     */
-    struct OnePassInfo
-    {
-        WorkloadSpec workload;
-        SystemConfig config;
-    };
-    std::shared_ptr<const OnePassInfo> onePass;
+    std::string name; //!< unique within the campaign
+    WorkloadSpec workload;
+    SystemConfig config;
 };
 
 /** A cell's outcome plus scheduling metadata. */
@@ -71,9 +53,8 @@ std::uint64_t configHash(const SystemConfig &config);
 
 /**
  * Builder for a sweep. Axes (workloads, variants, seeds) expand as a
- * cross-product via cells(); custom cells (e.g. hand-built multi-core runs)
- * can be added explicitly and are appended after the cross-product in
- * insertion order.
+ * cross-product via cells(); explicit cells (e.g. hand-built multi-core
+ * runs) are appended after the cross-product in insertion order.
  *
  *   CampaignSpec spec("fig07");
  *   spec.workloads(paperWorkloads())
@@ -99,15 +80,8 @@ class CampaignSpec
     CampaignSpec &seeds(std::vector<std::uint64_t> seeds);
     /// @}
 
-    /** Add an explicit cell with a custom runner thunk. */
-    CampaignSpec &cell(std::string name, std::function<RunResult()> run,
-                       std::uint64_t seed = 0,
-                       std::uint64_t config_hash = 0,
-                       std::string workload = {});
-
-    /** Add an explicit simulate(@p workload, @p config) cell, eligible
-     *  for one-pass grouping (@p config.seed doubles as the cell
-     *  seed and the hash is computed here). */
+    /** Add an explicit simulate(@p workload, @p config) cell; its
+     *  seed is @p config.seed. */
     CampaignSpec &cell(std::string name, const WorkloadSpec &workload,
                        const SystemConfig &config);
 

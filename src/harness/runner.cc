@@ -5,10 +5,11 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
+#include <cstdlib>
+#include <thread>
 
 #include "common/logging.hh"
 #include "common/thread_annotations.hh"
-#include "harness/thread_pool.hh"
 #include "sim/multi_config_engine.hh"
 
 namespace seesaw::harness {
@@ -69,100 +70,59 @@ struct CellHooks
     AnnotatedMutex mutex; //!< serializes the callback across workers
 };
 
-CellResult
-runCell(const Cell &cell, Progress &progress, CellHooks &hooks)
-{
-    CellResult out;
-    out.name = cell.name;
-    out.workload = cell.workload;
-    out.seed = cell.seed;
-    out.configHash = cell.configHash;
-    const auto start = Clock::now();
-    out.result = cell.run();
-    out.wallSeconds = secondsSince(start);
-    if (out.workload.empty())
-        out.workload = out.result.workload;
-    progress.cellDone(cell.name, out.wallSeconds);
-    if (hooks.onCellDone != nullptr && *hooks.onCellDone) {
-        MutexLock lock(hooks.mutex);
-        (*hooks.onCellDone)(out);
-    }
-    return out;
-}
-
 /**
  * Execution plan: normally one task per cell; with one-pass grouping,
- * simulate() cells that share the whole WorkloadSpec (benches override
- * footprints and fractions under one workload name) and the front-end
- * key collapse into one multi-config task each, in first-member order.
- * Custom-thunk cells always stay singletons.
+ * cells that share the whole WorkloadSpec (benches override footprints
+ * and fractions under one workload name) and the front-end key
+ * collapse into one multi-config task each, in first-member order.
  */
 std::vector<std::vector<std::size_t>>
 planTasks(const std::vector<Cell> &cells, bool one_pass)
 {
     std::vector<std::vector<std::size_t>> tasks;
     tasks.reserve(cells.size());
-    if (!one_pass) {
-        for (std::size_t i = 0; i < cells.size(); ++i)
-            tasks.push_back({i});
-        return tasks;
-    }
-    struct Group
-    {
-        const WorkloadSpec *workload;
-        std::string frontEnd;
-        std::size_t task;
-    };
-    std::vector<Group> groups;
+    std::vector<std::string> front_ends; //!< per task, one-pass only
     for (std::size_t i = 0; i < cells.size(); ++i) {
-        if (!cells[i].onePass) {
-            tasks.push_back({i});
-            continue;
+        if (one_pass) {
+            std::string front_end =
+                MultiConfigEngine::frontEndKey(cells[i].config);
+            std::size_t t = 0;
+            for (; t < tasks.size(); ++t) {
+                if (front_ends[t] == front_end &&
+                    cells[tasks[t].front()].workload == cells[i].workload)
+                    break;
+            }
+            if (t < tasks.size()) {
+                tasks[t].push_back(i);
+                continue;
+            }
+            front_ends.push_back(std::move(front_end));
         }
-        const Cell::OnePassInfo &info = *cells[i].onePass;
-        std::string front_end = MultiConfigEngine::frontEndKey(info.config);
-        const auto it = std::find_if(
-            groups.begin(), groups.end(), [&](const Group &g) {
-                return g.frontEnd == front_end &&
-                       *g.workload == info.workload;
-            });
-        if (it != groups.end()) {
-            tasks[it->task].push_back(i);
-            continue;
-        }
-        groups.push_back({&info.workload, std::move(front_end),
-                          tasks.size()});
         tasks.push_back({i});
     }
     return tasks;
 }
 
-/** Run one task — a lone cell via its thunk, or a >= 2-member group
- *  as a single MultiConfigEngine pass whose results land in the
- *  members' own slots. */
+/** Run one task — a lone cell or a one-pass group — as a single
+ *  MultiConfigEngine pass whose results land in the members' own
+ *  slots. */
 void
 runTask(const std::vector<Cell> &cells,
         const std::vector<std::size_t> &members,
         std::vector<CellResult> &slots, std::vector<char> &ran,
         Progress &progress, CellHooks &hooks)
 {
-    if (members.size() == 1) {
-        slots[members[0]] = runCell(cells[members[0]], progress, hooks);
-        ran[members[0]] = 1;
-        return;
-    }
     std::vector<SystemConfig> configs;
     configs.reserve(members.size());
     for (const std::size_t i : members)
-        configs.push_back(cells[i].onePass->config);
+        configs.push_back(cells[i].config);
     const auto start = Clock::now();
     // The engine is gone before the results that outlive it are built,
-    // so its memory frees as one block the next group's engine reuses;
+    // so its memory frees as one block the next task's engine reuses;
     // built while it lived, they split that block and grew peak RSS
-    // from group to group.
+    // from task to task.
     std::vector<RunResult> results =
-        MultiConfigEngine(std::move(configs),
-                          cells[members[0]].onePass->workload)
+        MultiConfigEngine(std::move(configs), cells[members[0]].workload)
             .run();
     // One pass produced every member's result; report the shared wall
     // time as an even split so per-cell accounting stays meaningful.
@@ -171,13 +131,11 @@ runTask(const std::vector<Cell> &cells,
         const Cell &cell = cells[members[k]];
         CellResult out;
         out.name = cell.name;
-        out.workload = cell.workload;
-        out.seed = cell.seed;
-        out.configHash = cell.configHash;
+        out.workload = cell.workload.name;
+        out.seed = cell.config.seed;
+        out.configHash = configHash(cell.config);
         out.result = std::move(results[k]);
         out.wallSeconds = wall;
-        if (out.workload.empty())
-            out.workload = out.result.workload;
         progress.cellDone(cell.name, wall);
         if (hooks.onCellDone != nullptr && *hooks.onCellDone) {
             MutexLock lock(hooks.mutex);
@@ -258,26 +216,27 @@ CampaignRunner::runCells(const std::string &name,
     const std::vector<std::vector<std::size_t>> tasks =
         planTasks(cells, options_.onePass);
 
-    if (jobs <= 1 || tasks.size() <= 1) {
-        for (const auto &members : tasks) {
-            if (stopRequested())
-                break;
-            runTask(cells, members, slots, ran, progress, hooks);
+    // Workers claim tasks in order, and each task writes only its own
+    // pre-sized slots, so result order is the cell order no matter who
+    // finishes when. A stop request ends the claiming while in-flight
+    // tasks run to completion. The calling thread is one of the
+    // workers, so one job starts no thread.
+    std::atomic<std::size_t> next{0};
+    const auto work = [&] {
+        while (!stopRequested()) {
+            const std::size_t t =
+                next.fetch_add(1, std::memory_order_relaxed);
+            if (t >= tasks.size())
+                return;
+            runTask(cells, tasks[t], slots, ran, progress, hooks);
         }
-    } else {
-        ThreadPool pool(jobs);
-        // Each task writes only its own pre-sized slots, so result
-        // order is the cell order no matter who finishes when. A
-        // stop request makes not-yet-started tasks no-ops while
-        // in-flight cells (or one-pass groups) run to completion.
-        for (std::size_t t = 0; t < tasks.size(); ++t) {
-            pool.submit([&, t] {
-                if (stopRequested())
-                    return;
-                runTask(cells, tasks[t], slots, ran, progress, hooks);
-            });
-        }
-        pool.wait();
+    };
+    {
+        const std::size_t workers = std::min<std::size_t>(jobs, tasks.size());
+        std::vector<std::jthread> helpers; // joined when the scope ends
+        for (std::size_t w = 1; w < workers; ++w)
+            helpers.emplace_back(work);
+        work();
     }
 
     for (std::size_t i = 0; i < cells.size(); ++i) {
@@ -311,6 +270,20 @@ CampaignRunner::runAndWrite(const CampaignSpec &spec,
                      outcome.totalCells);
     }
     return outcome;
+}
+
+unsigned
+defaultJobs()
+{
+    if (const char *env = std::getenv("SEESAW_JOBS"); env && *env) {
+        char *end = nullptr;
+        const long parsed = std::strtol(env, &end, 10);
+        if (end != env && parsed >= 1)
+            return static_cast<unsigned>(parsed);
+        SEESAW_WARN("ignoring unparsable SEESAW_JOBS=", env);
+    }
+    const unsigned hw = std::thread::hardware_concurrency();
+    return hw ? hw : 1;
 }
 
 const RunResult &

@@ -1,7 +1,7 @@
 /**
  * @file
- * Executes a campaign's cells across a thread pool. Results come back
- * in cell order regardless of completion order, and every cell runs a
+ * Executes a campaign's cells on worker threads. Results come back in
+ * cell order regardless of completion order, and every cell runs a
  * fresh, self-contained simulation, so a parallel run is bit-identical
  * to a serial one. Progress (cells done/total, per-cell wall time,
  * ETA) goes to stderr under a mutex.
@@ -27,21 +27,20 @@ namespace seesaw::harness {
 /** Runner knobs. */
 struct RunnerOptions
 {
-    /** Worker threads; 0 = defaultJobs() (SEESAW_JOBS env, else
-     *  hardware_concurrency). 1 runs inline with no pool. */
+    /** Worker threads; 0 = defaultJobs(). The calling thread is one
+     *  of them, so 1 runs every cell inline and starts no thread. */
     unsigned jobs = 0;
 
     /** Emit per-cell progress lines to stderr. */
     bool progress = true;
 
     /**
-     * Batch compatible simulate() cells — same workload and same
+     * Batch compatible cells — same workload and same
      * config-invariant front end (MultiConfigEngine::frontEndKey) —
      * into one-pass multi-config simulations: one trace pass drives
      * all of a group's substrates. Cell names, hashes, results and
      * sink/store bytes are bit-identical to running each cell alone;
-     * only wall time changes. Cells without one-pass info (custom
-     * thunks) are unaffected.
+     * only wall time changes.
      */
     bool onePass = false;
 
@@ -89,6 +88,13 @@ class CampaignRunner
   private:
     RunnerOptions options_;
 };
+
+/**
+ * Worker count for parallel campaigns: the SEESAW_JOBS environment
+ * variable when set (>= 1), otherwise std::thread::hardware_concurrency
+ * (itself clamped to >= 1).
+ */
+unsigned defaultJobs();
 
 /**
  * Find a named cell's RunResult in @p results (fatal if absent) —

@@ -2,6 +2,19 @@
 
 namespace seesaw {
 
+std::uint64_t
+FieldWriter::hash() const
+{
+    // The count closes the hash as the raw bytes of a std::size_t.
+    std::uint64_t h = hash_;
+    const auto *bytes = reinterpret_cast<const unsigned char *>(&size_);
+    for (std::size_t i = 0; i < sizeof(size_); ++i) {
+        h ^= bytes[i];
+        h *= kFnvPrime;
+    }
+    return h;
+}
+
 void
 writeFrontEndFields(const SystemConfig &c, FieldWriter &w)
 {

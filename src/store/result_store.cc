@@ -203,7 +203,8 @@ hashHex(std::uint64_t hash)
 CellKey
 keyOf(const harness::Cell &cell)
 {
-    return CellKey{cell.workload, cell.configHash, cell.seed};
+    return CellKey{cell.workload.name, harness::configHash(cell.config),
+                   cell.config.seed};
 }
 
 CellRecord
@@ -211,9 +212,7 @@ makeRecord(const harness::CampaignMetadata &meta,
            const harness::CellResult &cell)
 {
     CellRecord record;
-    record.key.workload = cell.workload.empty()
-                              ? cell.result.workload
-                              : cell.workload;
+    record.key.workload = cell.workload;
     record.key.configHash = cell.configHash;
     record.key.seed = cell.seed;
     record.cell = cell.name;

@@ -2,12 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <set>
 #include <sstream>
 
 #include "harness/runner.hh"
 #include "harness/sinks.hh"
-#include "sim/sim_engine.hh"
 #include "workload/workload_spec.hh"
 
 namespace seesaw::harness {
@@ -60,11 +60,14 @@ TEST(CampaignSpec, SingleSeedOmitsSeedSuffix)
 TEST(CampaignSpec, ExplicitCellsAppendAfterCross)
 {
     CampaignSpec spec = twoByTwo();
-    spec.cell("custom", [] { return RunResult{}; }, 42);
+    SystemConfig seeded = tinyConfig(L1Kind::Pipt);
+    seeded.seed = 42;
+    spec.cell("custom", findWorkload("mcf"), seeded);
     const auto cells = spec.cells();
     ASSERT_EQ(cells.size(), 5u);
     EXPECT_EQ(cells.back().name, "custom");
-    EXPECT_EQ(cells.back().seed, 42u);
+    EXPECT_EQ(cells.back().workload.name, "mcf");
+    EXPECT_EQ(cells.back().config.seed, 42u);
 }
 
 TEST(CampaignRunner, SerialAndParallelAreBitIdentical)
@@ -100,7 +103,7 @@ TEST(CampaignRunner, SerialAndParallelAreBitIdentical)
 TEST(CampaignRunner, MultiCoreJsonIsByteIdenticalAcrossJobCounts)
 {
     // A 4-core campaign must serialize to the same bytes no matter
-    // how the thread pool interleaves the cells. Wall-clock metadata
+    // how the workers interleave the cells. Wall-clock metadata
     // is the one legitimately nondeterministic part, so it is pinned
     // before serializing.
     WorkloadSpec w = findWorkload("tunk");
@@ -116,10 +119,7 @@ TEST(CampaignRunner, MultiCoreJsonIsByteIdenticalAcrossJobCounts)
     for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL, 4ULL}) {
         SystemConfig seeded = cfg;
         seeded.seed = seed;
-        spec.cell(
-            "tunk/c4/s" + std::to_string(seed),
-            [seeded, w] { return SimEngine(seeded, w).run(); }, seed,
-            configHash(seeded));
+        spec.cell("tunk/c4/s" + std::to_string(seed), w, seeded);
     }
 
     const auto emit = [&spec](unsigned jobs) {
@@ -181,11 +181,10 @@ TEST(CampaignRunner, OnePassIsBitIdenticalToPerCellExecution)
 TEST(CampaignRunner, OnePassSplitsIncompatibleFrontEnds)
 {
     // Different seeds feed the shared front end, so they must land in
-    // different groups; a custom-thunk cell (no one-pass info) rides
-    // along untouched. Two cells whose workloads differ only in their
+    // different groups. Two cells whose workloads differ only in their
     // text segment must run as separate passes too: one shared pass
     // would run both on the first cell's workload. Everything still
-    // matches per-cell execution.
+    // matches per-cell execution, serial or on four workers.
     CampaignSpec spec = twoByTwo();
     spec.seeds({1, 2});
     SystemConfig icache = tinyConfig(L1Kind::Seesaw);
@@ -196,72 +195,95 @@ TEST(CampaignRunner, OnePassSplitsIncompatibleFrontEnds)
     large_text.codeFootprintBytes = 32ULL << 20;
     spec.cell("text-1m", small_text, icache);
     spec.cell("text-32m", large_text, icache);
-    spec.cell(
-        "custom",
-        [] {
-            return SimEngine(tinyConfig(L1Kind::Pipt),
-                             findWorkload("redis"))
-                .run();
-        },
-        7);
+    spec.cell("pipt", findWorkload("redis"), tinyConfig(L1Kind::Pipt));
 
     RunnerOptions per_cell;
     per_cell.jobs = 1;
     per_cell.progress = false;
     const auto baseline = CampaignRunner(per_cell).run(spec);
-
-    RunnerOptions one_pass = per_cell;
-    one_pass.onePass = true;
-    std::vector<std::string> done;
-    one_pass.onCellDone = [&done](const CellResult &cell) {
-        done.push_back(cell.name);
-    };
-    const auto grouped = CampaignRunner(one_pass).run(spec);
-
-    ASSERT_EQ(grouped.results.size(), baseline.results.size());
-    for (std::size_t i = 0; i < baseline.results.size(); ++i) {
-        EXPECT_EQ(grouped.results[i].name, baseline.results[i].name);
-        EXPECT_EQ(grouped.results[i].result,
-                  baseline.results[i].result)
-            << "cell " << baseline.results[i].name;
-    }
     // The text segment really moves the result, so a shared pass
-    // would have shown above.
+    // would show below.
     EXPECT_NE(findResult(baseline.results, "text-1m").l1iMisses,
               findResult(baseline.results, "text-32m").l1iMisses);
-    // The completion hook fired exactly once per cell.
-    EXPECT_EQ(done.size(), spec.cells().size());
-    std::set<std::string> unique(done.begin(), done.end());
-    EXPECT_EQ(unique.size(), done.size());
+
+    for (const unsigned jobs : {1u, 4u}) {
+        RunnerOptions one_pass = per_cell;
+        one_pass.jobs = jobs;
+        one_pass.onePass = true;
+        std::vector<std::string> done;
+        one_pass.onCellDone = [&done](const CellResult &cell) {
+            done.push_back(cell.name);
+        };
+        const auto grouped = CampaignRunner(one_pass).run(spec);
+
+        ASSERT_EQ(grouped.results.size(), baseline.results.size());
+        for (std::size_t i = 0; i < baseline.results.size(); ++i) {
+            EXPECT_EQ(grouped.results[i].name, baseline.results[i].name);
+            EXPECT_EQ(grouped.results[i].result,
+                      baseline.results[i].result)
+                << "cell " << baseline.results[i].name << " (jobs="
+                << jobs << ")";
+        }
+        // The completion hook fired exactly once per cell.
+        EXPECT_EQ(done.size(), spec.cells().size()) << "jobs=" << jobs;
+        std::set<std::string> unique(done.begin(), done.end());
+        EXPECT_EQ(unique.size(), done.size()) << "jobs=" << jobs;
+    }
 }
 
 TEST(CampaignRunner, ExplicitSimulateCellsJoinOnePassGroups)
 {
-    // The simulate-cell overload records one-pass info, so explicit
-    // cells group with each other when compatible.
+    // Explicit cells group with each other when compatible, and each
+    // result carries the workload, seed and hash of its own config.
     const WorkloadSpec w = findWorkload("redis");
     CampaignSpec spec("explicit1p");
     spec.cell("vipt", w, tinyConfig(L1Kind::ViptBaseline));
     spec.cell("seesaw", w, tinyConfig(L1Kind::Seesaw));
-    const auto cells = spec.cells();
-    ASSERT_EQ(cells.size(), 2u);
-    EXPECT_NE(cells[0].onePass, nullptr);
-    EXPECT_EQ(cells[0].workload, "redis");
-    EXPECT_EQ(cells[0].configHash,
-              configHash(tinyConfig(L1Kind::ViptBaseline)));
+    ASSERT_EQ(spec.cells().size(), 2u);
 
     RunnerOptions per_cell;
     per_cell.jobs = 1;
     per_cell.progress = false;
     const auto baseline = CampaignRunner(per_cell).run(spec);
+    ASSERT_EQ(baseline.results.size(), 2u);
+    EXPECT_EQ(baseline.results[0].workload, "redis");
+    EXPECT_EQ(baseline.results[0].seed,
+              tinyConfig(L1Kind::ViptBaseline).seed);
+    EXPECT_EQ(baseline.results[0].configHash,
+              configHash(tinyConfig(L1Kind::ViptBaseline)));
     RunnerOptions one_pass = per_cell;
     one_pass.onePass = true;
     const auto grouped = CampaignRunner(one_pass).run(spec);
     ASSERT_EQ(grouped.results.size(), 2u);
     for (std::size_t i = 0; i < 2; ++i) {
+        EXPECT_EQ(grouped.results[i].configHash,
+                  baseline.results[i].configHash);
         EXPECT_EQ(grouped.results[i].result,
                   baseline.results[i].result)
             << "cell " << baseline.results[i].name;
+    }
+}
+
+TEST(CampaignRunner, StopInACallbackStartsNoFurtherTask)
+{
+    // A stop request lets in-flight cells finish and starts no other:
+    // one worker stops after the cell whose hook asked, four workers
+    // after at most the four cells they had already claimed.
+    CampaignSpec spec = twoByTwo();
+    spec.seeds({1, 2});
+    for (const unsigned jobs : {1u, 4u}) {
+        RunnerOptions opts;
+        opts.jobs = jobs;
+        opts.progress = false;
+        opts.onCellDone = [](const CellResult &) { requestStop(); };
+        const auto outcome = CampaignRunner(opts).run(spec);
+        clearStopRequest();
+        EXPECT_TRUE(outcome.interrupted) << "jobs=" << jobs;
+        EXPECT_EQ(outcome.totalCells, 8u);
+        if (jobs == 1)
+            EXPECT_EQ(outcome.results.size(), 1u);
+        else
+            EXPECT_LE(outcome.results.size(), 4u);
     }
 }
 
@@ -278,6 +300,16 @@ TEST(CampaignRunner, FindResultLooksUpByName)
     EXPECT_EQ(r.workload, "redis");
     EXPECT_GT(r.instructions, 0u);
     EXPECT_GT(outcome.results[0].wallSeconds, 0.0);
+}
+
+TEST(DefaultJobs, EnvOverridesHardwareConcurrency)
+{
+    ::setenv("SEESAW_JOBS", "7", 1);
+    EXPECT_EQ(defaultJobs(), 7u);
+    ::setenv("SEESAW_JOBS", "garbage", 1);
+    EXPECT_GE(defaultJobs(), 1u); // falls back, never 0
+    ::unsetenv("SEESAW_JOBS");
+    EXPECT_GE(defaultJobs(), 1u);
 }
 
 } // namespace

@@ -11,10 +11,11 @@ an ``// EXPECT-ERROR: <regex>`` comment; a snippet without the marker
 whole suite "passing" because of an unrelated breakage.
 
 As a final step the driver mutates a copy of the real
-``src/harness/thread_pool.cc`` — deleting the lock acquisition in
-``submit()`` — and asserts the analysis rejects it, so the gate is
-exercised against production source, not just toy snippets
-(and the unmutated file is compiled first as its own control).
+``src/store/result_store.cc`` — deleting the lock acquisition before
+``appendLineLocked`` in ``SegmentWriter::upsert`` — and asserts the
+analysis rejects it, so the gate is exercised against production
+source, not just toy snippets (and the unmutated file is compiled
+first as its own control).
 
 Exit codes:
   0   every expectation held
@@ -36,11 +37,12 @@ SKIP = 77
 
 EXPECT_RE = re.compile(r"//\s*EXPECT-ERROR:\s*(?P<pattern>.+?)\s*$")
 
+MUTATION_FILE = os.path.join("store", "result_store.cc")
 MUTATION_CONTEXT = (
-    "        MutexLock lock(mutex_);\n"
-    "        queue_.push_back(std::move(task));"
+    "    MutexLock lock(mutex_);\n"
+    "    appendLineLocked(line.str());"
 )
-MUTATION_REPLACEMENT = "        queue_.push_back(std::move(task));"
+MUTATION_REPLACEMENT = "    appendLineLocked(line.str());"
 MUTATION_EXPECT = r"requires holding mutex 'mutex_'"
 
 
@@ -129,33 +131,33 @@ def check_snippet(clang: str, src_dir: str, path: str) -> bool:
 
 
 def check_mutation(clang: str, src_dir: str) -> bool:
-    """Seed a violation into thread_pool.cc and require a rejection."""
-    original = os.path.join(src_dir, "harness", "thread_pool.cc")
+    """Seed a violation into result_store.cc and require a rejection."""
+    original = os.path.join(src_dir, MUTATION_FILE)
     with open(original, encoding="utf-8") as fh:
         source = fh.read()
 
     rc, stderr = compile_file(clang, src_dir, original)
     if rc != 0:
-        print("FAIL mutation control: pristine thread_pool.cc must "
+        print("FAIL mutation control: pristine result_store.cc must "
               "pass the thread-safety build:")
         print(stderr)
         return False
-    print("ok   mutation control: pristine thread_pool.cc passes")
+    print("ok   mutation control: pristine result_store.cc passes")
 
     if MUTATION_CONTEXT not in source:
-        print("FAIL mutation: thread_pool.cc no longer contains the "
-              "expected submit() lock context; update "
+        print("FAIL mutation: result_store.cc no longer contains the "
+              "expected upsert() lock context; update "
               "run_compile_fail.py's MUTATION_CONTEXT")
         return False
     mutated = source.replace(MUTATION_CONTEXT, MUTATION_REPLACEMENT, 1)
 
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "thread_pool_mutated.cc")
+        path = os.path.join(tmp, "result_store_mutated.cc")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(mutated)
         rc, stderr = compile_file(clang, src_dir, path)
     if rc == 0:
-        print("FAIL mutation: submit() without the lock compiled "
+        print("FAIL mutation: upsert() without the lock compiled "
               "cleanly -- the thread-safety gate is not working")
         return False
     if not re.search(MUTATION_EXPECT, stderr):
@@ -163,7 +165,7 @@ def check_mutation(clang: str, src_dir: str) -> bool:
               f"diagnostic /{MUTATION_EXPECT}/; stderr was:")
         print(stderr)
         return False
-    print(f"ok   mutation: unlocked submit() rejected with "
+    print(f"ok   mutation: unlocked upsert() rejected with "
           f"/{MUTATION_EXPECT}/")
     return True
 

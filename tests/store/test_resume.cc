@@ -1,7 +1,7 @@
 /**
  * @file
  * Kill-and-resume tests for store-backed campaigns, in-process: a
- * synthetic deterministic campaign runs on threads into a store, is
+ * campaign of tiny simulation cells runs on threads into a store, is
  * stopped partway, resumes through splitStored(), and must converge on
  * a canonical dump byte-identical to an uninterrupted run. The cell-run
  * counter proves resume skips completed work instead of silently
@@ -50,41 +50,36 @@ class TempDir
     std::string dir_;
 };
 
-/** kCells deterministic synthetic cells; every run of cell i is
- *  counted in @p runs and produces the identical result. */
-harness::CampaignSpec
-makeSpec(std::atomic<std::size_t> *runs)
+/** kCells tiny simulation cells on one small workload; cell i runs
+ *  1000 + i instructions, which also gives each its own store key. */
+std::vector<harness::Cell>
+makeCells()
 {
+    WorkloadSpec w = findWorkload("redis");
+    w.footprintBytes = 8ULL << 20;
+    w.hotSetBytes = 1ULL << 20;
     harness::CampaignSpec spec("resume");
     for (std::size_t i = 0; i < kCells; ++i) {
-        const std::string workload = "wl" + std::to_string(i);
-        spec.cell(
-            workload + "/unit",
-            [workload, i, runs] {
-                if (runs != nullptr)
-                    runs->fetch_add(1, std::memory_order_relaxed);
-                RunResult r;
-                r.workload = workload;
-                r.instructions = 1000 + i;
-                r.cycles = 2000 + 3 * i;
-                r.ipc = 0.5 + 0.01 * static_cast<double>(i);
-                r.l1Accesses = 100 * i;
-                return r;
-            },
-            /*seed=*/1, /*config_hash=*/0x1000 + i, workload);
+        SystemConfig cfg;
+        cfg.instructions = 1000 + i;
+        cfg.warmupInstructions = 500;
+        cfg.os.memBytes = 256ULL << 20;
+        spec.cell("redis/i" + std::to_string(cfg.instructions), w, cfg);
     }
-    return spec;
+    return spec.cells();
 }
 
 /**
  * Run @p cells on @p jobs threads into the store at @p dir, the way
  * `campaign --store` does, and call requestStop() once @p stopAfter
- * cells are recorded (0 = never). @return the cells recorded.
+ * cells are recorded (0 = never). Every finished cell is counted in
+ * @p runs when given. @return the cells recorded.
  */
 std::size_t
 runIntoStore(const std::string &dir,
              const std::vector<harness::Cell> &cells, unsigned jobs,
-             std::size_t stopAfter = 0)
+             std::size_t stopAfter = 0,
+             std::atomic<std::size_t> *runs = nullptr)
 {
     harness::CampaignMetadata meta;
     meta.campaign = "resume";
@@ -95,6 +90,8 @@ runIntoStore(const std::string &dir,
     options.jobs = jobs;
     options.progress = false;
     options.onCellDone = [&](const harness::CellResult &cell) {
+        if (runs != nullptr)
+            runs->fetch_add(1, std::memory_order_relaxed);
         sink.record(cell);
         if (sink.recorded() == stopAfter)
             harness::requestStop();
@@ -128,17 +125,17 @@ readFile(const std::string &path)
 TEST(Resume, KillAndResumeConvergesOnTheUninterruptedRun)
 {
     std::atomic<std::size_t> runs{0};
-    const auto cells = makeSpec(&runs).cells();
+    const auto cells = makeCells();
 
     TempDir serial;
-    EXPECT_EQ(runIntoStore(serial.dir(), cells, 1), kCells);
+    EXPECT_EQ(runIntoStore(serial.dir(), cells, 1, 0, &runs), kCells);
     EXPECT_EQ(runs.load(), kCells);
 
     // Stopped after two cells; the other thread may finish the cell it
     // already started, but no cell starts after the stop.
     TempDir killed;
     const std::size_t done =
-        runIntoStore(killed.dir(), cells, 2, /*stopAfter=*/2);
+        runIntoStore(killed.dir(), cells, 2, /*stopAfter=*/2, &runs);
     EXPECT_GE(done, 2u);
     EXPECT_LT(done, kCells);
     EXPECT_NE(dumpOf(killed.dir()), dumpOf(serial.dir()));
@@ -149,7 +146,7 @@ TEST(Resume, KillAndResumeConvergesOnTheUninterruptedRun)
     EXPECT_EQ(split.stored, done);
     EXPECT_EQ(split.toRun.size(), kCells - done);
     const std::size_t runsBefore = runs.load();
-    EXPECT_EQ(runIntoStore(killed.dir(), split.toRun, 2),
+    EXPECT_EQ(runIntoStore(killed.dir(), split.toRun, 2, 0, &runs),
               kCells - done);
     EXPECT_EQ(runs.load(), runsBefore + (kCells - done));
 
@@ -159,11 +156,11 @@ TEST(Resume, KillAndResumeConvergesOnTheUninterruptedRun)
 TEST(Resume, StopBeforeTheRunStartsRunsNoCells)
 {
     std::atomic<std::size_t> runs{0};
-    const auto cells = makeSpec(&runs).cells();
+    const auto cells = makeCells();
 
     TempDir store;
     harness::requestStop();
-    EXPECT_EQ(runIntoStore(store.dir(), cells, 2), 0u);
+    EXPECT_EQ(runIntoStore(store.dir(), cells, 2, 0, &runs), 0u);
     EXPECT_EQ(runs.load(), 0u);
 
     // The empty store resumes cleanly afterwards.
@@ -171,13 +168,13 @@ TEST(Resume, StopBeforeTheRunStartsRunsNoCells)
     ASSERT_EQ(splitStored(store.dir(), cells, split), "");
     EXPECT_EQ(split.stored, 0u);
     EXPECT_EQ(split.toRun.size(), kCells);
-    EXPECT_EQ(runIntoStore(store.dir(), split.toRun, 2), kCells);
+    EXPECT_EQ(runIntoStore(store.dir(), split.toRun, 2, 0, &runs), kCells);
     EXPECT_EQ(runs.load(), kCells);
 }
 
 TEST(Resume, CollectOutcomeFollowsSpecOrderAndNames)
 {
-    const auto cells = makeSpec(nullptr).cells();
+    const auto cells = makeCells();
     TempDir store;
     runIntoStore(store.dir(), cells, 2);
 
@@ -213,7 +210,7 @@ TEST(Resume, CollectOutcomeFollowsSpecOrderAndNames)
 
 TEST(Resume, TornTailOfAKilledRunIsDroppedBeforeTheResumeAppends)
 {
-    const auto cells = makeSpec(nullptr).cells();
+    const auto cells = makeCells();
     TempDir serial;
     runIntoStore(serial.dir(), cells, 1);
 
@@ -224,7 +221,7 @@ TEST(Resume, TornTailOfAKilledRunIsDroppedBeforeTheResumeAppends)
     {
         std::ofstream os(killed.dir() + "/segments/driver.jsonl",
                          std::ios::app);
-        os << "{\"v\":1,\"workload\":\"wl";
+        os << "{\"v\":1,\"workload\":\"red";
     }
     StoredSplit split;
     ASSERT_EQ(splitStored(killed.dir(), cells, split), "");
@@ -239,7 +236,7 @@ TEST(Resume, TornTailOfAKilledRunIsDroppedBeforeTheResumeAppends)
 
 TEST(Resume, CorruptSegmentFailsTheSplitAndIsLeftUntouched)
 {
-    const auto cells = makeSpec(nullptr).cells();
+    const auto cells = makeCells();
     TempDir store;
     runIntoStore(store.dir(), cells, 1, /*stopAfter=*/2);
 
