@@ -35,24 +35,32 @@ main()
         {"1GB pages", true, true},
     };
 
+    const char *names[] = {"redis", "mongo", "g500", "mcf"};
+    harness::CampaignSpec spec("ablation_1gb_pages");
+    for (const char *name : names)
+        spec.workload(findWorkload(name));
+    for (const auto &mode : modes) {
+        SystemConfig cfg = makeConfig(kCacheOrgs[1], 1.33, 150'000);
+        cfg.os.thpEnabled = mode.thp;
+        cfg.useOneGbHeap = mode.one_gb;
+        cfg.os.memBytes =
+            std::max<std::uint64_t>(cfg.os.memBytes, 4ULL << 30);
+        if (mode.one_gb) {
+            // 1GB pages are reserved at boot (hugetlbfs) before
+            // kernel allocations fragment gigabyte contiguity.
+            cfg.os.kernelReservedFraction = 0.0;
+            cfg.os.pollutedRegionFraction = 0.0;
+        }
+        addDesignPair(spec, mode.label, cfg);
+    }
+    const auto outcome = runBenchCampaign(spec);
+
     TableReporter table({"workload", "heap", "superpage refs",
                          "TFT hitrate", "perf", "energy"});
-    for (const char *name : {"redis", "mongo", "g500", "mcf"}) {
-        const WorkloadSpec &w = findWorkload(name);
+    for (const char *name : names) {
         for (const auto &mode : modes) {
-            SystemConfig cfg = makeConfig(kCacheOrgs[1], 1.33,
-                                          150'000);
-            cfg.os.thpEnabled = mode.thp;
-            cfg.useOneGbHeap = mode.one_gb;
-            cfg.os.memBytes =
-                std::max<std::uint64_t>(cfg.os.memBytes, 4ULL << 30);
-            if (mode.one_gb) {
-                // 1GB pages are reserved at boot (hugetlbfs) before
-                // kernel allocations fragment gigabyte contiguity.
-                cfg.os.kernelReservedFraction = 0.0;
-                cfg.os.pollutedRegionFraction = 0.0;
-            }
-            const auto cmp = compareBaselineVsSeesaw(w, cfg);
+            const auto cmp = findDesignPair(
+                outcome, std::string(name) + "/" + mode.label);
             const double tft_hit =
                 cmp.seesaw.tftLookups
                     ? 100.0 * cmp.seesaw.tftHits /

@@ -27,27 +27,37 @@ main()
 
     const char *names[] = {"astar", "omnet", "redis", "tunk",
                            "nutch", "olio", "mongo"};
+    harness::CampaignSpec spec("ablation_icache");
+    for (const char *name : names)
+        spec.workload(findWorkload(name));
+
+    // All runs model the I-cache so fetch traffic is identical; only
+    // the cache designs under test change.
+    SystemConfig cfg = makeConfig(kCacheOrgs[1], 1.33, 200'000);
+    cfg.modelInstructionCache = true;
+
+    // A: VIPT D + VIPT I (the baseline).
+    spec.variant("vipt", withDesign(cfg, L1Kind::ViptBaseline));
+
+    // B: SEESAW D + VIPT I (the paper's evaluated design).
+    cfg.l1Kind = L1Kind::Seesaw;
+    cfg.icacheKind = SystemConfig::ICacheKind::Vipt;
+    spec.variant("seesaw-d", cfg);
+
+    // C: SEESAW D + SEESAW I (the §V extension).
+    cfg.icacheKind = SystemConfig::ICacheKind::Seesaw;
+    spec.variant("seesaw-di", cfg);
+    const auto outcome = runBenchCampaign(spec);
+
     for (const char *name : names) {
         const WorkloadSpec &w = findWorkload(name);
-
-        // All runs model the I-cache so fetch traffic is identical;
-        // only the cache designs under test change.
-        SystemConfig cfg = makeConfig(kCacheOrgs[1], 1.33, 200'000);
-        cfg.modelInstructionCache = true;
-
-        // A: VIPT D + VIPT I (the baseline).
-        cfg.l1Kind = L1Kind::ViptBaseline;
-        const RunResult base = simulate(w, cfg);
-
-        // B: SEESAW D + VIPT I (the paper's evaluated design).
-        cfg.l1Kind = L1Kind::Seesaw;
-        cfg.icacheKind = SystemConfig::ICacheKind::Vipt;
-        const RunResult d_see = simulate(w, cfg);
-
-        // C: SEESAW D + SEESAW I (the §V extension).
-        cfg.icacheKind = SystemConfig::ICacheKind::Seesaw;
-        const RunResult both = simulate(w, cfg);
-        const RunResult &d_base = base;
+        const auto result = [&](const char *variant) -> const RunResult & {
+            return harness::findResult(outcome.results,
+                                       std::string(name) + "/" + variant);
+        };
+        const RunResult &base = result("vipt");
+        const RunResult &d_see = result("seesaw-d");
+        const RunResult &both = result("seesaw-di");
 
         const double l1i_hit =
             both.l1iAccesses
@@ -59,12 +69,11 @@ main()
              std::to_string(w.codeFootprintBytes >> 20) + "MB",
              TableReporter::pct(l1i_hit, 1),
              TableReporter::pct(
-                 runtimeImprovementPercent(d_base, d_see), 2),
+                 runtimeImprovementPercent(base, d_see), 2),
              TableReporter::pct(runtimeImprovementPercent(base, both),
                                 2),
-             TableReporter::pct(energySavedPercent(d_base, d_see), 2),
+             TableReporter::pct(energySavedPercent(base, d_see), 2),
              TableReporter::pct(energySavedPercent(base, both), 2)});
-        (void)d_base;
     }
     table.print();
 

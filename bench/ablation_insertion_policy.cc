@@ -25,17 +25,38 @@ main()
                          "hitrate 4w-8w", "delta",
                          "coh energy 4way(nJ)",
                          "coh energy 4w-8w(nJ)"});
+    // The policies only diverge on base-page insertions, so sweep
+    // fragmentation: memhog(60%) forces a real base-page mix.
+    const double memhogs[] = {0.0, 0.6};
+    const auto memhog_label = [](double memhog) {
+        return "mh" + std::to_string(static_cast<int>(memhog * 100));
+    };
+    harness::CampaignSpec spec("ablation_insertion_policy");
+    spec.workloads(cloudWorkloads());
+    for (double memhog : memhogs) {
+        SystemConfig cfg = makeConfig(kCacheOrgs[1], 1.33);
+        cfg.memhogFraction = memhog;
+        for (InsertionPolicy policy :
+             {InsertionPolicy::FourWay, InsertionPolicy::FourWayEightWay}) {
+            cfg.policy = policy;
+            spec.variant(memhog_label(memhog) + "/" +
+                             nameOf(kPolicyNames, policy),
+                         cfg);
+        }
+    }
+    const auto outcome = runBenchCampaign(spec);
+
     double worst_delta = 0.0;
     for (const auto &w : cloudWorkloads()) {
-        // The policies only diverge on base-page insertions, so sweep
-        // fragmentation: memhog(60%) forces a real base-page mix.
-        for (double memhog : {0.0, 0.6}) {
-            SystemConfig cfg = makeConfig(kCacheOrgs[1], 1.33);
-            cfg.memhogFraction = memhog;
-            cfg.policy = InsertionPolicy::FourWay;
-            const RunResult four = simulate(w, cfg);
-            cfg.policy = InsertionPolicy::FourWayEightWay;
-            const RunResult four_eight = simulate(w, cfg);
+        for (double memhog : memhogs) {
+            const std::string point = w.name + "/" + memhog_label(memhog);
+            const RunResult &four = harness::findResult(
+                outcome.results,
+                point + "/" + nameOf(kPolicyNames, InsertionPolicy::FourWay));
+            const RunResult &four_eight = harness::findResult(
+                outcome.results,
+                point + "/" +
+                    nameOf(kPolicyNames, InsertionPolicy::FourWayEightWay));
 
             const double hr4 = 100.0 * four.l1Hits /
                                static_cast<double>(four.l1Accesses);
@@ -44,8 +65,7 @@ main()
                 static_cast<double>(four_eight.l1Accesses);
             worst_delta = std::max(worst_delta, hr48 - hr4);
             table.addRow(
-                {w.name,
-                 "mh" + std::to_string(static_cast<int>(memhog * 100)),
+                {w.name, memhog_label(memhog),
                  TableReporter::pct(hr4, 2),
                  TableReporter::pct(hr48, 2),
                  TableReporter::fmt(hr48 - hr4, 3),

@@ -5,7 +5,7 @@
  * The paper evaluates SEESAW under LRU with no prefetching; this
  * sweep checks that its win is not an artefact of that substrate.
  * Each (policy, prefetcher) point runs baseline VIPT and SEESAW over
- * the cloud workloads on the campaign runner (one-pass capable) and
+ * the cloud workloads on the campaign runner and
  * reports the SEESAW runtime improvement plus the prefetcher's
  * issued/useful/illegal-crossing behaviour under way-partitioning.
  *
@@ -20,12 +20,10 @@
 #include "bench_common.hh"
 
 int
-main(int argc, char **argv)
+main()
 {
     using namespace seesaw;
     using namespace seesaw::bench;
-
-    const harness::RunnerOptions options = parseBenchArgs(argc, argv);
 
     printBanner("Ablation: replacement x prefetch",
                 "SEESAW vs VIPT across victim policies and "
@@ -45,17 +43,13 @@ main(int argc, char **argv)
             SystemConfig cfg = makeConfig(kCacheOrgs[0], 1.33);
             cfg.replacement.kind = rk;
             cfg.prefetch.kind = pk;
-            const std::string point =
-                std::string(nameOf(kReplacementNames, rk)) + "/" +
-                nameOf(kPrefetchNames, pk);
-            for (L1Kind kind :
-                 {L1Kind::ViptBaseline, L1Kind::Seesaw}) {
-                spec.variant(point + "/" + nameOf(kDesignNames, kind),
-                             withDesign(cfg, kind));
-            }
+            addDesignPair(spec,
+                          std::string(nameOf(kReplacementNames, rk)) +
+                              "/" + nameOf(kPrefetchNames, pk),
+                          cfg);
         }
     }
-    const auto outcome = runBenchCampaign(spec, options);
+    const auto outcome = runBenchCampaign(spec);
 
     TableReporter table({"policy", "prefetch", "improvement",
                          "pf issued", "pf useful", "pf dropped"});
@@ -65,20 +59,16 @@ main(int argc, char **argv)
         for (const PrefetchKind pk : prefetchers) {
             const std::string point =
                 std::string(nameOf(kReplacementNames, rk)) + "/" +
-                nameOf(kPrefetchNames, pk) + "/";
+                nameOf(kPrefetchNames, pk);
             double improvement_sum = 0.0;
             std::uint64_t issued = 0, useful = 0, dropped = 0;
             for (const auto &w : cloudWorkloads()) {
-                const std::string base = w.name + "/" + point;
-                const RunResult &vipt = harness::findResult(
-                    outcome.results, base + "vipt");
-                const RunResult &seesaw = harness::findResult(
-                    outcome.results, base + "seesaw");
-                improvement_sum +=
-                    runtimeImprovementPercent(vipt, seesaw);
-                issued += seesaw.prefetchIssued;
-                useful += seesaw.prefetchUseful;
-                dropped += seesaw.prefetchIllegalCrossing;
+                const auto cmp =
+                    findDesignPair(outcome, w.name + "/" + point);
+                improvement_sum += cmp.runtimeImprovementPct;
+                issued += cmp.seesaw.prefetchIssued;
+                useful += cmp.seesaw.prefetchUseful;
+                dropped += cmp.seesaw.prefetchIllegalCrossing;
             }
             const double improvement =
                 improvement_sum / cloudWorkloads().size();

@@ -20,30 +20,54 @@ main()
     printBanner("Ablation: scheduler counter policy",
                 "always-assume-fast vs occupancy-gated (64KB, OoO)");
 
+    const double memhogs[] = {0.0, 0.9};
+    const auto memhog_label = [](double memhog) {
+        return "mh" + std::to_string(static_cast<int>(memhog * 100));
+    };
+    const auto policy_label = [](bool gated) {
+        return gated ? "gated" : "always-fast";
+    };
+
+    // The counter policy steers only SEESAW's scheduler, so each
+    // (memhog, workload) point runs one VIPT baseline.
+    harness::CampaignSpec spec("ablation_scheduler_policy");
+    for (double memhog : memhogs) {
+        for (const auto &w : cloudWorkloads()) {
+            WorkloadSpec workload = w;
+            workload.thpEligibleFraction *= memhog > 0.0 ? 0.7 : 1.0;
+            SystemConfig cfg = makeConfig(kCacheOrgs[1], 1.33, 150'000);
+            cfg.memhogFraction = memhog;
+            const std::string point = w.name + "/" + memhog_label(memhog);
+            spec.cell(point + "/vipt", workload,
+                      withDesign(cfg, L1Kind::ViptBaseline));
+            for (bool policy : {true, false}) {
+                cfg.schedulerCounterPolicy = policy;
+                spec.cell(point + "/" + policy_label(policy), workload,
+                          cfg);
+            }
+        }
+    }
+    const auto outcome = runBenchCampaign(spec);
+
     TableReporter table({"memhog", "policy", "squashes/kinstr",
                          "cycles", "perf vs baseline"});
-    for (double memhog : {0.0, 0.9}) {
+    for (double memhog : memhogs) {
         for (bool policy : {true, false}) {
             double squash_rate = 0.0, perf = 0.0, cycles = 0.0;
             for (const auto &w : cloudWorkloads()) {
-                WorkloadSpec spec = w;
-                spec.thpEligibleFraction *= memhog > 0.0 ? 0.7 : 1.0;
-                SystemConfig cfg = makeConfig(kCacheOrgs[1], 1.33,
-                                              150'000);
-                cfg.memhogFraction = memhog;
-                cfg.schedulerCounterPolicy = policy;
-                const RunResult r = simulate(spec, cfg);
-                SystemConfig base_cfg = cfg;
-                base_cfg.l1Kind = L1Kind::ViptBaseline;
-                const RunResult base = simulate(spec, base_cfg);
+                const std::string point =
+                    w.name + "/" + memhog_label(memhog);
+                const RunResult &r = harness::findResult(
+                    outcome.results, point + "/" + policy_label(policy));
+                const RunResult &base = harness::findResult(
+                    outcome.results, point + "/vipt");
                 squash_rate += 1000.0 * r.squashes / r.instructions;
                 perf += runtimeImprovementPercent(base, r);
                 cycles += static_cast<double>(r.cycles);
             }
             const auto n = cloudWorkloads().size();
             table.addRow(
-                {"mh" + std::to_string(static_cast<int>(memhog * 100)),
-                 policy ? "gated" : "always-fast",
+                {memhog_label(memhog), policy_label(policy),
                  TableReporter::fmt(squash_rate / n, 2),
                  TableReporter::fmt(cycles / n, 0),
                  TableReporter::pct(perf / n, 2)});

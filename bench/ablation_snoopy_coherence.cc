@@ -21,17 +21,27 @@ main()
     printBanner("Ablation: coherence fabric",
                 "directory vs snoopy energy savings (64KB, OoO)");
 
+    const CoherenceKind fabrics[] = {CoherenceKind::Directory,
+                                     CoherenceKind::Snoopy};
+    harness::CampaignSpec spec("ablation_snoopy_coherence");
+    spec.workloads(cloudWorkloads());
+    for (CoherenceKind fabric : fabrics) {
+        SystemConfig cfg = makeConfig(kCacheOrgs[1], 1.33);
+        cfg.fabric = fabric;
+        addDesignPair(spec, nameOf(kFabricNames, fabric), cfg);
+    }
+    const auto outcome = runBenchCampaign(spec);
+
     TableReporter table({"workload", "threads", "directory", "snoopy",
                          "extra from snoopy"});
     for (const auto &w : cloudWorkloads()) {
         double saved[2];
         int i = 0;
-        for (CoherenceKind fabric :
-             {CoherenceKind::Directory, CoherenceKind::Snoopy}) {
-            SystemConfig cfg = makeConfig(kCacheOrgs[1], 1.33);
-            cfg.fabric = fabric;
-            saved[i++] =
-                compareBaselineVsSeesaw(w, cfg).energySavedPct;
+        for (CoherenceKind fabric : fabrics) {
+            saved[i++] = findDesignPair(outcome,
+                                        w.name + "/" +
+                                            nameOf(kFabricNames, fabric))
+                             .energySavedPct;
         }
         table.addRow({w.name, std::to_string(w.threads),
                       TableReporter::pct(saved[0], 1),

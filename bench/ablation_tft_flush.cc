@@ -33,16 +33,26 @@ main()
         {20'000, "20K instr (pathological)"},
     };
 
+    const auto point_label = [](const Point &p) {
+        return "cs" + std::to_string(p.interval);
+    };
+    harness::CampaignSpec spec("ablation_tft_flush");
+    spec.workloads(cloudWorkloads());
+    for (const auto &p : points) {
+        SystemConfig cfg = makeConfig(kCacheOrgs[1], 1.33, 200'000);
+        cfg.contextSwitchInterval = p.interval;
+        addDesignPair(spec, point_label(p), cfg);
+    }
+    const auto outcome = runBenchCampaign(spec);
+
     TableReporter table({"flush interval", "perf vs baseline",
                          "TFT miss rate", "loss vs ideal"});
     double ideal = 0.0;
     for (const auto &p : points) {
         double perf = 0.0, tft_miss = 0.0;
         for (const auto &w : cloudWorkloads()) {
-            SystemConfig cfg = makeConfig(kCacheOrgs[1], 1.33,
-                                          200'000);
-            cfg.contextSwitchInterval = p.interval;
-            const auto cmp = compareBaselineVsSeesaw(w, cfg);
+            const auto cmp =
+                findDesignPair(outcome, w.name + "/" + point_label(p));
             perf += cmp.runtimeImprovementPct;
             if (cmp.seesaw.superpageRefs > 0) {
                 tft_miss += 100.0 * cmp.seesaw.superpageRefsTftMiss /

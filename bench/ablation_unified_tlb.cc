@@ -33,16 +33,23 @@ main()
         {"unified 128-entry", true, 128},
     };
 
+    harness::CampaignSpec spec("ablation_unified_tlb");
+    spec.workloads(cloudWorkloads());
+    for (const auto &org : orgs) {
+        SystemConfig cfg = makeConfig(kCacheOrgs[1], 1.33, 150'000);
+        cfg.unifiedL1Tlb = org.unified;
+        cfg.unifiedL1TlbEntries = org.entries ? org.entries : 64;
+        addDesignPair(spec, org.label, cfg);
+    }
+    const auto outcome = runBenchCampaign(spec);
+
     TableReporter table({"TLB", "perf avg", "energy avg",
                          "TFT miss avg"});
     for (const auto &org : orgs) {
         std::vector<double> perfs, energies, misses;
         for (const auto &w : cloudWorkloads()) {
-            SystemConfig cfg = makeConfig(kCacheOrgs[1], 1.33,
-                                          150'000);
-            cfg.unifiedL1Tlb = org.unified;
-            cfg.unifiedL1TlbEntries = org.entries ? org.entries : 64;
-            const auto cmp = compareBaselineVsSeesaw(w, cfg);
+            const auto cmp =
+                findDesignPair(outcome, w.name + "/" + org.label);
             perfs.push_back(cmp.runtimeImprovementPct);
             energies.push_back(cmp.energySavedPct);
             if (cmp.seesaw.superpageRefs > 0) {

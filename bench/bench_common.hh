@@ -2,9 +2,12 @@
  * @file
  * Shared helpers for the figure/table reproduction binaries.
  *
- * Every bench runs with a modest default instruction budget so the
- * whole suite finishes quickly; set SEESAW_INSTRUCTIONS (and
- * optionally SEESAW_MEM_BYTES) to crank a full reproduction.
+ * Every simulation bench puts its points into one CampaignSpec, runs
+ * it with runBenchCampaign() (SEESAW_JOBS workers, results/<bench>.json
+ * and .csv) and builds its table from the results by cell name. Each
+ * runs with a modest default instruction budget so the whole suite
+ * finishes quickly; set SEESAW_INSTRUCTIONS (and optionally
+ * SEESAW_MEM_BYTES) to crank a full reproduction.
  */
 
 #ifndef SEESAW_BENCH_BENCH_COMMON_HH
@@ -63,29 +66,45 @@ withDesign(SystemConfig cfg, L1Kind kind)
     return cfg;
 }
 
-/**
- * Run @p spec with the bench defaults — SEESAW_JOBS-many workers
- * (hardware_concurrency when unset) and progress on stderr — and
- * archive JSON/CSV sinks under results/ (SEESAW_RESULTS_DIR).
- */
-inline harness::CampaignOutcome
-runBenchCampaign(const harness::CampaignSpec &spec,
-                 harness::RunnerOptions options = {})
+/** Add @p cfg's VIPT-baseline and SEESAW variants to @p spec, labelled
+ *  @p label + "/vipt" and @p label + "/seesaw". */
+inline void
+addDesignPair(harness::CampaignSpec &spec, const std::string &label,
+              const SystemConfig &cfg)
 {
-    return harness::CampaignRunner(std::move(options)).runAndWrite(spec);
+    for (L1Kind kind : {L1Kind::ViptBaseline, L1Kind::Seesaw})
+        spec.variant(label + "/" + nameOf(kDesignNames, kind),
+                     withDesign(cfg, kind));
 }
 
-/** Parse an on|off flag value (fatal otherwise). */
-inline bool
-parseOnOff(const char *flag, const std::string &value)
+/**
+ * Run @p spec with the bench defaults — SEESAW_JOBS-many workers
+ * (hardware_concurrency when unset), one fresh engine per cell and
+ * progress on stderr — and archive JSON/CSV sinks under results/
+ * (SEESAW_RESULTS_DIR).
+ */
+inline harness::CampaignOutcome
+runBenchCampaign(const harness::CampaignSpec &spec)
 {
-    if (value == "on")
-        return true;
-    if (value == "off")
-        return false;
-    std::fprintf(stderr, "%s wants on|off, got %s\n", flag,
-                 value.c_str());
-    std::exit(1);
+    return harness::CampaignRunner().runAndWrite(spec);
+}
+
+/**
+ * The cells named @p prefix + "/vipt" and @p prefix + "/seesaw" (a
+ * workload's addDesignPair() cells, or a hand-named pair), compared as
+ * compareBaselineVsSeesaw() compares them.
+ */
+inline DesignComparison
+findDesignPair(const harness::CampaignOutcome &outcome,
+               const std::string &prefix)
+{
+    DesignComparison cmp;
+    cmp.baseline = harness::findResult(outcome.results, prefix + "/vipt");
+    cmp.seesaw = harness::findResult(outcome.results, prefix + "/seesaw");
+    cmp.runtimeImprovementPct =
+        runtimeImprovementPercent(cmp.baseline, cmp.seesaw);
+    cmp.energySavedPct = energySavedPercent(cmp.baseline, cmp.seesaw);
+    return cmp;
 }
 
 /** Replacement/prefetch overrides a figure binary applies to every
@@ -106,38 +125,29 @@ struct PolicyArgs
 };
 
 /**
- * Parse the argv the figure binaries share: --one-pass on|off selects
- * whether cells with a common front end run as single multi-config
- * passes (RunnerOptions::onePass; results are bit-identical either
- * way, the sweep just makes one trace pass per group). Binaries that
- * pass @p policy additionally accept --replacement and --prefetch and
- * rerun their figure under that substrate.
+ * Parse the argv of the figure binaries that take @p policy: they
+ * accept --replacement and --prefetch and rerun their figure under
+ * that substrate. Every other argument is a usage error.
  */
-inline harness::RunnerOptions
-parseBenchArgs(int argc, char **argv, PolicyArgs *policy = nullptr)
+inline void
+parseBenchArgs(int argc, char **argv, PolicyArgs &policy)
 {
-    harness::RunnerOptions options;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        if (arg == "--one-pass" && i + 1 < argc) {
-            options.onePass = parseOnOff("--one-pass", argv[++i]);
-        } else if (policy && arg == "--replacement" && i + 1 < argc) {
-            policy->replacement.kind =
+        if (arg == "--replacement" && i + 1 < argc) {
+            policy.replacement.kind =
                 parseName(kReplacementNames, "replacement", argv[++i]);
-        } else if (policy && arg == "--prefetch" && i + 1 < argc) {
-            policy->prefetch.kind =
+        } else if (arg == "--prefetch" && i + 1 < argc) {
+            policy.prefetch.kind =
                 parseName(kPrefetchNames, "prefetcher", argv[++i]);
         } else {
             std::fprintf(stderr,
-                         "usage: %s [--one-pass on|off]%s\n", argv[0],
-                         policy ? " [--replacement lru|fifo|random|"
-                                  "srrip] [--prefetch none|nextline|"
-                                  "stride]"
-                                : "");
+                         "usage: %s [--replacement lru|fifo|random|"
+                         "srrip] [--prefetch none|nextline|stride]\n",
+                         argv[0]);
             std::exit(arg == "--help" || arg == "-h" ? 0 : 1);
         }
     }
-    return options;
 }
 
 } // namespace seesaw::bench

@@ -24,23 +24,16 @@ main(int argc, char **argv)
     using namespace seesaw::bench;
 
     PolicyArgs policy;
-    const harness::RunnerOptions options =
-        parseBenchArgs(argc, argv, &policy);
+    parseBenchArgs(argc, argv, policy);
 
     printBanner("Fig 7", "% runtime improvement, SEESAW vs baseline "
                          "VIPT (OoO, 1.33GHz)");
 
     harness::CampaignSpec spec("fig07_runtime_ooo");
     spec.workloads(paperWorkloads());
-    for (const auto &org : kCacheOrgs) {
-        const SystemConfig cfg = policy.apply(makeConfig(org, 1.33));
-        for (L1Kind kind : {L1Kind::ViptBaseline, L1Kind::Seesaw}) {
-            spec.variant(std::string(org.label) + "/" +
-                             nameOf(kDesignNames, kind),
-                         withDesign(cfg, kind));
-        }
-    }
-    const auto outcome = runBenchCampaign(spec, options);
+    for (const auto &org : kCacheOrgs)
+        addDesignPair(spec, org.label, policy.apply(makeConfig(org, 1.33)));
+    const auto outcome = runBenchCampaign(spec);
 
     TableReporter table({"workload", "32KB", "64KB", "128KB"});
     double sums[3] = {0, 0, 0};
@@ -48,10 +41,9 @@ main(int argc, char **argv)
         std::vector<std::string> row{w.name};
         int col = 0;
         for (const auto &org : kCacheOrgs) {
-            const std::string base = w.name + "/" + org.label + "/";
-            const double improvement = runtimeImprovementPercent(
-                harness::findResult(outcome.results, base + "vipt"),
-                harness::findResult(outcome.results, base + "seesaw"));
+            const double improvement =
+                findDesignPair(outcome, w.name + "/" + org.label)
+                    .runtimeImprovementPct;
             sums[col++] += improvement;
             row.push_back(TableReporter::pct(improvement, 1));
         }

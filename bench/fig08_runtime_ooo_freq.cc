@@ -21,14 +21,26 @@ main()
     printBanner("Fig 8", "% runtime improvement, SEESAW vs baseline "
                          "(OoO), avg/min/max across workloads");
 
+    const auto point = [](double freq, const CacheOrg &org) {
+        return TableReporter::fmt(freq, 2) + "GHz/" + org.label;
+    };
+    harness::CampaignSpec spec("fig08_runtime_ooo_freq");
+    spec.workloads(paperWorkloads());
+    for (double freq : kFrequencies) {
+        for (const auto &org : kCacheOrgs)
+            addDesignPair(spec, point(freq, org),
+                          makeConfig(org, freq, 200'000));
+    }
+    const auto outcome = runBenchCampaign(spec);
+
     TableReporter table({"freq", "cache", "avg", "min", "max"});
     for (double freq : kFrequencies) {
         for (const auto &org : kCacheOrgs) {
             std::vector<double> gains;
             for (const auto &w : paperWorkloads()) {
-                SystemConfig cfg = makeConfig(org, freq, 200'000);
-                gains.push_back(compareBaselineVsSeesaw(w, cfg)
-                                    .runtimeImprovementPct);
+                gains.push_back(
+                    findDesignPair(outcome, w.name + "/" + point(freq, org))
+                        .runtimeImprovementPct);
             }
             const Summary s = summarize(gains);
             table.addRow({TableReporter::fmt(freq, 2) + "GHz",

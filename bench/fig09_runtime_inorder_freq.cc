@@ -22,6 +22,30 @@ main()
     printBanner("Fig 9", "% runtime improvement, SEESAW vs baseline "
                          "(in-order), avg/min/max across workloads");
 
+    const CoreKind cores[] = {CoreKind::InOrder, CoreKind::OutOfOrder};
+    const auto point = [](CoreKind core, double freq, const CacheOrg &org) {
+        return std::string(nameOf(kCoreNames, core)) + "/" +
+               TableReporter::fmt(freq, 2) + "GHz/" + org.label;
+    };
+    harness::CampaignSpec spec("fig09_runtime_inorder_freq");
+    spec.workloads(paperWorkloads());
+    for (double freq : kFrequencies) {
+        for (const auto &org : kCacheOrgs) {
+            for (CoreKind core : cores) {
+                SystemConfig cfg = makeConfig(org, freq, 200'000);
+                cfg.coreKind = core;
+                addDesignPair(spec, point(core, freq, org), cfg);
+            }
+        }
+    }
+    const auto outcome = runBenchCampaign(spec);
+    const auto gain = [&](const WorkloadSpec &w, CoreKind core,
+                          double freq, const CacheOrg &org) {
+        return findDesignPair(outcome,
+                              w.name + "/" + point(core, freq, org))
+            .runtimeImprovementPct;
+    };
+
     TableReporter table({"freq", "cache", "avg", "min", "max"});
     double inorder_avg_sum = 0.0, ooo_avg_sum = 0.0;
     int points = 0;
@@ -29,13 +53,10 @@ main()
         for (const auto &org : kCacheOrgs) {
             std::vector<double> ino_gains, ooo_gains;
             for (const auto &w : paperWorkloads()) {
-                SystemConfig cfg = makeConfig(org, freq, 200'000);
-                cfg.coreKind = CoreKind::InOrder;
-                ino_gains.push_back(compareBaselineVsSeesaw(w, cfg)
-                                        .runtimeImprovementPct);
-                cfg.coreKind = CoreKind::OutOfOrder;
-                ooo_gains.push_back(compareBaselineVsSeesaw(w, cfg)
-                                        .runtimeImprovementPct);
+                ino_gains.push_back(
+                    gain(w, CoreKind::InOrder, freq, org));
+                ooo_gains.push_back(
+                    gain(w, CoreKind::OutOfOrder, freq, org));
             }
             const Summary s = summarize(ino_gains);
             inorder_avg_sum += s.avg;

@@ -33,8 +33,7 @@ main(int argc, char **argv)
     using namespace seesaw::bench;
 
     PolicyArgs policy;
-    const harness::RunnerOptions options =
-        parseBenchArgs(argc, argv, &policy);
+    parseBenchArgs(argc, argv, policy);
 
     printBanner("Fig 10", "% memory-hierarchy energy saved by SEESAW "
                           "(InO and OoO)");
@@ -47,18 +46,15 @@ main(int argc, char **argv)
                 SystemConfig cfg =
                     policy.apply(makeConfig(org, freq, 200'000));
                 cfg.coreKind = core;
-                const std::string point =
-                    std::string(coreLabel(core)) + "/" +
-                    TableReporter::fmt(freq, 2) + "GHz/" + org.label;
-                for (L1Kind kind :
-                     {L1Kind::ViptBaseline, L1Kind::Seesaw}) {
-                    spec.variant(point + "/" + nameOf(kDesignNames, kind),
-                                 withDesign(cfg, kind));
-                }
+                addDesignPair(spec,
+                              std::string(coreLabel(core)) + "/" +
+                                  TableReporter::fmt(freq, 2) + "GHz/" +
+                                  org.label,
+                              cfg);
             }
         }
     }
-    const auto outcome = runBenchCampaign(spec, options);
+    const auto outcome = runBenchCampaign(spec);
 
     TableReporter table({"core", "freq", "cache", "avg", "min", "max"});
     for (CoreKind core : {CoreKind::InOrder, CoreKind::OutOfOrder}) {
@@ -69,13 +65,9 @@ main(int argc, char **argv)
                     TableReporter::fmt(freq, 2) + "GHz/" + org.label;
                 std::vector<double> saved;
                 for (const auto &w : paperWorkloads()) {
-                    const std::string base =
-                        w.name + "/" + point + "/";
-                    saved.push_back(energySavedPercent(
-                        harness::findResult(outcome.results,
-                                            base + "vipt"),
-                        harness::findResult(outcome.results,
-                                            base + "seesaw")));
+                    saved.push_back(
+                        findDesignPair(outcome, w.name + "/" + point)
+                            .energySavedPct);
                 }
                 const Summary s = summarize(saved);
                 table.addRow(

@@ -24,10 +24,15 @@ main()
                           "CPU-side vs coherence lookups (64KB, OoO, "
                           "1.33GHz)");
 
+    harness::CampaignSpec spec("fig11_energy_split");
+    spec.workloads(paperWorkloads());
+    addDesignPair(spec, kCacheOrgs[1].label, makeConfig(kCacheOrgs[1], 1.33));
+    const auto outcome = runBenchCampaign(spec);
+
     TableReporter table({"workload", "threads", "CPU-side", "coherence"});
     for (const auto &w : paperWorkloads()) {
-        SystemConfig cfg = makeConfig(kCacheOrgs[1], 1.33);
-        const auto cmp = compareBaselineVsSeesaw(w, cfg);
+        const auto cmp =
+            findDesignPair(outcome, w.name + "/" + kCacheOrgs[1].label);
         const double cpu_saved = cmp.baseline.l1CpuDynamicNj -
                                  cmp.seesaw.l1CpuDynamicNj;
         const double coh_saved =

@@ -22,8 +22,7 @@ main(int argc, char **argv)
     using namespace seesaw::bench;
 
     PolicyArgs policy;
-    const harness::RunnerOptions options =
-        parseBenchArgs(argc, argv, &policy);
+    parseBenchArgs(argc, argv, policy);
 
     printBanner("Fig 12", "Performance/energy benefits vs memhog "
                           "fragmentation (64KB, OoO, 1.33GHz)");
@@ -38,12 +37,9 @@ main(int argc, char **argv)
     for (double level : levels) {
         SystemConfig cfg = policy.apply(makeConfig(kCacheOrgs[1], 1.33));
         cfg.memhogFraction = level;
-        for (L1Kind kind : {L1Kind::ViptBaseline, L1Kind::Seesaw}) {
-            spec.variant(level_label(level) + "/" + nameOf(kDesignNames, kind),
-                         withDesign(cfg, kind));
-        }
+        addDesignPair(spec, level_label(level), cfg);
     }
-    const auto outcome = runBenchCampaign(spec, options);
+    const auto outcome = runBenchCampaign(spec);
 
     TableReporter table({"workload", "memhog", "coverage", "perf",
                          "energy"});
@@ -51,21 +47,16 @@ main(int argc, char **argv)
     for (const auto &w : cloudWorkloads()) {
         int col = 0;
         for (double level : levels) {
-            const std::string base =
-                w.name + "/" + level_label(level) + "/";
-            const RunResult &vipt =
-                harness::findResult(outcome.results, base + "vipt");
-            const RunResult &seesaw =
-                harness::findResult(outcome.results, base + "seesaw");
-            const double perf =
-                runtimeImprovementPercent(vipt, seesaw);
-            const double energy = energySavedPercent(vipt, seesaw);
+            const auto cmp =
+                findDesignPair(outcome, w.name + "/" + level_label(level));
+            const double perf = cmp.runtimeImprovementPct;
+            const double energy = cmp.energySavedPct;
             perf_sums[col] += perf;
             energy_sums[col] += energy;
             ++col;
             table.addRow(
                 {w.name, level_label(level),
-                 TableReporter::pct(100.0 * seesaw.superpageCoverage,
+                 TableReporter::pct(100.0 * cmp.seesaw.superpageCoverage,
                                     0),
                  TableReporter::pct(perf, 1),
                  TableReporter::pct(energy, 1)});

@@ -23,15 +23,29 @@ main()
     printBanner("Fig 13", "% superpage accesses missed by the TFT "
                           "(split by L1 hit/miss)");
 
+    const unsigned tft_sizes[] = {12u, 16u, 20u};
+    const auto point = [](unsigned entries, const CacheOrg &org) {
+        return "tft" + std::to_string(entries) + "/" + org.label;
+    };
+    harness::CampaignSpec spec("fig13_tft_analysis");
+    spec.workloads(paperWorkloads());
+    for (unsigned entries : tft_sizes) {
+        for (const auto &org : kCacheOrgs) {
+            SystemConfig cfg = makeConfig(org, 1.33, 200'000);
+            cfg.tftEntries = entries;
+            spec.variant(point(entries, org), cfg);
+        }
+    }
+    const auto outcome = runBenchCampaign(spec);
+
     TableReporter table({"TFT", "cache", "L1-hit avg", "L1-miss avg",
                          "total avg", "min", "max"});
-    for (unsigned entries : {12u, 16u, 20u}) {
+    for (unsigned entries : tft_sizes) {
         for (const auto &org : kCacheOrgs) {
             std::vector<double> totals, hit_rates, miss_rates;
             for (const auto &w : paperWorkloads()) {
-                SystemConfig cfg = makeConfig(org, 1.33, 200'000);
-                cfg.tftEntries = entries;
-                const RunResult r = simulate(w, cfg);
+                const RunResult &r = harness::findResult(
+                    outcome.results, w.name + "/" + point(entries, org));
                 if (r.superpageRefs == 0)
                     continue;
                 const double denom =

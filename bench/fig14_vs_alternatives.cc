@@ -25,35 +25,57 @@ main()
     printBanner("Fig 14", "SEESAW vs PIPT alternatives (128KB L1)");
 
     const CacheOrg org = kCacheOrgs[2]; // 128KB / 32-way
+    // The alternatives: PIPT with assoc 2/4/8 and TLB latency 1-2
+    // cycles.
+    const unsigned pipt_assocs[] = {2u, 4u, 8u};
+    const unsigned pipt_tlb_cycles[] = {1u, 2u};
+    const auto freq_label = [](double freq) {
+        return TableReporter::fmt(freq, 2) + "GHz";
+    };
+    const auto pipt_label = [](unsigned assoc, unsigned tlb) {
+        return "pipt" + std::to_string(assoc) + "way-tlb" +
+               std::to_string(tlb);
+    };
+    harness::CampaignSpec spec("fig14_vs_alternatives");
+    spec.workloads(paperWorkloads());
+    for (double freq : kFrequencies) {
+        const SystemConfig base_cfg = makeConfig(org, freq, 150'000);
+        addDesignPair(spec, freq_label(freq), base_cfg);
+        for (unsigned assoc : pipt_assocs) {
+            for (unsigned tlb : pipt_tlb_cycles) {
+                SystemConfig pipt_cfg = base_cfg;
+                pipt_cfg.l1Kind = L1Kind::Pipt;
+                pipt_cfg.l1Assoc = assoc;
+                pipt_cfg.piptTlbCycles = tlb;
+                spec.variant(freq_label(freq) + "/" + pipt_label(assoc, tlb),
+                             pipt_cfg);
+            }
+        }
+    }
+    const auto outcome = runBenchCampaign(spec);
+
     TableReporter table({"freq", "design", "perf avg", "perf min",
                          "perf max", "energy avg"});
 
     for (double freq : kFrequencies) {
         // SEESAW.
         std::vector<double> see_perf, see_energy;
-        // Best alternative per workload: PIPT with assoc 2/4/8 and
-        // TLB latency 1-2 cycles.
+        // Best alternative per workload.
         std::vector<double> alt_perf, alt_energy;
 
         for (const auto &w : paperWorkloads()) {
-            SystemConfig base_cfg = makeConfig(org, freq, 150'000);
-            base_cfg.l1Kind = L1Kind::ViptBaseline;
-            const RunResult base = simulate(w, base_cfg);
+            const std::string cell = w.name + "/" + freq_label(freq);
+            const auto cmp = findDesignPair(outcome, cell);
+            see_perf.push_back(cmp.runtimeImprovementPct);
+            see_energy.push_back(cmp.energySavedPct);
 
-            SystemConfig see_cfg = base_cfg;
-            see_cfg.l1Kind = L1Kind::Seesaw;
-            const RunResult see = simulate(w, see_cfg);
-            see_perf.push_back(runtimeImprovementPercent(base, see));
-            see_energy.push_back(energySavedPercent(base, see));
-
+            const RunResult &base = cmp.baseline;
             double best_perf = -1e9, best_energy = 0.0;
-            for (unsigned assoc : {2u, 4u, 8u}) {
-                for (unsigned tlb : {1u, 2u}) {
-                    SystemConfig pipt_cfg = base_cfg;
-                    pipt_cfg.l1Kind = L1Kind::Pipt;
-                    pipt_cfg.l1Assoc = assoc;
-                    pipt_cfg.piptTlbCycles = tlb;
-                    const RunResult pipt = simulate(w, pipt_cfg);
+            for (unsigned assoc : pipt_assocs) {
+                for (unsigned tlb : pipt_tlb_cycles) {
+                    const RunResult &pipt = harness::findResult(
+                        outcome.results,
+                        cell + "/" + pipt_label(assoc, tlb));
                     const double perf =
                         runtimeImprovementPercent(base, pipt);
                     if (perf > best_perf) {

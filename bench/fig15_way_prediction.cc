@@ -22,29 +22,36 @@ main()
     printBanner("Fig 15", "Way prediction vs SEESAW vs WP+SEESAW "
                           "(64KB, OoO, 1.33GHz)");
 
+    struct Design
+    {
+        const char *label;
+        L1Kind kind;
+    };
+    const Design designs[] = {
+        {"WP", L1Kind::ViptWayPredicted},
+        {"SEESAW", L1Kind::Seesaw},
+        {"WP+SEESAW", L1Kind::SeesawWayPredicted},
+    };
+    harness::CampaignSpec spec("fig15_way_prediction");
+    spec.workloads(cloudWorkloads());
+    const SystemConfig cfg = makeConfig(kCacheOrgs[1], 1.33);
+    spec.variant("vipt", withDesign(cfg, L1Kind::ViptBaseline));
+    for (const auto &d : designs)
+        spec.variant(nameOf(kDesignNames, d.kind), withDesign(cfg, d.kind));
+    const auto outcome = runBenchCampaign(spec);
+
     TableReporter table({"workload", "design", "perf", "energy",
                          "WP accuracy"});
     int wp_degrades = 0, seesaw_degrades = 0, combined_best_energy = 0;
     for (const auto &w : cloudWorkloads()) {
-        SystemConfig cfg = makeConfig(kCacheOrgs[1], 1.33);
-        cfg.l1Kind = L1Kind::ViptBaseline;
-        const RunResult base = simulate(w, cfg);
-
-        struct Design
-        {
-            const char *label;
-            L1Kind kind;
-        };
-        const Design designs[] = {
-            {"WP", L1Kind::ViptWayPredicted},
-            {"SEESAW", L1Kind::Seesaw},
-            {"WP+SEESAW", L1Kind::SeesawWayPredicted},
-        };
+        const RunResult &base =
+            harness::findResult(outcome.results, w.name + "/vipt");
         double energies[3], perfs[3];
         int i = 0;
         for (const auto &d : designs) {
-            cfg.l1Kind = d.kind;
-            const RunResult r = simulate(w, cfg);
+            const RunResult &r = harness::findResult(
+                outcome.results,
+                w.name + "/" + nameOf(kDesignNames, d.kind));
             perfs[i] = runtimeImprovementPercent(base, r);
             energies[i] = energySavedPercent(base, r);
             table.addRow({w.name, d.label,

@@ -60,12 +60,10 @@ main()
 
     for (const char *name : names) {
         for (unsigned cores : core_counts) {
-            const std::string base = std::string(name) + "/c" +
-                                     std::to_string(cores) + "/";
-            const RunResult &vipt =
-                harness::findResult(outcome.results, base + "vipt");
-            const RunResult &see =
-                harness::findResult(outcome.results, base + "seesaw");
+            const auto cmp = findDesignPair(
+                outcome, std::string(name) + "/c" + std::to_string(cores));
+            const RunResult &vipt = cmp.baseline;
+            const RunResult &see = cmp.seesaw;
 
             const double kinstr = see.instructions / 1000.0;
             const double coh_share =

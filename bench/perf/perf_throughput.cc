@@ -13,7 +13,7 @@
  *    second) of whole-system runs, one cell per L1 design x workload
  *    class (zipf-hot / pointer-chase / streaming) on the paper's OoO
  *    fig07 configuration.
- *  - one-pass: N-substrate MultiConfigEngine pass vs N per-config
+ *  - one_pass: N-substrate MultiConfigEngine pass vs N per-config
  *    re-runs of the same design-space sweep, at 4 and 8 substrates.
  *    The reported speedup is a wall-time ratio — machine-independent,
  *    so the gate asserts a hard floor on it rather than comparing
@@ -333,7 +333,7 @@ runMacro(const std::string &workload_name, L1Kind design,
     return m;
 }
 
-/** One one-pass cell: N-substrate pass vs N serial re-runs. */
+/** One one_pass tier row: N-substrate pass vs N serial re-runs. */
 struct OnePassResult
 {
     unsigned substrates = 0;
@@ -343,7 +343,7 @@ struct OnePassResult
 };
 
 /**
- * The design-space sweep the one-pass macro times: @p n L1 designs
+ * The design-space sweep the one_pass tier times: @p n L1 designs
  * sharing one front end (same core kind and TLB geometry, so the
  * whole sweep forms a single TLB group — the harness's common case).
  */
@@ -365,7 +365,7 @@ onePassSweepConfigs(unsigned n)
         // The fig12 fragmentation point: a 4GB physical image under
         // 60% memhog pressure. Building that image (buddy allocator,
         // churn, page tables) plus the zipf reference stream is the
-        // config-invariant work a one-pass sweep pays once instead of
+        // config-invariant work a multi-config pass pays once instead of
         // once per configuration.
         cfg.os.memBytes = experimentMemBytes(4ULL << 30);
         cfg.memhogFraction = 0.6;
@@ -521,7 +521,7 @@ main()
         onePass.push_back(runOnePassMacro(substrates, repeats));
 
     TableReporter onePassTable(
-        {"substrates", "serial s", "one-pass s", "speedup"});
+        {"substrates", "serial s", "one pass s", "speedup"});
     for (const auto &p : onePass) {
         onePassTable.addRow(
             {std::to_string(p.substrates),

@@ -21,30 +21,37 @@ main()
     printBanner("Related work: SIPT",
                 "SEESAW vs speculative indexing (OoO, 1.33GHz)");
 
+    const CacheOrg orgs[] = {kCacheOrgs[0], kCacheOrgs[2]};
+    const char *names[] = {"redis", "mcf", "omnet"};
+    harness::CampaignSpec spec("related_sipt");
+    for (const char *name : names)
+        spec.workload(findWorkload(name));
+    for (const auto &org : orgs) {
+        const SystemConfig cfg = makeConfig(org, 1.33, 150'000);
+        addDesignPair(spec, org.label, cfg);
+        // One speculative index bit: half the baseline's ways, twice
+        // its sets — the gentlest SIPT configuration.
+        SystemConfig sipt_cfg = withDesign(cfg, L1Kind::Sipt);
+        sipt_cfg.siptAssoc = org.assoc / 2;
+        spec.variant(std::string(org.label) + "/sipt", sipt_cfg);
+    }
+    const auto outcome = runBenchCampaign(spec);
+
     TableReporter table({"cache", "workload", "design", "perf",
                          "energy", "notes"});
-    for (const auto &org : {kCacheOrgs[0], kCacheOrgs[2]}) {
-        for (const char *name : {"redis", "mcf", "omnet"}) {
-            const WorkloadSpec &w = findWorkload(name);
-            SystemConfig cfg = makeConfig(org, 1.33, 150'000);
+    for (const auto &org : orgs) {
+        for (const char *name : names) {
+            const std::string cell =
+                std::string(name) + "/" + org.label;
+            const auto cmp = findDesignPair(outcome, cell);
+            table.addRow({org.label, name, "SEESAW",
+                          TableReporter::pct(cmp.runtimeImprovementPct, 2),
+                          TableReporter::pct(cmp.energySavedPct, 2),
+                          "guaranteed fast path"});
 
-            cfg.l1Kind = L1Kind::ViptBaseline;
-            const RunResult base = simulate(w, cfg);
-
-            cfg.l1Kind = L1Kind::Seesaw;
-            const RunResult see = simulate(w, cfg);
-            table.addRow(
-                {org.label, name, "SEESAW",
-                 TableReporter::pct(
-                     runtimeImprovementPercent(base, see), 2),
-                 TableReporter::pct(energySavedPercent(base, see), 2),
-                 "guaranteed fast path"});
-
-            // One speculative index bit: half the baseline's ways,
-            // twice its sets — the gentlest SIPT configuration.
-            cfg.l1Kind = L1Kind::Sipt;
-            cfg.siptAssoc = org.assoc / 2;
-            const RunResult sipt = simulate(w, cfg);
+            const RunResult &base = cmp.baseline;
+            const RunResult &sipt =
+                harness::findResult(outcome.results, cell + "/sipt");
             table.addRow(
                 {org.label, name,
                  "SIPT " + std::to_string(org.assoc / 2) + "-way",

@@ -135,10 +135,13 @@ main(int argc, char **argv)
             usage();
             return 0;
         } else if (arg == "--jobs") {
-            options.jobs = std::atoi(need_value(i++));
+            options.jobs = static_cast<unsigned>(
+                grid::parseCount("--jobs", need_value(i++)));
         } else if (arg == "--one-pass") {
-            options.onePass =
-                bench::parseOnOff("--one-pass", need_value(i++));
+            const std::string value = need_value(i++);
+            if (value != "on" && value != "off")
+                grid::badValue("--one-pass", value);
+            options.onePass = value == "on";
         } else if (arg == "--out") {
             out_dir = need_value(i++);
         } else if (arg == "--store") {

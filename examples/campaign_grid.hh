@@ -11,7 +11,6 @@
 #define SEESAW_EXAMPLES_CAMPAIGN_GRID_HH
 
 #include <cctype>
-#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -20,6 +19,7 @@
 #include <vector>
 
 #include "bench_common.hh"
+#include "common/parse.hh"
 
 namespace seesaw::grid {
 
@@ -53,17 +53,10 @@ badValue(const char *flag, const std::string &token)
 inline std::uint64_t
 parseCount(const char *flag, const std::string &token)
 {
-    // strtoull alone skips blanks, negates a '-' and stops at the
-    // first non-digit, so "2e4" would read as 2.
-    if (token.empty() ||
-        !std::isdigit(static_cast<unsigned char>(token.front())))
+    const auto value = parseWholeCount(token);
+    if (!value)
         badValue(flag, token);
-    errno = 0;
-    char *end = nullptr;
-    const std::uint64_t value = std::strtoull(token.c_str(), &end, 10);
-    if (*end != '\0' || errno == ERANGE)
-        badValue(flag, token);
-    return value;
+    return *value;
 }
 
 /** @p token as a whole finite real number, else badValue(). */

@@ -6,9 +6,11 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <thread>
 
 #include "common/logging.hh"
+#include "common/parse.hh"
 #include "common/thread_annotations.hh"
 #include "sim/multi_config_engine.hh"
 
@@ -275,15 +277,10 @@ CampaignRunner::runAndWrite(const CampaignSpec &spec,
 unsigned
 defaultJobs()
 {
-    if (const char *env = std::getenv("SEESAW_JOBS"); env && *env) {
-        char *end = nullptr;
-        const long parsed = std::strtol(env, &end, 10);
-        if (end != env && parsed >= 1)
-            return static_cast<unsigned>(parsed);
-        SEESAW_WARN("ignoring unparsable SEESAW_JOBS=", env);
-    }
     const unsigned hw = std::thread::hardware_concurrency();
-    return hw ? hw : 1;
+    return static_cast<unsigned>(
+        envCount("SEESAW_JOBS", hw ? hw : 1, 1,
+                 std::numeric_limits<unsigned>::max()));
 }
 
 const RunResult &

@@ -91,8 +91,9 @@ class CampaignRunner
 
 /**
  * Worker count for parallel campaigns: the SEESAW_JOBS environment
- * variable when set (>= 1), otherwise std::thread::hardware_concurrency
- * (itself clamped to >= 1).
+ * variable when set, otherwise std::thread::hardware_concurrency
+ * (itself clamped to >= 1). A SEESAW_JOBS that is not a whole number
+ * >= 1 exits 1 with "bad SEESAW_JOBS value <token>".
  */
 unsigned defaultJobs();
 

@@ -1,9 +1,9 @@
 #include "sim/experiment.hh"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "common/logging.hh"
+#include "common/parse.hh"
 
 namespace seesaw {
 
@@ -51,35 +51,16 @@ summarize(const std::vector<double> &values)
     return s;
 }
 
-namespace {
-
-std::uint64_t
-envU64(const char *name, std::uint64_t fallback)
-{
-    const char *value = std::getenv(name);
-    if (!value || !*value)
-        return fallback;
-    char *end = nullptr;
-    const auto parsed = std::strtoull(value, &end, 10);
-    if (end == value) {
-        SEESAW_WARN("ignoring unparsable ", name, "=", value);
-        return fallback;
-    }
-    return parsed;
-}
-
-} // namespace
-
 std::uint64_t
 experimentInstructions(std::uint64_t fallback)
 {
-    return envU64("SEESAW_INSTRUCTIONS", fallback);
+    return envCount("SEESAW_INSTRUCTIONS", fallback);
 }
 
 std::uint64_t
 experimentMemBytes(std::uint64_t fallback)
 {
-    return envU64("SEESAW_MEM_BYTES", fallback);
+    return envCount("SEESAW_MEM_BYTES", fallback);
 }
 
 DesignComparison

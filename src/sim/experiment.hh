@@ -42,11 +42,13 @@ Summary summarize(const std::vector<double> &values);
 /**
  * Instruction budget for experiments: SEESAW_INSTRUCTIONS overrides
  * the per-bench default (benches default to quick runs; the paper's
- * 10B-instruction traces are approximated by longer budgets).
+ * 10B-instruction traces are approximated by longer budgets). A value
+ * that is not a whole number >= 1 exits 1 (common/parse.hh envCount).
  */
 std::uint64_t experimentInstructions(std::uint64_t fallback);
 
-/** SEESAW_MEM_BYTES override for simulated physical memory. */
+/** SEESAW_MEM_BYTES override for simulated physical memory, parsed
+ *  like experimentInstructions(). */
 std::uint64_t experimentMemBytes(std::uint64_t fallback);
 
 /** Baseline-vs-SEESAW pair on otherwise identical configs. */
