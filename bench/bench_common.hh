@@ -40,8 +40,33 @@ inline const CacheOrg kCacheOrgs[] = {
     {128 * 1024, 32, "128KB"},
 };
 
+/** The organisation @p token names: its label ("32KB") or the label
+ *  without its "B" in either case ("32K", "32k"); otherwise
+ *  badValue(@p flag). */
+inline const CacheOrg &
+parseOrg(const char *flag, const std::string &token)
+{
+    for (const auto &org : kCacheOrgs) {
+        std::string kilo(org.label);
+        kilo.pop_back();
+        std::string lower = kilo;
+        lower.back() = 'k';
+        if (token == org.label || token == kilo || token == lower)
+            return org;
+    }
+    badValue(flag, token);
+}
+
 /** The three evaluated frequencies. */
 inline const double kFrequencies[] = {1.33, 2.80, 4.00};
+
+/**
+ * SEESAW_INSTRUCTIONS and SEESAW_MEM_BYTES, read once before main() in
+ * every program built on this header: a malformed knob exits 1 before
+ * a bench prints its banner, not after, so stdout stays empty.
+ */
+inline const bool kBenchKnobsChecked =
+    (experimentInstructions(1), experimentMemBytes(1), true);
 
 /** Default bench configuration for one (org, freq) point. */
 inline SystemConfig
@@ -134,12 +159,12 @@ parseBenchArgs(int argc, char **argv, PolicyArgs &policy)
 {
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        if (arg == "--replacement" && i + 1 < argc) {
-            policy.replacement.kind =
-                parseName(kReplacementNames, "replacement", argv[++i]);
-        } else if (arg == "--prefetch" && i + 1 < argc) {
-            policy.prefetch.kind =
-                parseName(kPrefetchNames, "prefetcher", argv[++i]);
+        if (arg == "--replacement") {
+            policy.replacement.kind = parseName(
+                kReplacementNames, "replacement", takeValue(argc, argv, i));
+        } else if (arg == "--prefetch") {
+            policy.prefetch.kind = parseName(
+                kPrefetchNames, "prefetcher", takeValue(argc, argv, i));
         } else {
             std::fprintf(stderr,
                          "usage: %s [--replacement lru|fifo|random|"

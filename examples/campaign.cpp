@@ -25,6 +25,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <string>
 
 #include "campaign_grid.hh"
@@ -119,14 +120,6 @@ main(int argc, char **argv)
     bool resume = false;
     bool list_only = false;
 
-    auto need_value = [&](int i) -> const char * {
-        if (i + 1 >= argc) {
-            std::fprintf(stderr, "missing value for %s\n", argv[i]);
-            std::exit(1);
-        }
-        return argv[i + 1];
-    };
-
     for (int i = 1; i < argc; ++i) {
         if (gridOptions.parseArg(argc, argv, i))
             continue;
@@ -135,17 +128,18 @@ main(int argc, char **argv)
             usage();
             return 0;
         } else if (arg == "--jobs") {
-            options.jobs = static_cast<unsigned>(
-                grid::parseCount("--jobs", need_value(i++)));
+            options.jobs = static_cast<unsigned>(bench::parseCount(
+                "--jobs", bench::takeValue(argc, argv, i), 0,
+                std::numeric_limits<unsigned>::max()));
         } else if (arg == "--one-pass") {
-            const std::string value = need_value(i++);
+            const std::string value = bench::takeValue(argc, argv, i);
             if (value != "on" && value != "off")
-                grid::badValue("--one-pass", value);
+                bench::badValue("--one-pass", value);
             options.onePass = value == "on";
         } else if (arg == "--out") {
-            out_dir = need_value(i++);
+            out_dir = bench::takeValue(argc, argv, i);
         } else if (arg == "--store") {
-            store_dir = need_value(i++);
+            store_dir = bench::takeValue(argc, argv, i);
         } else if (arg == "--resume") {
             resume = true;
         } else if (arg == "--list") {

@@ -10,83 +10,14 @@
 #ifndef SEESAW_EXAMPLES_CAMPAIGN_GRID_HH
 #define SEESAW_EXAMPLES_CAMPAIGN_GRID_HH
 
-#include <cctype>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "bench_common.hh"
-#include "common/parse.hh"
 
 namespace seesaw::grid {
-
-inline std::vector<std::string>
-splitList(const std::string &arg)
-{
-    std::vector<std::string> out;
-    std::size_t start = 0;
-    while (start <= arg.size()) {
-        const auto comma = arg.find(',', start);
-        const auto end =
-            comma == std::string::npos ? arg.size() : comma;
-        if (end > start)
-            out.push_back(arg.substr(start, end - start));
-        if (comma == std::string::npos)
-            break;
-        start = comma + 1;
-    }
-    return out;
-}
-
-/** Reject @p token as the value of @p flag: exit 1. */
-[[noreturn]] inline void
-badValue(const char *flag, const std::string &token)
-{
-    std::fprintf(stderr, "bad %s value %s\n", flag, token.c_str());
-    std::exit(1);
-}
-
-/** @p token as a whole unsigned decimal number, else badValue(). */
-inline std::uint64_t
-parseCount(const char *flag, const std::string &token)
-{
-    const auto value = parseWholeCount(token);
-    if (!value)
-        badValue(flag, token);
-    return *value;
-}
-
-/** @p token as a whole finite real number, else badValue(). */
-inline double
-parseReal(const char *flag, const std::string &token)
-{
-    if (token.empty() ||
-        std::isspace(static_cast<unsigned char>(token.front())))
-        badValue(flag, token);
-    char *end = nullptr;
-    const double value = std::strtod(token.c_str(), &end);
-    if (*end != '\0' || !std::isfinite(value))
-        badValue(flag, token);
-    return value;
-}
-
-inline bench::CacheOrg
-parseOrg(const std::string &size)
-{
-    for (const auto &org : bench::kCacheOrgs) {
-        if (size == org.label ||
-            (size.size() > 1 && size.substr(0, size.size() - 1) ==
-                                    std::string(org.label).substr(
-                                        0, size.size() - 1)))
-            return org;
-    }
-    std::fprintf(stderr, "unknown L1 size %s (use 32K|64K|128K)\n",
-                 size.c_str());
-    std::exit(1);
-}
 
 /** One --mc-cells entry: workload : core count : L1 design. */
 struct McCellSpec
@@ -115,10 +46,8 @@ parseMcCell(const std::string &tok)
     // 2-64 cores: a single-core cell belongs to the regular grid, and
     // the engine models at most 64.
     const std::string cores = tok.substr(c1 + 1, c2 - c1 - 1);
-    const std::uint64_t count = parseCount("--mc-cells", cores);
-    if (count < 2 || count > 64)
-        badValue("--mc-cells", cores);
-    mc.cores = static_cast<unsigned>(count);
+    mc.cores =
+        static_cast<unsigned>(bench::parseCount("--mc-cells", cores, 2, 64));
     mc.kindName = tok.substr(c2 + 1);
     mc.kind = bench::parseName(bench::kDesignNames, "design",
                                 mc.kindName);
@@ -153,12 +82,7 @@ struct GridOptions
     parseArg(int argc, char **argv, int &i)
     {
         const auto take = [&](std::string &slot) {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "missing value for %s\n",
-                             argv[i]);
-                std::exit(1);
-            }
-            slot = argv[++i];
+            slot = bench::takeValue(argc, argv, i);
             return true;
         };
         const std::string arg = argv[i];
@@ -211,7 +135,7 @@ struct GridOptions
         if (!l1.empty()) {
             orgs.clear();
             for (const auto &size : splitList(l1))
-                orgs.push_back(parseOrg(size));
+                orgs.push_back(parseOrg("--l1", size));
         }
         std::vector<double> freqs{1.33};
         if (!freq.empty()) {
@@ -226,7 +150,7 @@ struct GridOptions
         if (!memhog.empty()) {
             memhogs.clear();
             for (const auto &f : splitList(memhog))
-                memhogs.push_back(parseReal("--memhog", f));
+                memhogs.push_back(parseReal("--memhog", f, 0.0, 1.0));
         }
         std::vector<std::uint64_t> seedList{1};
         if (!seeds.empty()) {
@@ -264,16 +188,14 @@ struct GridOptions
         const std::uint64_t instr =
             instructions.empty()
                 ? experimentInstructions(300'000)
-                : parseCount("--instructions", instructions);
-        if (instr < 1 && !instructions.empty())
-            badValue("--instructions", instructions);
+                : parseCount("--instructions", instructions, 1);
         check::AuditOptions auditOptions;
         auditOptions.mode = audit.empty()
                                 ? check::AuditMode::Off
                                 : check::parseAuditMode(audit);
         if (!auditPeriod.empty())
             auditOptions.periodEvents =
-                parseCount("--audit-period", auditPeriod);
+                parseCount("--audit-period", auditPeriod, 1);
 
         harness::CampaignSpec spec(campaign);
         if (workloads.empty()) {

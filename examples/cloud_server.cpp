@@ -9,48 +9,62 @@
  * available, and how SEESAW's benefit tracks the superpage supply —
  * including the effect of runtime promotion and splintering churn.
  *
+ * The 4 services × 4 memhog levels × VIPT/SEESAW points are one
+ * campaign, run on SEESAW_JOBS workers (hardware_concurrency when
+ * unset) and archived to results/cloud_server.json|csv
+ * (SEESAW_RESULTS_DIR moves them).
+ *
  *   $ ./build/examples/cloud_server
  */
 
 #include <cstdio>
+#include <string>
 
-#include "sim/experiment.hh"
-#include "sim/report.hh"
+#include "bench_common.hh"
 
 int
 main()
 {
     using namespace seesaw;
+    using namespace seesaw::bench;
 
     printBanner("cloud_server",
                 "SEESAW on a fragmented, long-uptime server");
 
     const char *services[] = {"redis", "mongo", "olio", "tunk"};
     const double fragmentation[] = {0.0, 0.3, 0.6, 0.8};
+    const auto percent = [](double frag) {
+        return std::to_string(static_cast<int>(frag * 100));
+    };
+
+    harness::CampaignSpec spec("cloud_server");
+    for (const char *service : services)
+        spec.workload(findWorkload(service));
+    for (double frag : fragmentation) {
+        SystemConfig cfg;
+        cfg.l1SizeBytes = 64 * 1024;
+        cfg.l1Assoc = 16;
+        cfg.freqGhz = 1.33;
+        cfg.instructions = 400'000;
+        cfg.memhogFraction = frag;
+        // Exercise the OS churn paths: frequent khugepaged passes and
+        // occasional splinters (mprotect on a sub-range).
+        cfg.promotionInterval = 100'000;
+        cfg.splinterInterval = 150'000;
+        addDesignPair(spec, "mh" + percent(frag), cfg);
+    }
+    const auto outcome = runBenchCampaign(spec);
 
     TableReporter table({"service", "memhog", "coverage",
                          "promotions", "splinters", "speedup",
                          "energy saved"});
 
     for (const char *service : services) {
-        const WorkloadSpec &w = findWorkload(service);
         for (double frag : fragmentation) {
-            SystemConfig cfg;
-            cfg.l1SizeBytes = 64 * 1024;
-            cfg.l1Assoc = 16;
-            cfg.freqGhz = 1.33;
-            cfg.instructions = 400'000;
-            cfg.memhogFraction = frag;
-            // Exercise the OS churn paths: frequent khugepaged passes
-            // and occasional splinters (mprotect on a sub-range).
-            cfg.promotionInterval = 100'000;
-            cfg.splinterInterval = 150'000;
-
-            const DesignComparison cmp =
-                compareBaselineVsSeesaw(w, cfg);
+            const DesignComparison cmp = findDesignPair(
+                outcome, std::string(service) + "/mh" + percent(frag));
             table.addRow(
-                {service,
-                 std::to_string(static_cast<int>(frag * 100)) + "%",
+                {service, percent(frag) + "%",
                  TableReporter::pct(
                      100.0 * cmp.seesaw.superpageCoverage, 0),
                  std::to_string(cmp.seesaw.promotions),

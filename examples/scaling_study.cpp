@@ -14,48 +14,28 @@
  *         --fabric snoopy
  *
  * --l1 picks the design compared against the VIPT baseline; --fabric
- * picks the coherence fabric (directory, snoopy, none).
+ * picks the coherence fabric (directory, snoopy, none); --cores takes
+ * 1-64, and a malformed value exits 1 with "bad --cores value <token>".
+ *
+ * Every point is one cell of a campaign run on SEESAW_JOBS workers
+ * (hardware_concurrency when unset), archived to
+ * results/scaling_study.json|csv (SEESAW_RESULTS_DIR moves them).
+ * Each 16-core cell holds its own 16 core complexes, so peak RSS
+ * grows with the worker count.
  */
 
+#include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
-#include "enum_names.hh"
-#include "sim/report.hh"
-#include "sim/sim_engine.hh"
-
-namespace {
-
-using namespace seesaw;
-
-std::vector<unsigned>
-parseCores(const std::string &list)
-{
-    std::vector<unsigned> cores;
-    std::size_t pos = 0;
-    while (pos < list.size()) {
-        const std::size_t comma = list.find(',', pos);
-        const std::string tok =
-            list.substr(pos, comma == std::string::npos
-                                 ? std::string::npos
-                                 : comma - pos);
-        cores.push_back(
-            static_cast<unsigned>(std::stoul(tok)));
-        if (comma == std::string::npos)
-            break;
-        pos = comma + 1;
-    }
-    return cores;
-}
-
-} // namespace
+#include "bench_common.hh"
 
 int
 main(int argc, char **argv)
 {
     using namespace seesaw;
+    using namespace seesaw::bench;
 
     std::vector<unsigned> core_counts = {1, 2, 4, 8, 16};
     L1Kind design = L1Kind::Seesaw;
@@ -66,34 +46,30 @@ main(int argc, char **argv)
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        auto value = [&]() -> std::string {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s needs a value\n",
-                             arg.c_str());
-                std::exit(2);
-            }
-            return argv[++i];
-        };
         if (arg == "--cores") {
-            core_counts = parseCores(value());
+            // 1-64 cores: the engine models at most 64.
+            core_counts.clear();
+            for (const auto &tok : splitList(takeValue(argc, argv, i)))
+                core_counts.push_back(static_cast<unsigned>(
+                    parseCount("--cores", tok, 1, 64)));
+            if (core_counts.empty())
+                badValue("--cores", argv[i]);
         } else if (arg == "--l1") {
-            design_name = value();
-            design = bench::parseName(bench::kDesignNames, "design",
-                                      design_name);
+            design_name = takeValue(argc, argv, i);
+            design = parseName(kDesignNames, "design", design_name);
         } else if (arg == "--fabric") {
-            fabric_name = value();
-            fabric = bench::parseName(bench::kFabricNames, "fabric",
-                                      fabric_name);
+            fabric_name = takeValue(argc, argv, i);
+            fabric = parseName(kFabricNames, "fabric", fabric_name);
         } else if (arg == "--workload") {
-            workload_name = value();
+            workload_name = takeValue(argc, argv, i);
         } else {
             std::fprintf(
                 stderr,
-                "usage: scaling_study [--cores N,N,...] "
+                "usage: scaling_study [--cores N,N,... (1-64)] "
                 "[--l1 vipt|pipt|seesaw|wp|wpseesaw|sipt] "
                 "[--fabric directory|snoopy|none] "
                 "[--workload NAME]\n");
-            return arg == "--help" || arg == "-h" ? 0 : 2;
+            return arg == "--help" || arg == "-h" ? 0 : 1;
         }
     }
 
@@ -104,25 +80,40 @@ main(int argc, char **argv)
 
     const WorkloadSpec &w = findWorkload(workload_name);
 
-    TableReporter table({"cores", "agg IPC", "probes/kinstr",
-                         "probe hitrate", "CPU-side saved(uJ)",
-                         "coherence saved(uJ)", "coherence share"});
-
-    for (unsigned cores : core_counts) {
+    // One VIPT-baseline cell and one design cell per core count (a
+    // single cell when the design is the baseline itself).
+    const auto cellName = [&](unsigned cores, L1Kind kind) {
+        return workload_name + "/c" + std::to_string(cores) + "/" +
+               nameOf(kDesignNames, kind);
+    };
+    harness::CampaignSpec spec("scaling_study");
+    for (auto it = core_counts.begin(); it != core_counts.end(); ++it) {
+        if (std::find(core_counts.begin(), it, *it) != it)
+            continue; // a repeated count reuses its cells
         SystemConfig cfg;
-        cfg.cores = cores;
+        cfg.cores = *it;
         cfg.fabric = fabric;
         cfg.l1SizeBytes = 64 * 1024;
         cfg.l1Assoc = 16;
         cfg.instructions = 80'000;
         cfg.warmupInstructions = 40'000;
         cfg.seed = 3;
+        spec.cell(cellName(*it, L1Kind::ViptBaseline), w,
+                  withDesign(cfg, L1Kind::ViptBaseline));
+        if (design != L1Kind::ViptBaseline)
+            spec.cell(cellName(*it, design), w, withDesign(cfg, design));
+    }
+    const auto outcome = runBenchCampaign(spec);
 
-        cfg.l1Kind = L1Kind::ViptBaseline;
-        const RunResult base = SimEngine(cfg, w).run();
-        cfg.l1Kind = design;
-        const RunResult see = SimEngine(cfg, w).run();
+    TableReporter table({"cores", "agg IPC", "probes/kinstr",
+                         "probe hitrate", "CPU-side saved(uJ)",
+                         "coherence saved(uJ)", "coherence share"});
 
+    for (unsigned cores : core_counts) {
+        const RunResult &base = harness::findResult(
+            outcome.results, cellName(cores, L1Kind::ViptBaseline));
+        const RunResult &see =
+            harness::findResult(outcome.results, cellName(cores, design));
         const double cpu_saved =
             (base.l1CpuDynamicNj - see.l1CpuDynamicNj) / 1000.0;
         const double coh_saved = (base.l1CoherenceDynamicNj -

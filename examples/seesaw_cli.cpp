@@ -12,18 +12,19 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <limits>
+#include <optional>
 #include <string>
 
-#include "enum_names.hh"
-#include "sim/experiment.hh"
-#include "sim/report.hh"
+#include "bench_common.hh"
 
 namespace {
 
 using namespace seesaw;
 using namespace seesaw::bench;
+
+constexpr std::uint64_t kMaxUnsigned =
+    std::numeric_limits<unsigned>::max();
 
 void
 usage()
@@ -42,7 +43,7 @@ usage()
         "  --assoc N           L1 ways (default matches --l1: 8/16/32)\n"
         "  --freq GHZ          1.33 | 2.80 | 4.00 (default 1.33)\n"
         "  --core KIND         ooo | inorder (default ooo)\n"
-        "  --memhog FRAC       fragment FRAC of memory first "
+        "  --memhog FRAC       fragment FRAC (0-1) of memory first "
         "(default 0)\n"
         "  --fabric KIND       directory | snoopy | none\n"
         "                      (default directory)\n"
@@ -51,8 +52,9 @@ usage()
         "(default lru)\n"
         "  --prefetch KIND     none | nextline | stride "
         "(default none)\n"
-        "  --tft N[:A]         TFT entries and associativity "
-        "(default 16:1)\n"
+        "  --tft N[:A]         TFT entries and associativity, A "
+        "dividing N\n"
+        "                      (default 16:1)\n"
         "  --unified-tlb [N]   fully-associative unified L1 TLB\n"
         "  --icache            also model a SEESAW/VIPT L1I\n"
         "  --instructions N    instruction budget (default 1000000)\n"
@@ -126,16 +128,9 @@ main(int argc, char **argv)
     std::string workload_name = "redis";
     SystemConfig cfg;
     cfg.instructions = 1'000'000;
+    const CacheOrg *org = &kCacheOrgs[0];
+    unsigned assoc = 0; // 0 = the organisation's associativity
     bool run_baseline = false;
-    bool explicit_assoc = false;
-
-    auto need_value = [&](int i) -> const char * {
-        if (i + 1 >= argc) {
-            std::fprintf(stderr, "missing value for %s\n", argv[i]);
-            std::exit(1);
-        }
-        return argv[i + 1];
-    };
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -152,65 +147,73 @@ main(int argc, char **argv)
             }
             return 0;
         } else if (arg == "--workload") {
-            workload_name = need_value(i++);
+            workload_name = takeValue(argc, argv, i);
         } else if (arg == "--trace") {
-            cfg.tracePath = need_value(i++);
+            cfg.tracePath = takeValue(argc, argv, i);
         } else if (arg == "--design") {
-            cfg.l1Kind = parseName(kDesignNames, "design", need_value(i++));
+            cfg.l1Kind = parseName(kDesignNames, "design",
+                                   takeValue(argc, argv, i));
         } else if (arg == "--l1") {
-            const std::string size = need_value(i++);
-            if (size == "32K" || size == "32k")
-                cfg.l1SizeBytes = 32 * 1024;
-            else if (size == "64K" || size == "64k")
-                cfg.l1SizeBytes = 64 * 1024;
-            else if (size == "128K" || size == "128k")
-                cfg.l1SizeBytes = 128 * 1024;
-            else {
-                std::fprintf(stderr, "unknown L1 size %s\n",
-                             size.c_str());
-                return 1;
-            }
+            org = &parseOrg("--l1", takeValue(argc, argv, i));
         } else if (arg == "--assoc") {
-            cfg.l1Assoc = std::atoi(need_value(i++));
-            explicit_assoc = true;
+            assoc = static_cast<unsigned>(parseCount(
+                "--assoc", takeValue(argc, argv, i), 1, kMaxUnsigned));
         } else if (arg == "--freq") {
-            cfg.freqGhz = std::atof(need_value(i++));
+            const std::string token = takeValue(argc, argv, i);
+            cfg.freqGhz = parseReal("--freq", token);
+            if (cfg.freqGhz <= 0.0)
+                badValue("--freq", token);
         } else if (arg == "--core") {
-            cfg.coreKind = parseName(kCoreNames, "core", need_value(i++));
+            cfg.coreKind =
+                parseName(kCoreNames, "core", takeValue(argc, argv, i));
         } else if (arg == "--memhog") {
-            cfg.memhogFraction = std::atof(need_value(i++));
+            cfg.memhogFraction =
+                parseReal("--memhog", takeValue(argc, argv, i), 0.0, 1.0);
         } else if (arg == "--fabric") {
-            cfg.fabric = parseName(kFabricNames, "fabric", need_value(i++));
+            cfg.fabric = parseName(kFabricNames, "fabric",
+                                   takeValue(argc, argv, i));
         } else if (arg == "--policy") {
-            cfg.policy = parseName(kPolicyNames, "policy", need_value(i++));
+            cfg.policy = parseName(kPolicyNames, "policy",
+                                   takeValue(argc, argv, i));
         } else if (arg == "--replacement") {
-            cfg.replacement.kind = parseName(kReplacementNames,
-                                             "replacement", need_value(i++));
+            cfg.replacement.kind = parseName(
+                kReplacementNames, "replacement", takeValue(argc, argv, i));
         } else if (arg == "--prefetch") {
             cfg.prefetch.kind = parseName(kPrefetchNames, "prefetcher",
-                                          need_value(i++));
+                                          takeValue(argc, argv, i));
         } else if (arg == "--tft") {
-            const std::string spec = need_value(i++);
+            // N[:A]: A ways dividing N entries (N / A sets).
+            const std::string spec = takeValue(argc, argv, i);
             const auto colon = spec.find(':');
-            cfg.tftEntries = std::atoi(spec.c_str());
-            if (colon != std::string::npos)
-                cfg.tftAssoc = std::atoi(spec.c_str() + colon + 1);
+            const auto entries = parseWholeCount(spec.substr(0, colon));
+            const auto ways =
+                colon == std::string::npos
+                    ? std::optional<std::uint64_t>(1)
+                    : parseWholeCount(spec.substr(colon + 1));
+            if (!entries || !ways || *entries == 0 || *ways == 0 ||
+                *entries > kMaxUnsigned || *entries % *ways != 0)
+                badValue("--tft", spec);
+            cfg.tftEntries = static_cast<unsigned>(*entries);
+            cfg.tftAssoc = static_cast<unsigned>(*ways);
         } else if (arg == "--unified-tlb") {
             cfg.unifiedL1Tlb = true;
             if (i + 1 < argc && argv[i + 1][0] != '-')
-                cfg.unifiedL1TlbEntries = std::atoi(argv[++i]);
+                cfg.unifiedL1TlbEntries = static_cast<unsigned>(
+                    parseCount("--unified-tlb", takeValue(argc, argv, i), 1,
+                               kMaxUnsigned));
         } else if (arg == "--icache") {
             cfg.modelInstructionCache = true;
         } else if (arg == "--instructions") {
-            cfg.instructions = std::strtoull(need_value(i++), nullptr,
-                                             10);
+            cfg.instructions =
+                parseCount("--instructions", takeValue(argc, argv, i), 1);
         } else if (arg == "--seed") {
-            cfg.seed = std::strtoull(need_value(i++), nullptr, 10);
+            cfg.seed = parseCount("--seed", takeValue(argc, argv, i));
         } else if (arg == "--audit") {
-            cfg.audit.mode = check::parseAuditMode(need_value(i++));
+            cfg.audit.mode =
+                check::parseAuditMode(takeValue(argc, argv, i));
         } else if (arg == "--audit-period") {
             cfg.audit.periodEvents =
-                std::strtoull(need_value(i++), nullptr, 10);
+                parseCount("--audit-period", takeValue(argc, argv, i), 1);
         } else if (arg == "--baseline") {
             run_baseline = true;
         } else {
@@ -219,12 +222,8 @@ main(int argc, char **argv)
             return 1;
         }
     }
-
-    if (!explicit_assoc) {
-        cfg.l1Assoc = cfg.l1SizeBytes == 32 * 1024    ? 8
-                      : cfg.l1SizeBytes == 64 * 1024  ? 16
-                                                      : 32;
-    }
+    cfg.l1SizeBytes = org->sizeBytes;
+    cfg.l1Assoc = assoc ? assoc : org->assoc;
 
     const WorkloadSpec &workload = findWorkload(workload_name);
     std::printf("workload %s, L1 %lluKB %u-way @ %.2fGHz, %s core\n",

@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -17,6 +18,19 @@ parseWholeCount(const std::string &token)
     char *end = nullptr;
     const std::uint64_t value = std::strtoull(token.c_str(), &end, 10);
     if (*end != '\0' || errno == ERANGE)
+        return std::nullopt;
+    return value;
+}
+
+std::optional<double>
+parseWholeReal(const std::string &token)
+{
+    if (token.empty() ||
+        std::isspace(static_cast<unsigned char>(token.front())))
+        return std::nullopt;
+    char *end = nullptr;
+    const double value = std::strtod(token.c_str(), &end);
+    if (*end != '\0' || !std::isfinite(value))
         return std::nullopt;
     return value;
 }

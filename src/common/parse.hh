@@ -3,7 +3,7 @@
  * Whole-token number parsing for command-line flags and environment
  * knobs. strtoull alone skips blanks, negates a '-' and stops at the
  * first non-digit, so "2e4" would read as 2; these helpers accept a
- * value only when the whole token is a decimal number.
+ * value only when the whole token is a number.
  */
 
 #ifndef SEESAW_COMMON_PARSE_HH
@@ -19,6 +19,11 @@ namespace seesaw {
 /** @p token as a whole unsigned decimal number; nullopt when it is
  *  empty, signed, blank-padded, has trailing characters or overflows. */
 std::optional<std::uint64_t> parseWholeCount(const std::string &token);
+
+/** @p token as a whole finite real number (strtod syntax); nullopt
+ *  when it is empty, blank-padded, has trailing characters, or reads
+ *  as an infinity, a NaN or an overflow. */
+std::optional<double> parseWholeReal(const std::string &token);
 
 /**
  * Environment variable @p name as a whole number in [@p min, @p max],

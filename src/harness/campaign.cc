@@ -1,5 +1,7 @@
 #include "harness/campaign.hh"
 
+#include <cinttypes>
+#include <cstdio>
 #include <set>
 
 #include "common/logging.hh"
@@ -18,6 +20,14 @@ configHash(const SystemConfig &config)
     writeTlbGeometryFields(config, w);
     writeSubstrateFields(config, w);
     return w.hash();
+}
+
+std::string
+configHashHex(std::uint64_t hash)
+{
+    char buf[24];
+    std::snprintf(buf, sizeof(buf), "%016" PRIx64, hash);
+    return buf;
 }
 
 CampaignSpec::CampaignSpec(std::string name) : name_(std::move(name))

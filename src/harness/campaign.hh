@@ -51,6 +51,10 @@ struct CellResult
  */
 std::uint64_t configHash(const SystemConfig &config);
 
+/** @p hash as the 16 lowercase hex digits that the JSON/CSV sinks and
+ *  the result store record it as. */
+std::string configHashHex(std::uint64_t hash);
+
 /**
  * Builder for a sweep. Axes (workloads, variants, seeds) expand as a
  * cross-product via cells(); explicit cells (e.g. hand-built multi-core

@@ -1,6 +1,5 @@
 #include "harness/sinks.hh"
 
-#include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -23,15 +22,6 @@ MutableResultField
 fieldD(const char *name, double &v)
 {
     return MutableResultField{name, false, nullptr, &v};
-}
-
-/** Hex-format a config hash the way both sinks record it. */
-std::string
-hashString(std::uint64_t hash)
-{
-    char buf[24];
-    std::snprintf(buf, sizeof(buf), "%016" PRIx64, hash);
-    return buf;
 }
 
 /** CSV-quote @p s when it contains a delimiter, quote or newline. */
@@ -169,7 +159,7 @@ emitCampaignJson(std::ostream &os, const CampaignMetadata &meta,
         json.beginObject()
             .field("cell", cell.name)
             .field("seed", cell.seed)
-            .field("config_hash", hashString(cell.configHash))
+            .field("config_hash", configHashHex(cell.configHash))
             .field("wall_seconds", cell.wallSeconds)
             .field("workload", cell.result.workload);
         json.key("stats").beginObject();
@@ -225,7 +215,7 @@ emitCampaignCsv(std::ostream &os, const CampaignMetadata &meta,
     for (const auto &cell : results) {
         os << csvField(meta.campaign) << ','
            << csvField(meta.gitDescribe) << ',' << csvField(cell.name)
-           << ',' << cell.seed << ',' << hashString(cell.configHash)
+           << ',' << cell.seed << ',' << configHashHex(cell.configHash)
            << ',' << cell.wallSeconds << ','
            << csvField(cell.result.workload);
         char buf[32];

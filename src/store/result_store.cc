@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -192,14 +191,6 @@ checkManifest(const std::string &dir)
 
 } // namespace
 
-std::string
-hashHex(std::uint64_t hash)
-{
-    char buf[24];
-    std::snprintf(buf, sizeof(buf), "%016" PRIx64, hash);
-    return buf;
-}
-
 CellKey
 keyOf(const harness::Cell &cell)
 {
@@ -286,7 +277,8 @@ writeRecordLine(std::ostream &os, const CellRecord &record,
     json.beginObject()
         .field("v", kSchemaVersion)
         .field("workload", record.key.workload)
-        .field("config_hash", hashHex(record.key.configHash))
+        .field("config_hash",
+               harness::configHashHex(record.key.configHash))
         .field("seed", record.key.seed)
         .field("cell", record.cell);
     if (volatileFields) {
@@ -320,7 +312,14 @@ parseRecord(const JsonValue &doc, CellRecord &out)
         return "record schema version " + std::to_string(version->u) +
                " unsupported (this build reads version " +
                std::to_string(kSchemaVersion) + ")";
+    return parseRecordFields(doc, out);
+}
 
+std::string
+parseRecordFields(const JsonValue &doc, CellRecord &out)
+{
+    if (!doc.isObject())
+        return "record is not an object";
     const JsonValue *workload = doc.find("workload");
     const JsonValue *hash = doc.find("config_hash");
     const JsonValue *seed = doc.find("seed");
@@ -333,10 +332,10 @@ parseRecord(const JsonValue &doc, CellRecord &out)
     out = CellRecord{};
     out.key.workload = workload->asString();
     out.key.seed = seed->asU64();
+    // Only the exact form configHashHex() writes reads back.
     const std::string &hex = hash->asString();
-    char *end = nullptr;
-    out.key.configHash = std::strtoull(hex.c_str(), &end, 16);
-    if (end != hex.c_str() + hex.size() || hex.empty())
+    out.key.configHash = std::strtoull(hex.c_str(), nullptr, 16);
+    if (harness::configHashHex(out.key.configHash) != hex)
         return "bad config_hash " + hex;
     out.cell = cell->asString();
     if (const JsonValue *v = doc.find("campaign"))

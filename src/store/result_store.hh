@@ -109,11 +109,17 @@ CellKey keyOf(const harness::Cell &cell);
 void writeRecordLine(std::ostream &os, const CellRecord &record,
                      bool volatileFields = true);
 
-/** Parse one record line. @return "" or an error message. */
+/** Parse one record line: its "v" schema version, then
+ *  parseRecordFields(). @return "" or an error message. */
 std::string parseRecord(const JsonValue &doc, CellRecord &out);
 
-/** Fixed-width hex form of a config hash (matches the sinks). */
-std::string hashHex(std::uint64_t hash);
+/**
+ * Parse the key, cell and stats fields of @p doc, with no schema
+ * version: a store record body, or one results[] entry of a campaign
+ * JSON sink, which carries the same fields. @return "" or an error
+ * message.
+ */
+std::string parseRecordFields(const JsonValue &doc, CellRecord &out);
 
 /** Everything a store directory currently holds. */
 struct StoreSnapshot

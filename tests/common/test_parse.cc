@@ -24,6 +24,16 @@ TEST(ParseWholeCount, AcceptsOnlyWholeDecimalTokens)
         EXPECT_FALSE(parseWholeCount(bad).has_value()) << bad;
 }
 
+TEST(ParseWholeReal, AcceptsOnlyWholeFiniteTokens)
+{
+    EXPECT_EQ(parseWholeReal("1.33"), 1.33);
+    EXPECT_EQ(parseWholeReal("-1"), -1.0);
+    EXPECT_EQ(parseWholeReal("2e4"), 2e4);
+    for (const char *bad : {"", "abc", "1.3x", " 1", "1 ", "inf", "nan",
+                            "1e999"})
+        EXPECT_FALSE(parseWholeReal(bad).has_value()) << bad;
+}
+
 TEST(EnvCount, UnsetOrEmptyMeansTheFallback)
 {
     ::unsetenv("SEESAW_TEST_KNOB");

@@ -97,6 +97,33 @@ TEST(ResultStore, RecordRoundTripsThroughItsLineFormat)
     EXPECT_EQ(cell.result.pageFaults, 7u);
 }
 
+TEST(ResultStore, FieldsParseWithoutAVersionButOnlyCanonicalHashes)
+{
+    // A campaign JSON sink entry: the record fields, no "v".
+    const auto entry = [](const std::string &hash) {
+        JsonValue doc;
+        std::string error;
+        EXPECT_TRUE(parseJson(
+            R"({"cell":"redis/x","seed":1,"workload":"redis",)"
+            R"("stats":{"cycles":1},"config_hash":")" +
+                hash + "\"}",
+            doc, error))
+            << error;
+        return doc;
+    };
+    CellRecord record;
+    EXPECT_EQ(parseRecordFields(entry("123456789abcdef0"), record), "");
+    EXPECT_EQ(record.key.configHash, 0x1234'5678'9abc'def0ULL);
+    EXPECT_EQ(parseRecord(entry("123456789abcdef0"), record),
+              "record has no schema version");
+    for (const char *bad : {"zz", "", "1", " 123456789abcdef0",
+                            "0x3456789abcdef0", "123456789ABCDEF0",
+                            "123456789abcdef01"})
+        EXPECT_EQ(parseRecordFields(entry(bad), record),
+                  std::string("bad config_hash ") + bad)
+            << bad;
+}
+
 TEST(ResultStore, UpsertIsLastWriterWinsAndIdempotent)
 {
     TempStore store;

@@ -87,36 +87,10 @@ loadCampaignJson(const std::string &path,
         return path + ": no results array (not a campaign sink?)";
 
     for (const auto &entry : results->items) {
-        const store::JsonValue *workload = entry.find("workload");
-        const store::JsonValue *hash = entry.find("config_hash");
-        const store::JsonValue *seed = entry.find("seed");
-        const store::JsonValue *cell = entry.find("cell");
-        const store::JsonValue *stats = entry.find("stats");
-        if (workload == nullptr || hash == nullptr ||
-            seed == nullptr || cell == nullptr || stats == nullptr ||
-            !stats->isObject())
-            return path + ": malformed results entry";
         CellRecord record;
-        record.key.workload = workload->asString();
-        record.key.configHash = std::strtoull(
-            hash->asString().c_str(), nullptr, 16);
-        record.key.seed = seed->asU64();
-        record.cell = cell->asString();
-        if (const store::JsonValue *v = entry.find("cores"))
-            record.cores = static_cast<unsigned>(v->asU64());
-        for (const auto &[name, v] : stats->members)
-            record.stats.push_back(
-                StatValue{name, v.integral, v.u, v.d});
-        if (const store::JsonValue *pc = entry.find("per_core");
-            pc != nullptr && pc->isArray()) {
-            for (const auto &slice : pc->items) {
-                std::vector<StatValue> values;
-                for (const auto &[name, v] : slice.members)
-                    values.push_back(
-                        StatValue{name, v.integral, v.u, v.d});
-                record.perCore.push_back(std::move(values));
-            }
-        }
+        error = store::parseRecordFields(entry, record);
+        if (!error.empty())
+            return path + ": " + error;
         out[record.key] = std::move(record);
     }
     return "";
@@ -143,7 +117,7 @@ loadSide(const std::string &path, std::map<CellKey, CellRecord> &out)
 std::string
 keyLabel(const CellKey &key)
 {
-    return key.workload + "/" + store::hashHex(key.configHash) +
+    return key.workload + "/" + harness::configHashHex(key.configHash) +
            "/s" + std::to_string(key.seed);
 }
 
