@@ -12,7 +12,10 @@
  *    bit, so the shared L1 skeleton cannot drift any of them;
  *  - the unified L1 TLB (32/64 entries, VIPT and SEESAW, in-order,
  *    Random victims) and a split hierarchy over a 1GB-page heap are
- *    pinned the same way, with the TLB hierarchy's hit/walk counters.
+ *    pinned the same way, with the TLB hierarchy's hit/walk counters;
+ *  - FIFO, SRRIP and Random victims, an associative TFT and the
+ *    4way-8way insertion policy under base-page pressure are pinned
+ *    the same way.
  */
 
 #include <gtest/gtest.h>
@@ -322,6 +325,103 @@ TEST(SimEngineGolden, EveryTlbOrganisationIsPinned)
         SimEngine engine(cfg, w);
         const RunResult r = engine.run();
 
+        expectGolden(r, t.golden, t.name);
+        const StatGroup &tlb = engine.complex(0).tlb().stats();
+        EXPECT_EQ(tlb.get("l1_hits"), static_cast<double>(t.l1TlbHits))
+            << t.name;
+        EXPECT_EQ(tlb.get("l2_hits"), static_cast<double>(t.l2TlbHits))
+            << t.name;
+        EXPECT_EQ(tlb.get("walks"), static_cast<double>(t.walks))
+            << t.name;
+    }
+}
+
+// Captured before the tag stores, TLBs and TFT were rebuilt on one
+// set-associative table. Each non-LRU policy runs SEESAW with every
+// structure drawing its victims from that policy; the TFT rows put 128
+// superpage regions through an associative 16-entry TFT; the 4way8way
+// rows mix base-page fills drawn from the whole set with
+// partition-scoped superpage fills.
+const TlbGoldenRow kPolicyGolden[] = {
+    {"seesaw_fifo",
+     [](SystemConfig &c, WorkloadSpec &) {
+         c.replacement.kind = ReplacementKind::Fifo;
+     },
+     32812ULL, 0ULL, 11ULL,
+     {SeesawKind, 1ULL, 60000ULL, 42882ULL, 1.3991884706870015,
+      21856ULL, 19578ULL, 2278ULL, 21851ULL, 2278ULL, 1199ULL, 16ULL,
+      21856ULL, 21851ULL, 21856ULL, 5557.3952296583011, 1, 2278ULL,
+      2700ULL, 2391ULL}},
+    {"seesaw_srrip",
+     [](SystemConfig &c, WorkloadSpec &) {
+         c.replacement.kind = ReplacementKind::Srrip;
+     },
+     32812ULL, 0ULL, 11ULL,
+     {SeesawKind, 1ULL, 60000ULL, 39237ULL, 1.5291688967046411,
+      21856ULL, 19902ULL, 1954ULL, 21851ULL, 1954ULL, 1199ULL, 16ULL,
+      21856ULL, 21851ULL, 21856ULL, 5164.1737078538154, 1, 1954ULL,
+      2700ULL, 2447ULL}},
+    {"seesaw_random",
+     [](SystemConfig &c, WorkloadSpec &) {
+         c.replacement.kind = ReplacementKind::Random;
+     },
+     32812ULL, 0ULL, 11ULL,
+     {SeesawKind, 1ULL, 60000ULL, 41858ULL, 1.4334177457116919,
+      21856ULL, 19669ULL, 2187ULL, 21851ULL, 2187ULL, 1199ULL, 16ULL,
+      21856ULL, 21851ULL, 21856ULL, 5459.276119883868, 1, 2187ULL,
+      2700ULL, 2372ULL}},
+    {"tft16x4_lru",
+     [](SystemConfig &c, WorkloadSpec &w) {
+         tlbPressure(c, w);
+         c.tftAssoc = 4;
+     },
+     32491ULL, 66ULL, 266ULL,
+     {SeesawKind, 1ULL, 60000ULL, 57851ULL, 1.0371471538953518,
+      21856ULL, 19925ULL, 1931ULL, 17873ULL, 1931ULL, 1268ULL, 195ULL,
+      21856ULL, 17873ULL, 17875ULL, 11197.108468187749, 0.1796875,
+      1931ULL, 2700ULL, 2463ULL}},
+    {"tft16x16_random",
+     [](SystemConfig &c, WorkloadSpec &w) {
+         tlbPressure(c, w);
+         c.tftAssoc = 16;
+         c.replacement.kind = ReplacementKind::Random;
+     },
+     32436ULL, 119ULL, 268ULL,
+     {SeesawKind, 1ULL, 60000ULL, 61037ULL, 0.98301030522469979,
+      21856ULL, 19678ULL, 2178ULL, 17873ULL, 2178ULL, 1268ULL, 195ULL,
+      21856ULL, 17873ULL, 17875ULL, 11554.061454653762, 0.1796875,
+      2178ULL, 2700ULL, 2348ULL}},
+    {"seesaw_4way8way",
+     [](SystemConfig &c, WorkloadSpec &w) {
+         tlbPressure(c, w);
+         c.policy = InsertionPolicy::FourWayEightWay;
+     },
+     32491ULL, 66ULL, 266ULL,
+     {SeesawKind, 1ULL, 60000ULL, 57485ULL, 1.0437505436200749,
+      21856ULL, 19964ULL, 1892ULL, 17810ULL, 1892ULL, 1268ULL, 195ULL,
+      21856ULL, 17810ULL, 17875ULL, 11216.990745287316, 0.1796875,
+      1892ULL, 2700ULL, 2466ULL}},
+    {"seesaw_4way8way_random",
+     [](SystemConfig &c, WorkloadSpec &w) {
+         tlbPressure(c, w);
+         c.policy = InsertionPolicy::FourWayEightWay;
+         c.replacement.kind = ReplacementKind::Random;
+     },
+     32436ULL, 119ULL, 268ULL,
+     {SeesawKind, 1ULL, 60000ULL, 60540ULL, 0.99108027750247774,
+      21856ULL, 19729ULL, 2127ULL, 17810ULL, 2127ULL, 1268ULL, 195ULL,
+      21856ULL, 17810ULL, 17875ULL, 11561.9527362646, 0.1796875,
+      2127ULL, 2700ULL, 2396ULL}},
+};
+
+TEST(SimEngineGolden, EveryReplacementPolicyIsPinned)
+{
+    for (const TlbGoldenRow &t : kPolicyGolden) {
+        SystemConfig cfg = goldenConfig(t.golden.kind, t.golden.seed);
+        WorkloadSpec w = goldenWorkload();
+        t.configure(cfg, w);
+        SimEngine engine(cfg, w);
+        const RunResult r = engine.run();
         expectGolden(r, t.golden, t.name);
         const StatGroup &tlb = engine.complex(0).tlb().stats();
         EXPECT_EQ(tlb.get("l1_hits"), static_cast<double>(t.l1TlbHits))
