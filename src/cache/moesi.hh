@@ -4,10 +4,11 @@
  * directory).
  *
  * The one home of the line-state rules: every L1 design (through the
- * L1Cache skeleton's fill, write and probe paths), the tag store's
- * line drops, and both coherence fabrics (read-fill downgrade, snoopy
- * write upgrade) derive line states from these functions, which are
- * unit-tested against the MOESI truth table.
+ * L1Cache skeleton's fill, write and probe paths) and both coherence
+ * fabrics (read-fill downgrade, snoopy write upgrade) derive line
+ * states from these functions, which are unit-tested against the
+ * MOESI truth table. A tag store drops a line by resetting its way to
+ * a default CacheLine, whose Invalid state is what onDrop() names.
  */
 
 #ifndef SEESAW_CACHE_MOESI_HH

@@ -10,7 +10,6 @@ ReplacementPolicy::ReplacementPolicy(const ReplacementParams &params,
       assoc_(assoc),
       maxRrpv_((std::uint64_t{1} << params.rripBits) - 1),
       state_(static_cast<std::size_t>(num_sets) * assoc, 0),
-      occupied_(static_cast<std::size_t>(num_sets) * assoc, 0),
       rng_(params.seed)
 {
     SEESAW_ASSERT(num_sets > 0 && assoc > 0, "empty policy geometry");
@@ -44,7 +43,8 @@ ReplacementPolicy::victimSlow(std::size_t slot0, unsigned begin,
 }
 
 void
-ReplacementPolicy::auditSet(unsigned set, const AuditFail &fail) const
+ReplacementPolicy::auditSet(unsigned set, const WayValid &valid,
+                            const AuditFail &fail) const
 {
     switch (kind_) {
       case ReplacementKind::Lru:
@@ -52,7 +52,7 @@ ReplacementPolicy::auditSet(unsigned set, const AuditFail &fail) const
         const char *what =
             kind_ == ReplacementKind::Lru ? "LRU" : "FIFO";
         for (unsigned way = 0; way < assoc_; ++way) {
-            if (!occupied_[slot(set, way)])
+            if (!valid(way))
                 continue;
             const std::uint64_t stamp = state_[slot(set, way)];
             if (stamp > clock_) {
@@ -62,7 +62,7 @@ ReplacementPolicy::auditSet(unsigned set, const AuditFail &fail) const
                               std::to_string(clock_));
             }
             for (unsigned other = way + 1; other < assoc_; ++other) {
-                if (occupied_[slot(set, other)] &&
+                if (valid(other) &&
                     state_[slot(set, other)] == stamp) {
                     fail(way, std::string("duplicate ") + what +
                                   " timestamp " +
@@ -79,8 +79,7 @@ ReplacementPolicy::auditSet(unsigned set, const AuditFail &fail) const
         return;
       case ReplacementKind::Srrip:
         for (unsigned way = 0; way < assoc_; ++way) {
-            if (occupied_[slot(set, way)] &&
-                state_[slot(set, way)] > maxRrpv_) {
+            if (valid(way) && state_[slot(set, way)] > maxRrpv_) {
                 fail(way,
                      "RRPV " +
                          std::to_string(state_[slot(set, way)]) +
@@ -90,14 +89,6 @@ ReplacementPolicy::auditSet(unsigned set, const AuditFail &fail) const
         }
         return;
     }
-}
-
-std::unique_ptr<ReplacementPolicy>
-ReplacementPolicy::create(const ReplacementParams &params,
-                          unsigned num_sets, unsigned assoc)
-{
-    return std::unique_ptr<ReplacementPolicy>(
-        new ReplacementPolicy(params, num_sets, assoc));
 }
 
 } // namespace seesaw

@@ -9,11 +9,10 @@
  * side-state (recency stamps, fill order, RRPVs) so the tag stores,
  * TLBs and the TFT can share one substrate while sweeping policies.
  *
- * The policy mirrors line validity in an occupancy bit per way,
- * maintained through fill()/invalidate(); victim() always returns the
- * first unoccupied way of the range before consulting the policy, so
- * every policy preserves the historical "invalid ways win immediately"
- * behaviour of the old selectLruVictim().
+ * The policy keeps victim side-state only. Validity lives in the
+ * entries of the SetTable that owns the policy (cache/set_table.hh),
+ * and the table applies the "first invalid way wins" rule before it
+ * asks for a victim, so victim() only ever ranks full ranges.
  *
  * The class is deliberately concrete: touch() and fill() sit on the
  * demand-hit path of every cache, TLB and TFT probe, so the per-kind
@@ -28,7 +27,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -104,13 +102,6 @@ class ReplacementPolicy
     ReplacementPolicy(const ReplacementParams &params, unsigned num_sets,
                       unsigned assoc);
 
-    /** Build the policy selected by @p params on the heap. The mirrored
-     *  structures hold the policy by value instead (one less pointer
-     *  chase per touch); this remains for tests and ad-hoc callers. */
-    static std::unique_ptr<ReplacementPolicy>
-    create(const ReplacementParams &params, unsigned num_sets,
-           unsigned assoc);
-
     ReplacementKind kind() const { return kind_; }
     unsigned numSets() const { return numSets_; }
     unsigned assoc() const { return assoc_; }
@@ -119,30 +110,17 @@ class ReplacementPolicy
     void
     touch(unsigned set, unsigned way)
     {
-        touchAt(slot(set, way));
-    }
-
-    /**
-     * touch() addressed by linear slot index (set * assoc + way) —
-     * the layout of state_/occupied_ and of every mirrored structure's
-     * own entry array. Callers already holding a pointer into their
-     * array (TLB/TFT hit paths) use the pointer difference directly
-     * instead of recovering (set, way) with a divide per hit.
-     */
-    void
-    touchAt(std::size_t s)
-    {
         if (singleWay_)
             return; // one way per set: the victim is fixed, stamps dead
         switch (kind_) {
           case ReplacementKind::Lru:
-            state_[s] = ++clock_;
+            state_[slot(set, way)] = ++clock_;
             return;
           case ReplacementKind::Fifo:
           case ReplacementKind::Random:
             return; // reuse never reorders these
           case ReplacementKind::Srrip:
-            state_[s] = 0; // near-immediate re-reference
+            state_[slot(set, way)] = 0; // near-immediate re-reference
             return;
         }
     }
@@ -151,11 +129,9 @@ class ReplacementPolicy
     void
     fill(unsigned set, unsigned way)
     {
-        const std::size_t s = slot(set, way);
-        occupied_[s] = 1; // mirrored even when direct-mapped: the
-                          // occupancy audit compares against validity
         if (singleWay_)
             return;
+        const std::size_t s = slot(set, way);
         switch (kind_) {
           case ReplacementKind::Lru:
           case ReplacementKind::Fifo:
@@ -169,41 +145,21 @@ class ReplacementPolicy
         }
     }
 
-    /** The line in @p way was invalidated. */
-    void
-    invalidate(unsigned set, unsigned way)
-    {
-        occupied_[slot(set, way)] = 0;
-    }
-
-    /** invalidate() by linear slot index, mirroring touchAt(). */
-    void
-    invalidateAt(std::size_t s)
-    {
-        occupied_[s] = 0;
-    }
-
     /**
-     * Choose a victim among ways [begin, end) of @p set. Unoccupied
-     * ways win immediately (lowest index first); otherwise the policy
-     * picks among the occupied ways. Defined inline: it sits on the
-     * miss path of every insert, and the LRU scan used to live inside
-     * the tag store's insert loop.
+     * Choose a victim among ways [begin, end) of @p set, every one of
+     * which holds a valid entry. Defined inline: it sits on the miss
+     * path of every insert, and the LRU scan used to live inside the
+     * tag store's insert loop.
      */
     unsigned
     victim(unsigned set, unsigned begin, unsigned end)
     {
         SEESAW_ASSERT(begin < end, "empty victim range");
-        // A single-way range has a fixed victim whether occupied or
-        // not (unoccupied: first free way; occupied: the only
-        // candidate).
+        // A single-way range has a fixed victim: no stamp to compare,
+        // no Random draw, no SRRIP aging.
         if (end - begin == 1)
             return begin;
         const std::size_t slot0 = static_cast<std::size_t>(set) * assoc_;
-        for (unsigned way = begin; way < end; ++way) {
-            if (!occupied_[slot0 + way])
-                return way;
-        }
         if (kind_ == ReplacementKind::Lru ||
             kind_ == ReplacementKind::Fifo) {
             // Strictly-oldest stamp scanned from `begin` — for LRU
@@ -222,23 +178,20 @@ class ReplacementPolicy
         return victimSlow(slot0, begin, end);
     }
 
-    /** @return True when the policy believes @p way holds a line. */
-    bool
-    occupied(unsigned set, unsigned way) const
-    {
-        return occupied_[slot(set, way)] != 0;
-    }
-
     /** Violation sink for auditSet(): (way, detail). */
     using AuditFail =
         std::function<void(unsigned way, const std::string &detail)>;
 
+    /** Validity of a way of the audited set, read from its entry. */
+    using WayValid = std::function<bool(unsigned way)>;
+
     /**
      * Check the policy's own invariant over @p set's side-state (e.g.
-     * LRU/FIFO stamp uniqueness and clock bounds, RRPV range) and
-     * report each violation through @p fail.
+     * LRU/FIFO stamp uniqueness and clock bounds, RRPV range) for the
+     * ways @p valid names, and report each violation through @p fail.
      */
-    void auditSet(unsigned set, const AuditFail &fail) const;
+    void auditSet(unsigned set, const WayValid &valid,
+                  const AuditFail &fail) const;
 
     /**
      * Test-only access to the per-way side-state word (recency/fill
@@ -258,7 +211,7 @@ class ReplacementPolicy
         return static_cast<std::size_t>(set) * assoc_ + way;
     }
 
-    /** Random/SRRIP victim selection, all ways occupied. */
+    /** Random/SRRIP victim selection over a full range. */
     unsigned victimSlow(std::size_t slot0, unsigned begin, unsigned end);
 
     ReplacementKind kind_;
@@ -268,7 +221,6 @@ class ReplacementPolicy
     std::uint64_t clock_ = 0;  //!< LRU/FIFO stamp source
     std::uint64_t maxRrpv_;    //!< SRRIP saturation value
     std::vector<std::uint64_t> state_; //!< stamps (LRU/FIFO) or RRPVs
-    std::vector<std::uint8_t> occupied_;
     Rng rng_; //!< Random's victim stream; idle for other kinds
 };
 

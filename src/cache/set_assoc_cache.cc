@@ -1,47 +1,58 @@
 #include "cache/set_assoc_cache.hh"
 
-#include "cache/moesi.hh"
 #include "common/bitops.hh"
 #include "common/logging.hh"
 
 namespace seesaw {
 
+namespace {
+
+/** Sets of a @p size_bytes store of @p assoc ways and @p line_bytes
+ *  lines, split into @p num_partitions way groups; asserts the
+ *  geometry is buildable. */
+unsigned
+checkedSets(std::uint64_t size_bytes, unsigned assoc, unsigned line_bytes,
+            unsigned num_partitions)
+{
+    SEESAW_ASSERT(isPowerOfTwo(assoc), "assoc must be a power of two");
+    SEESAW_ASSERT(isPowerOfTwo(line_bytes),
+                  "line size must be a power of two");
+    SEESAW_ASSERT(isPowerOfTwo(num_partitions) &&
+                      assoc % num_partitions == 0,
+                  "partitions must evenly divide the ways");
+    const std::uint64_t lines = size_bytes / line_bytes;
+    SEESAW_ASSERT(lines % assoc == 0 && lines > 0, "bad geometry");
+    const auto sets = static_cast<unsigned>(lines / assoc);
+    // Power-of-two set counts index by bit slicing (required for the
+    // VIPT/SEESAW partition-bit layout); other counts (e.g., a 24MB
+    // LLC) fall back to modulo indexing and cannot be partitioned.
+    SEESAW_ASSERT(isPowerOfTwo(sets) || num_partitions == 1,
+                  "partitioned caches need power-of-two sets");
+    return sets;
+}
+
+} // namespace
+
 SetAssocCache::SetAssocCache(std::uint64_t size_bytes, unsigned assoc,
                              unsigned line_bytes,
                              unsigned num_partitions,
                              ReplacementParams replacement)
-    : assoc_(assoc), lineBytes_(line_bytes),
-      numPartitions_(num_partitions)
+    : table_(checkedSets(size_bytes, assoc, line_bytes, num_partitions),
+             assoc, replacement)
 {
-    SEESAW_ASSERT(isPowerOfTwo(assoc_), "assoc must be a power of two");
-    SEESAW_ASSERT(isPowerOfTwo(lineBytes_),
-                  "line size must be a power of two");
-    SEESAW_ASSERT(isPowerOfTwo(numPartitions_) &&
-                      assoc_ % numPartitions_ == 0,
-                  "partitions must evenly divide the ways");
-    lineBits_ = log2Floor(lineBytes_);
-
-    const std::uint64_t lines = size_bytes / lineBytes_;
-    SEESAW_ASSERT(lines % assoc_ == 0 && lines > 0, "bad geometry");
-    numSets_ = static_cast<unsigned>(lines / assoc_);
-    // Power-of-two set counts index by bit slicing (required for the
-    // VIPT/SEESAW partition-bit layout); other counts (e.g., a 24MB
-    // LLC) fall back to modulo indexing and cannot be partitioned.
-    powerOfTwoSets_ = isPowerOfTwo(numSets_);
-    SEESAW_ASSERT(powerOfTwoSets_ || numPartitions_ == 1,
-                  "partitioned caches need power-of-two sets");
-    setBits_ = powerOfTwoSets_ ? log2Floor(numSets_) : 0;
-    partitionBits_ = log2Floor(numPartitions_);
-
-    lines_.resize(static_cast<std::size_t>(numSets_) * assoc_);
-    policy_.emplace(replacement, numSets_, assoc_);
+    lineBytes_ = line_bytes;
+    lineBits_ = log2Floor(line_bytes);
+    powerOfTwoSets_ = isPowerOfTwo(numSets());
+    setBits_ = powerOfTwoSets_ ? log2Floor(numSets()) : 0;
+    numPartitions_ = num_partitions;
+    partitionBits_ = log2Floor(num_partitions);
 }
 
 unsigned
 SetAssocCache::setIndex(Addr addr) const
 {
     if (!powerOfTwoSets_)
-        return static_cast<unsigned>((addr >> lineBits_) % numSets_);
+        return static_cast<unsigned>((addr >> lineBits_) % numSets());
     return static_cast<unsigned>(
         bits(addr, lineBits_ + setBits_ - 1, lineBits_));
 }
@@ -56,31 +67,23 @@ SetAssocCache::partitionIndex(Addr addr) const
 }
 
 TagLookup
-SetAssocCache::searchRange(Addr line_addr, unsigned set, unsigned begin,
-                           unsigned end, bool touch)
+SetAssocCache::searchRange(Addr pa, unsigned begin, unsigned end)
 {
-    const std::size_t slot0 = static_cast<std::size_t>(set) * assoc_;
-    CacheLine *base = &lines_[slot0];
-    for (unsigned way = begin; way < end; ++way) {
-        if (base[way].valid && base[way].lineAddr == line_addr) {
-            TagLookup res{true, false, way};
-            if (touch) {
-                policy_->touchAt(slot0 + way);
-                if (base[way].prefetched) {
-                    res.wasPrefetched = true;
-                    base[way].prefetched = false;
-                }
-            }
-            return res;
-        }
-    }
-    return TagLookup{false, false, 0};
+    const unsigned set = setIndex(pa);
+    const unsigned way = wayOf(pa, set, begin, end);
+    if (way == SetTable<CacheLine>::kNoWay)
+        return TagLookup{false, false, 0};
+    table_.touch(set, way);
+    CacheLine &line = table_.at(set, way);
+    const TagLookup res{true, line.prefetched, way};
+    line.prefetched = false;
+    return res;
 }
 
 TagLookup
 SetAssocCache::lookup(Addr pa)
 {
-    return searchRange(lineAddrOf(pa), setIndex(pa), 0, assoc_, true);
+    return searchRange(pa, 0, assoc());
 }
 
 TagLookup
@@ -88,103 +91,62 @@ SetAssocCache::lookupPartition(Addr pa, unsigned partition)
 {
     SEESAW_ASSERT(partition < numPartitions_, "partition out of range");
     const unsigned begin = partitionBase(partition);
-    return searchRange(lineAddrOf(pa), setIndex(pa), begin,
-                       begin + waysPerPartition(), true);
+    return searchRange(pa, begin, begin + waysPerPartition());
 }
 
 TagLookup
 SetAssocCache::peek(Addr pa) const
 {
-    const Addr line_addr = pa >> lineBits_;
-    const unsigned set = setIndex(pa);
-    const CacheLine *base = setBase(set);
-    for (unsigned way = 0; way < assoc_; ++way) {
-        if (base[way].valid && base[way].lineAddr == line_addr)
-            return TagLookup{true, false, way};
-    }
-    return TagLookup{false, false, 0};
+    const unsigned way = wayOf(pa, setIndex(pa), 0, assoc());
+    if (way == SetTable<CacheLine>::kNoWay)
+        return TagLookup{false, false, 0};
+    return TagLookup{true, false, way};
 }
 
 Eviction
 SetAssocCache::insert(Addr pa, InsertScope scope, CoherenceState state,
                       PageSize page_size, bool prefetched)
 {
-    const unsigned set = setIndex(pa);
-    CacheLine *base = setBase(set);
-
-    unsigned begin = 0, end = assoc_;
+    unsigned begin = 0, end = assoc();
     if (scope == InsertScope::Partition) {
         begin = partitionBase(partitionIndex(pa));
         end = begin + waysPerPartition();
     }
 
-    const unsigned victim = policy_->victim(set, begin, end);
-    Eviction ev;
-    if (base[victim].valid) {
-        ev.valid = true;
-        ev.lineAddr = base[victim].lineAddr;
-        ev.state = base[victim].state;
-        ev.pageSize = base[victim].pageSize;
-        ev.prefetched = base[victim].prefetched;
-    }
-
-    base[victim].valid = true;
-    base[victim].lineAddr = lineAddrOf(pa);
-    base[victim].state = state;
-    base[victim].prefetched = prefetched;
-    base[victim].pageSize = page_size;
-    policy_->fill(set, victim);
-    return ev;
-}
-
-void
-SetAssocCache::dropLine(unsigned set, unsigned way)
-{
-    CacheLine &line = setBase(set)[way];
-    line.valid = false;
-    line.state = MoesiProtocol::onDrop(line.state);
-    line.prefetched = false;
-    policy_->invalidate(set, way);
+    const CacheLine old = table_.place(
+        setIndex(pa), begin, end,
+        CacheLine{true, lineAddrOf(pa), state, prefetched, page_size});
+    if (!old.valid)
+        return Eviction{};
+    return Eviction{true, old.lineAddr, old.state, old.pageSize,
+                    old.prefetched};
 }
 
 std::optional<CoherenceState>
 SetAssocCache::invalidate(Addr pa)
 {
     const unsigned set = setIndex(pa);
-    CacheLine *base = setBase(set);
-    const Addr line_addr = lineAddrOf(pa);
-    for (unsigned way = 0; way < assoc_; ++way) {
-        if (base[way].valid && base[way].lineAddr == line_addr) {
-            const CoherenceState prev = base[way].state;
-            dropLine(set, way);
-            return prev;
-        }
-    }
-    return std::nullopt;
+    const unsigned way = wayOf(pa, set, 0, assoc());
+    if (way == SetTable<CacheLine>::kNoWay)
+        return std::nullopt;
+    const CoherenceState prev = table_.at(set, way).state;
+    table_.drop(set, way);
+    return prev;
 }
 
 CacheLine *
 SetAssocCache::findLine(Addr pa)
 {
-    const Addr line_addr = lineAddrOf(pa);
-    CacheLine *base = setBase(setIndex(pa));
-    for (unsigned way = 0; way < assoc_; ++way) {
-        if (base[way].valid && base[way].lineAddr == line_addr)
-            return &base[way];
-    }
-    return nullptr;
+    const unsigned set = setIndex(pa);
+    const unsigned way = wayOf(pa, set, 0, assoc());
+    return way == SetTable<CacheLine>::kNoWay ? nullptr
+                                              : &table_.at(set, way);
 }
 
 const CacheLine *
 SetAssocCache::findLine(Addr pa) const
 {
-    const Addr line_addr = pa >> lineBits_;
-    const CacheLine *base = setBase(setIndex(pa));
-    for (unsigned way = 0; way < assoc_; ++way) {
-        if (base[way].valid && base[way].lineAddr == line_addr)
-            return &base[way];
-    }
-    return nullptr;
+    return const_cast<SetAssocCache *>(this)->findLine(pa);
 }
 
 unsigned
@@ -192,54 +154,39 @@ SetAssocCache::sweepRegion(Addr pa_base, std::uint64_t bytes)
 {
     const Addr lo = pa_base >> lineBits_;
     const Addr hi = (pa_base + bytes) >> lineBits_;
-    unsigned evicted = 0;
-    for (unsigned set = 0; set < numSets_; ++set) {
-        CacheLine *base = setBase(set);
-        for (unsigned way = 0; way < assoc_; ++way) {
-            CacheLine &line = base[way];
-            if (line.valid && line.lineAddr >= lo &&
-                line.lineAddr < hi) {
-                dropLine(set, way);
-                ++evicted;
-            }
-        }
-    }
-    return evicted;
+    return table_.dropIf([&](const CacheLine &line) {
+        return line.lineAddr >= lo && line.lineAddr < hi;
+    });
 }
 
 void
 SetAssocCache::forEachValidLine(
     const std::function<void(const CacheLine &)> &fn) const
 {
-    for (const auto &line : lines_) {
-        if (line.valid)
-            fn(line);
-    }
+    table_.forEachValid(
+        [&](unsigned, unsigned, const CacheLine &line) { fn(line); });
 }
 
 unsigned
 SetAssocCache::validLines() const
 {
     unsigned count = 0;
-    for (const auto &line : lines_)
-        count += line.valid ? 1 : 0;
+    table_.forEachValid(
+        [&](unsigned, unsigned, const CacheLine &) { ++count; });
     return count;
 }
 
 bool
 SetAssocCache::checkPlacementInvariant() const
 {
-    for (unsigned set = 0; set < numSets_; ++set) {
-        const CacheLine *base = setBase(set);
-        for (unsigned way = 0; way < assoc_; ++way) {
-            if (!base[way].valid)
-                continue;
-            const Addr pa = base[way].lineAddr << lineBits_;
-            if (partitionIndex(pa) != way / waysPerPartition())
-                return false;
-        }
-    }
-    return true;
+    bool holds = true;
+    table_.forEachValid(
+        [&](unsigned, unsigned way, const CacheLine &line) {
+            const Addr pa = line.lineAddr << lineBits_;
+            holds = holds &&
+                    partitionIndex(pa) == way / waysPerPartition();
+        });
+    return holds;
 }
 
 } // namespace seesaw

@@ -3,10 +3,10 @@
  * A generic set-associative tag store with optional way partitioning.
  *
  * This is the structural substrate shared by the baseline VIPT/PIPT
- * caches and the SEESAW cache. It models tags and MOESI line state;
- * victim side-state lives in a pluggable ReplacementPolicy, and timing
- * and energy live in the L1 wrappers so the same store can back
- * Fig 2a's pure miss-rate sweeps.
+ * caches, the SEESAW cache, and the L2 and LLC behind them. It models
+ * tags and MOESI line state over one SetTable (which owns the lines
+ * and their ReplacementPolicy); timing and energy live in the L1
+ * wrappers so the same store can back Fig 2a's pure miss-rate sweeps.
  */
 
 #ifndef SEESAW_CACHE_SET_ASSOC_CACHE_HH
@@ -15,9 +15,8 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <vector>
 
-#include "cache/replacement.hh"
+#include "cache/set_table.hh"
 #include "common/types.hh"
 
 namespace seesaw {
@@ -71,14 +70,14 @@ class SetAssocCache
 
     /** @name Geometry. */
     /// @{
-    unsigned numSets() const { return numSets_; }
-    unsigned assoc() const { return assoc_; }
+    unsigned numSets() const { return table_.numSets(); }
+    unsigned assoc() const { return table_.ways(); }
     unsigned lineBytes() const { return lineBytes_; }
     unsigned numPartitions() const { return numPartitions_; }
-    unsigned waysPerPartition() const { return assoc_ / numPartitions_; }
+    unsigned waysPerPartition() const { return assoc() / numPartitions_; }
     std::uint64_t sizeBytes() const
     {
-        return static_cast<std::uint64_t>(numSets_) * assoc_ *
+        return static_cast<std::uint64_t>(numSets()) * assoc() *
                lineBytes_;
     }
     /// @}
@@ -142,7 +141,7 @@ class SetAssocCache
     const CacheLine &
     lineAt(unsigned set, unsigned way) const
     {
-        return setBase(set)[way];
+        return table_.at(set, way);
     }
 
     /** Mutable line access by geometry: the L1 wrappers' hit paths
@@ -151,15 +150,23 @@ class SetAssocCache
     CacheLine &
     lineAt(unsigned set, unsigned way)
     {
-        return setBase(set)[way];
+        return table_.at(set, way);
     }
 
     /** The replacement policy owning this store's victim side-state. */
-    ReplacementPolicy &replacementPolicy() { return *policy_; }
+    ReplacementPolicy &replacementPolicy() { return table_.policy(); }
     const ReplacementPolicy &
     replacementPolicy() const
     {
-        return *policy_;
+        return table_.policy();
+    }
+
+    /** Run the replacement policy's audit over @p set's valid lines. */
+    void
+    auditReplacement(unsigned set,
+                     const ReplacementPolicy::AuditFail &fail) const
+    {
+        table_.auditSet(set, fail);
     }
 
     /** Visit every valid line (coherence invariant checks, dumps). */
@@ -185,29 +192,26 @@ class SetAssocCache
     }
 
   private:
-    unsigned assoc_;
     unsigned lineBytes_;
     unsigned lineBits_;
-    unsigned numSets_;
     unsigned setBits_;
-    bool powerOfTwoSets_ = true;
+    bool powerOfTwoSets_;
     unsigned numPartitions_;
     unsigned partitionBits_;
-    std::vector<CacheLine> lines_;
-    std::optional<ReplacementPolicy> policy_;
+    SetTable<CacheLine> table_;
 
-    CacheLine *setBase(unsigned set) { return &lines_[set * assoc_]; }
-    const CacheLine *
-    setBase(unsigned set) const
+    /** @return The way of @p set holding @p pa's line in ways
+     *  [begin, end), or SetTable::kNoWay. */
+    unsigned
+    wayOf(Addr pa, unsigned set, unsigned begin, unsigned end) const
     {
-        return &lines_[set * assoc_];
+        const Addr line_addr = lineAddrOf(pa);
+        return table_.find(set, begin, end, [&](const CacheLine &line) {
+            return line.lineAddr == line_addr;
+        });
     }
 
-    TagLookup searchRange(Addr line_addr, unsigned set, unsigned begin,
-                          unsigned end, bool touch);
-
-    /** Drop the line at (set, way) and free the way in the policy. */
-    void dropLine(unsigned set, unsigned way);
+    TagLookup searchRange(Addr pa, unsigned begin, unsigned end);
 };
 
 } // namespace seesaw

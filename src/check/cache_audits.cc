@@ -27,24 +27,9 @@ auditTagStoreSanity(const SetAssocCache &tags, AuditContext &ctx,
         return bits;
     }();
 
-    const ReplacementPolicy &policy = tags.replacementPolicy();
     for (unsigned set = 0; set < tags.numSets(); ++set) {
         for (unsigned way = 0; way < tags.assoc(); ++way) {
             const CacheLine &line = tags.lineAt(set, way);
-
-            // The policy's occupancy view must mirror line validity —
-            // a disagreement silently skews every future victim pick.
-            if (policy.occupied(set, way) != line.valid) {
-                ctx.violation(
-                    line.lineAddr << line_bits,
-                    lineLabel(set, way) +
-                        (line.valid
-                             ? ": valid line unknown to the "
-                               "replacement policy"
-                             : ": replacement policy tracks an "
-                               "invalid line as occupied"));
-            }
-
             if (!line.valid) {
                 if (line.state != CoherenceState::Invalid) {
                     ctx.violation(line.lineAddr << line_bits,
@@ -87,7 +72,7 @@ auditTagStoreSanity(const SetAssocCache &tags, AuditContext &ctx,
         // Each policy exports its own side-state invariant (strict
         // timestamp order for LRU/FIFO, RRPV range for SRRIP, nothing
         // for Random).
-        policy.auditSet(
+        tags.auditReplacement(
             set, [&](unsigned way, const std::string &detail) {
                 ctx.violation(tags.lineAt(set, way).lineAddr
                                   << line_bits,

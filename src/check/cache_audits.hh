@@ -4,11 +4,10 @@
  *
  * auditTagStoreSanity() covers any SetAssocCache (L1s, private L2s,
  * the LLC): lines must be findable in the set their address names,
- * valid/state flags must agree, the replacement policy's occupancy
- * view must match line validity, and the policy's own side-state
- * invariant must hold (each ReplacementPolicy exports it — e.g. LRU
- * timestamps form a strict order below the use clock, SRRIP RRPVs
- * stay in range; see ReplacementPolicy::auditSet).
+ * valid/state flags must agree, and the policy's own side-state
+ * invariant must hold over the valid ways (each ReplacementPolicy
+ * exports it — e.g. LRU timestamps form a strict order below the use
+ * clock, SRRIP RRPVs stay in range; see ReplacementPolicy::auditSet).
  *
  * auditSeesawPlacement() covers the partition compliance the paper's
  * coherence and energy claims rest on (§IV-B1/IV-C1): under the

@@ -4,10 +4,26 @@
 
 namespace seesaw {
 
+namespace {
+
+/** Sets of an @p entries-entry, @p assoc-way TFT; asserts the
+ *  geometry is buildable. */
+unsigned
+checkedSets(unsigned entries, unsigned assoc)
+{
+    SEESAW_ASSERT(entries > 0, "TFT needs at least one entry");
+    SEESAW_ASSERT(assoc >= 1 && entries % assoc == 0,
+                  "TFT associativity must divide entries");
+    return entries / assoc;
+}
+
+} // namespace
+
 Tft::Tft(unsigned entries, unsigned assoc,
          ReplacementParams replacement)
-    : entries_(entries), assoc_(assoc), replacement_(replacement),
-      table_(entries), stats_("tft"),
+    : replacement_(replacement),
+      table_(checkedSets(entries, assoc), assoc, replacement),
+      stats_("tft"),
       stLookups_(&stats_.scalar("lookups")),
       stHits_(&stats_.scalar("hits")),
       stMisses_(&stats_.scalar("misses")),
@@ -16,35 +32,6 @@ Tft::Tft(unsigned entries, unsigned assoc,
       stInvalidations_(&stats_.scalar("invalidations")),
       stFlushes_(&stats_.scalar("flushes"))
 {
-    SEESAW_ASSERT(entries_ > 0, "TFT needs at least one entry");
-    SEESAW_ASSERT(assoc_ >= 1 && entries_ % assoc_ == 0,
-                  "TFT associativity must divide entries");
-    numSets_ = entries_ / assoc_;
-    policy_.emplace(replacement, numSets_, assoc_);
-}
-
-std::size_t
-Tft::slotOf(const Entry *e) const
-{
-    return static_cast<std::size_t>(e - table_.data());
-}
-
-Tft::Entry *
-Tft::find(Addr region)
-{
-    Entry *base = &table_[static_cast<std::size_t>(setOf(region)) *
-                          assoc_];
-    for (unsigned way = 0; way < assoc_; ++way) {
-        if (base[way].valid && base[way].regionTag == region)
-            return &base[way];
-    }
-    return nullptr;
-}
-
-const Tft::Entry *
-Tft::find(Addr region) const
-{
-    return const_cast<Tft *>(this)->find(region);
 }
 
 bool
@@ -52,72 +39,56 @@ Tft::lookup(Addr va)
 {
     ++*stLookups_;
     const Addr region = regionOf(va);
-    if (Entry *e = find(region)) {
-        policy_->touchAt(slotOf(e));
-        ++*stHits_;
-        return true;
+    const unsigned way = find(region);
+    if (way == SetTable<Entry>::kNoWay) {
+        ++*stMisses_;
+        return false;
     }
-    ++*stMisses_;
-    return false;
+    table_.touch(setOf(region), way);
+    ++*stHits_;
+    return true;
 }
 
 bool
 Tft::peek(Addr va) const
 {
-    return find(regionOf(va)) != nullptr;
+    return find(regionOf(va)) != SetTable<Entry>::kNoWay;
 }
 
 void
 Tft::markRegion(Addr va)
 {
     const Addr region = regionOf(va);
-    if (Entry *e = find(region)) {
-        policy_->touchAt(slotOf(e));
-        ++*stFills_;
+    const unsigned set = setOf(region);
+    ++*stFills_;
+    if (const unsigned way = find(region);
+        way != SetTable<Entry>::kNoWay) {
+        table_.touch(set, way);
         return;
     }
-
     // Policy victim within the set (trivially "the" slot when
     // direct-mapped — no replacement policy is needed at assoc 1,
     // exactly as the paper observes).
-    const unsigned set = setOf(region);
-    Entry *base = &table_[static_cast<std::size_t>(set) * assoc_];
-    const unsigned way = policy_->victim(set, 0, assoc_);
-    Entry *victim = &base[way];
-    if (victim->valid)
+    if (table_.place(set, 0, assoc(), Entry{true, region}).valid)
         ++*stConflictEvictions_;
-    victim->valid = true;
-    victim->regionTag = region;
-    policy_->fill(set, way);
-    ++*stFills_;
 }
 
 bool
 Tft::invalidateRegion(Addr va)
 {
     const Addr region = regionOf(va);
-    if (Entry *e = find(region)) {
-        e->valid = false;
-        policy_->invalidateAt(slotOf(e));
-        ++*stInvalidations_;
-        return true;
-    }
-    return false;
+    const unsigned way = find(region);
+    if (way == SetTable<Entry>::kNoWay)
+        return false;
+    table_.drop(setOf(region), way);
+    ++*stInvalidations_;
+    return true;
 }
 
 void
 Tft::flush()
 {
-    for (unsigned set = 0; set < numSets_; ++set) {
-        for (unsigned way = 0; way < assoc_; ++way) {
-            Entry &e = table_[static_cast<std::size_t>(set) * assoc_ +
-                              way];
-            if (e.valid) {
-                e.valid = false;
-                policy_->invalidate(set, way);
-            }
-        }
-    }
+    table_.clear();
     ++*stFlushes_;
 }
 
@@ -125,8 +96,7 @@ unsigned
 Tft::validCount() const
 {
     unsigned count = 0;
-    for (const auto &e : table_)
-        count += e.valid ? 1 : 0;
+    table_.forEachValid([&](unsigned, unsigned, const Entry &) { ++count; });
     return count;
 }
 
@@ -134,10 +104,9 @@ void
 Tft::forEachValidRegion(
     const std::function<void(Addr va_base)> &fn) const
 {
-    for (const auto &e : table_) {
-        if (e.valid)
-            fn(e.regionTag << 21);
-    }
+    table_.forEachValid([&](unsigned, unsigned, const Entry &e) {
+        fn(e.regionTag << 21);
+    });
 }
 
 double
@@ -148,11 +117,11 @@ Tft::storageBytes() const
     // recency/order bits for LRU and FIFO, the RRPV for SRRIP, and
     // nothing for Random.
     double bits_per_entry = 43.0 + 1.0;
-    if (assoc_ > 1) {
+    if (assoc() > 1) {
         switch (replacement_.kind) {
           case ReplacementKind::Lru:
           case ReplacementKind::Fifo:
-            for (unsigned a = assoc_; a > 1; a /= 2)
+            for (unsigned a = assoc(); a > 1; a /= 2)
                 bits_per_entry += 1.0;
             break;
           case ReplacementKind::Srrip:
@@ -162,7 +131,7 @@ Tft::storageBytes() const
             break;
         }
     }
-    return entries_ * bits_per_entry / 8.0;
+    return entries() * bits_per_entry / 8.0;
 }
 
 } // namespace seesaw

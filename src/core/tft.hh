@@ -24,10 +24,8 @@
 
 #include <cstdint>
 #include <functional>
-#include <optional>
-#include <vector>
 
-#include "cache/replacement.hh"
+#include "cache/set_table.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 
@@ -70,9 +68,9 @@ class Tft
     /** Flush everything (context switch; the TFT has no ASID tags). */
     void flush();
 
-    unsigned entries() const { return entries_; }
-    unsigned assoc() const { return assoc_; }
-    unsigned numSets() const { return numSets_; }
+    unsigned entries() const { return numSets() * assoc(); }
+    unsigned assoc() const { return table_.ways(); }
+    unsigned numSets() const { return table_.numSets(); }
 
     /** Valid-entry count (for area/occupancy reporting). */
     unsigned validCount() const;
@@ -86,12 +84,6 @@ class Tft
      *  replacement side-state bits when associative). */
     double storageBytes() const;
 
-    /** The victim-selection policy (invariant audits). */
-    const ReplacementPolicy &replacementPolicy() const
-    {
-        return *policy_;
-    }
-
     const StatGroup &stats() const { return stats_; }
     StatGroup &stats() { return stats_; }
 
@@ -102,12 +94,8 @@ class Tft
         Addr regionTag = 0; //!< va >> 21 (43 significant bits)
     };
 
-    unsigned entries_;
-    unsigned assoc_;
-    unsigned numSets_;
-    ReplacementParams replacement_;
-    std::vector<Entry> table_;
-    std::optional<ReplacementPolicy> policy_;
+    ReplacementParams replacement_; //!< for storageBytes()
+    SetTable<Entry> table_;
     StatGroup stats_;
 
     // Hot-path stat handles (registered once; see common/stats.hh).
@@ -125,12 +113,18 @@ class Tft
     setOf(Addr region) const
     {
         // The paper's hash: VA(63:21) MOD (#sets).
-        return static_cast<unsigned>(region % numSets_);
+        return static_cast<unsigned>(region % numSets());
     }
 
-    Entry *find(Addr region);
-    const Entry *find(Addr region) const;
-    std::size_t slotOf(const Entry *e) const;
+    /** @return The way of @p region's set holding it, or
+     *  SetTable::kNoWay. */
+    unsigned
+    find(Addr region) const
+    {
+        return table_.find(setOf(region), [&](const Entry &e) {
+            return e.regionTag == region;
+        });
+    }
 };
 
 } // namespace seesaw

@@ -5,11 +5,29 @@
 
 namespace seesaw {
 
+namespace {
+
+/** Sets of an @p entries-entry, @p assoc-way TLB; asserts the
+ *  geometry is buildable. */
+unsigned
+checkedSets(unsigned entries, unsigned assoc)
+{
+    SEESAW_ASSERT(entries > 0 && assoc > 0 && entries % assoc == 0,
+                  "bad TLB geometry");
+    const unsigned sets = entries / assoc;
+    SEESAW_ASSERT(sets == 1 || isPowerOfTwo(sets),
+                  "TLB set count must be a power of two");
+    return sets;
+}
+
+} // namespace
+
 Tlb::Tlb(std::string name, unsigned entries, unsigned assoc,
          std::initializer_list<PageSize> sizes,
          ReplacementParams replacement)
-    : name_(std::move(name)), entries_(entries), assoc_(assoc),
-      slots_(entries), stats_(name_),
+    : name_(std::move(name)),
+      table_(checkedSets(entries, assoc), assoc, replacement),
+      stats_(name_),
       stLookups_(&stats_.scalar("lookups")),
       stHits_(&stats_.scalar("hits")),
       stMisses_(&stats_.scalar("misses")),
@@ -17,57 +35,42 @@ Tlb::Tlb(std::string name, unsigned entries, unsigned assoc,
       stEvictions_(&stats_.scalar("evictions")),
       stInvalidations_(&stats_.scalar("invalidations"))
 {
-    SEESAW_ASSERT(entries_ > 0 && assoc_ > 0 && entries_ % assoc_ == 0,
-                  "bad TLB geometry");
-    numSets_ = entries_ / assoc_;
-    SEESAW_ASSERT(numSets_ == 1 || isPowerOfTwo(numSets_),
-                  "TLB set count must be a power of two");
     SEESAW_ASSERT(sizes.size() > 0, "TLB holds no page size");
     for (PageSize size : sizes)
         sizeMask_ |= static_cast<std::uint8_t>(
             1U << static_cast<unsigned>(size));
-    SEESAW_ASSERT(sizes.size() == 1 || numSets_ == 1,
+    SEESAW_ASSERT(sizes.size() == 1 || numSets() == 1,
                   "a TLB holding several page sizes must be fully "
                   "associative");
     multiSize_ = sizes.size() > 1;
     indexShift_ = pageOffsetBits(*sizes.begin());
-    policy_.emplace(replacement, numSets_, assoc_);
 }
 
-std::size_t
-Tlb::slotOf(const TlbEntry *e) const
+unsigned
+Tlb::find(unsigned set, Asid asid, Addr va) const
 {
-    return static_cast<std::size_t>(e - slots_.data());
-}
-
-TlbEntry *
-Tlb::find(Asid asid, Addr va)
-{
-    TlbEntry *base = &slots_[std::size_t{setOf(va)} * assoc_];
     // Every entry of a one-size TLB shares the set index's page size,
     // so it shifts once; a multi-size TLB shifts per way.
     const Addr vpn = va >> indexShift_;
-    for (unsigned way = 0; way < assoc_; ++way) {
-        TlbEntry &e = base[way];
-        if (e.valid && e.asid == asid &&
-            e.vpn == (multiSize_ ? va >> pageOffsetBits(e.size) : vpn))
-            return &e;
-    }
-    return nullptr;
+    return table_.find(set, [&](const TlbEntry &e) {
+        return e.asid == asid &&
+               e.vpn == (multiSize_ ? va >> pageOffsetBits(e.size) : vpn);
+    });
 }
 
 const TlbEntry *
 Tlb::lookup(Asid asid, Addr va)
 {
     ++*stLookups_;
-    TlbEntry *e = find(asid, va);
-    if (!e) {
+    const unsigned set = setOf(va);
+    const unsigned way = find(set, asid, va);
+    if (way == SetTable<TlbEntry>::kNoWay) {
         ++*stMisses_;
         return nullptr;
     }
     ++*stHits_;
-    policy_->touchAt(slotOf(e));
-    return e;
+    table_.touch(set, way);
+    return &table_.at(set, way);
 }
 
 void
@@ -78,47 +81,39 @@ Tlb::insert(Asid asid, Addr va, Addr pa_base, PageSize size)
     const TlbEntry fill{true, asid, va >> pageOffsetBits(size), pa_base,
                         size};
 
-    if (TlbEntry *existing = find(asid, va)) {
+    const unsigned set = setOf(va);
+    superpageCount_ += isSuperpage(size) ? 1 : 0;
+    if (const unsigned way = find(set, asid, va);
+        way != SetTable<TlbEntry>::kNoWay) {
         // Refresh in place. In a multi-size TLB the covering entry may
         // be of another size; the fill rewrites it.
-        superpageCount_ += isSuperpage(size) ? 1 : 0;
-        superpageCount_ -= isSuperpage(existing->size) ? 1 : 0;
-        *existing = fill;
-        policy_->touchAt(slotOf(existing));
+        TlbEntry &existing = table_.at(set, way);
+        superpageCount_ -= isSuperpage(existing.size) ? 1 : 0;
+        existing = fill;
+        table_.touch(set, way);
         return;
     }
 
-    const unsigned set = setOf(va);
-    const unsigned way = policy_->victim(set, 0, assoc_);
-    TlbEntry &victim = slots_[std::size_t{set} * assoc_ + way];
+    const TlbEntry victim = table_.place(set, 0, assoc(), fill);
     if (victim.valid) {
         ++*stEvictions_;
         superpageCount_ -= isSuperpage(victim.size) ? 1 : 0;
     } else {
         ++validCount_;
     }
-    superpageCount_ += isSuperpage(size) ? 1 : 0;
-    victim = fill;
-    policy_->fill(set, way);
     ++*stFills_;
-}
-
-void
-Tlb::drop(TlbEntry &e)
-{
-    e.valid = false;
-    policy_->invalidateAt(slotOf(&e));
-    --validCount_;
-    superpageCount_ -= isSuperpage(e.size) ? 1 : 0;
 }
 
 bool
 Tlb::invalidatePage(Asid asid, Addr va)
 {
-    TlbEntry *e = find(asid, va);
-    if (!e)
+    const unsigned set = setOf(va);
+    const unsigned way = find(set, asid, va);
+    if (way == SetTable<TlbEntry>::kNoWay)
         return false;
-    drop(*e);
+    superpageCount_ -= isSuperpage(table_.at(set, way).size) ? 1 : 0;
+    --validCount_;
+    table_.drop(set, way);
     ++*stInvalidations_;
     return true;
 }
@@ -126,20 +121,17 @@ Tlb::invalidatePage(Asid asid, Addr va)
 void
 Tlb::flushAll()
 {
-    for (TlbEntry &e : slots_) {
-        if (e.valid)
-            drop(e);
-    }
+    table_.clear();
+    validCount_ = 0;
+    superpageCount_ = 0;
 }
 
 void
 Tlb::forEachValidEntry(
     const std::function<void(const TlbEntry &)> &fn) const
 {
-    for (const auto &e : slots_) {
-        if (e.valid)
-            fn(e);
-    }
+    table_.forEachValid(
+        [&](unsigned, unsigned, const TlbEntry &e) { fn(e); });
 }
 
 } // namespace seesaw

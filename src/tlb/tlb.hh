@@ -11,11 +11,9 @@
 #include <cstdint>
 #include <functional>
 #include <initializer_list>
-#include <optional>
 #include <string>
-#include <vector>
 
-#include "cache/replacement.hh"
+#include "cache/set_table.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 
@@ -97,9 +95,9 @@ class Tlb
     void forEachValidEntry(
         const std::function<void(const TlbEntry &)> &fn) const;
 
-    unsigned entries() const { return entries_; }
-    unsigned assoc() const { return assoc_; }
-    unsigned numSets() const { return numSets_; }
+    unsigned entries() const { return numSets() * assoc(); }
+    unsigned assoc() const { return table_.ways(); }
+    unsigned numSets() const { return table_.numSets(); }
 
     /** Valid entries displaced by fills. */
     std::uint64_t evictions() const { return stEvictions_->count(); }
@@ -109,14 +107,10 @@ class Tlb
 
   private:
     std::string name_;
-    unsigned entries_;
-    unsigned assoc_;
-    unsigned numSets_;
+    SetTable<TlbEntry> table_;
     std::uint8_t sizeMask_ = 0; //!< bit i: PageSize value i is held
     bool multiSize_ = false;
     unsigned indexShift_ = 0;   //!< page offset bits of the set index
-    std::vector<TlbEntry> slots_;
-    std::optional<ReplacementPolicy> policy_;
     // Maintained incrementally: the scheduler reads both per access.
     unsigned validCount_ = 0;
     unsigned superpageCount_ = 0;
@@ -134,13 +128,11 @@ class Tlb
     unsigned setOf(Addr va) const
     {
         return static_cast<unsigned>((va >> indexShift_) &
-                                     (numSets_ - 1));
+                                     (numSets() - 1));
     }
-    /** @return The slot covering @p va, or nullptr. */
-    TlbEntry *find(Asid asid, Addr va);
-    std::size_t slotOf(const TlbEntry *e) const;
-    /** Mark @p e invalid and drop it from the counters. */
-    void drop(TlbEntry &e);
+    /** @return The way of @p set covering @p va, or
+     *  SetTable::kNoWay. */
+    unsigned find(unsigned set, Asid asid, Addr va) const;
 };
 
 } // namespace seesaw

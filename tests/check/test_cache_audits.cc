@@ -126,22 +126,6 @@ TEST(CacheAuditsTest, CatchesLruClockRunningBehindALine)
               std::string::npos);
 }
 
-TEST(CacheAuditsTest, CatchesPolicyOccupancyDisagreement)
-{
-    SetAssocCache tags(32 * 1024, 8);
-    tags.insert(0x6000, SetAssocCache::InsertScope::FullSet,
-                CoherenceState::Exclusive, PageSize::Base4KB);
-    // Kill the line behind the policy's back (state too, so only the
-    // occupancy check fires).
-    CacheLine *line = tags.findLine(0x6000);
-    line->valid = false;
-    line->state = CoherenceState::Invalid;
-    const auto seen = auditTags(tags);
-    ASSERT_EQ(seen.size(), 1u);
-    EXPECT_NE(seen[0].detail.find("tracks an invalid line"),
-              std::string::npos);
-}
-
 TEST(CacheAuditsTest, CatchesSrripRrpvOutOfRange)
 {
     ReplacementParams params;
