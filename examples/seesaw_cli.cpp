@@ -17,6 +17,7 @@
 #include <string>
 
 #include "bench_common.hh"
+#include "common/bitops.hh"
 
 namespace {
 
@@ -224,16 +225,24 @@ main(int argc, char **argv)
     }
     cfg.l1SizeBytes = org->sizeBytes;
     cfg.l1Assoc = assoc ? assoc : org->assoc;
+    // An L1 has a power-of-two way count no larger than its line
+    // count. SEESAW's partition bits start at bit 12, so its sets of
+    // 64B lines must span exactly 4KB: ways = size / 4KB.
+    if (!isPowerOfTwo(cfg.l1Assoc) || cfg.l1Assoc > cfg.l1SizeBytes / 64 ||
+        (isSeesawKind(cfg.l1Kind) &&
+         cfg.l1Assoc != cfg.l1SizeBytes / 4096))
+        badValue("--assoc", std::to_string(cfg.l1Assoc));
 
+    // The header prints only once the run has returned, so a run that
+    // fails leaves stdout empty.
     const WorkloadSpec &workload = findWorkload(workload_name);
+    const RunResult run = simulate(workload, cfg);
     std::printf("workload %s, L1 %lluKB %u-way @ %.2fGHz, %s core\n",
                 workload.name.c_str(),
                 static_cast<unsigned long long>(cfg.l1SizeBytes >> 10),
                 cfg.l1Assoc, cfg.freqGhz,
                 cfg.coreKind == CoreKind::InOrder ? "in-order"
                                                   : "out-of-order");
-
-    const RunResult run = simulate(workload, cfg);
     report("run", run);
 
     if (run_baseline) {
