@@ -17,9 +17,6 @@
  *  - mutexes are `AnnotatedMutex`, scoped acquisition is `MutexLock`;
  *  - public locking methods declare SEESAW_EXCLUDES(mutex_) so
  *    self-deadlock is a compile error at the call site;
- *  - condition-variable waits go through MutexLock::wait/waitFor with
- *    an explicit re-check loop (no predicate lambdas: the analysis
- *    treats lambda bodies as separate unannotated functions);
  *  - SEESAW_NO_THREAD_SAFETY_ANALYSIS is an escape hatch of last
  *    resort and scripts/check_nolint.py requires a justification
  *    comment on the same line.
@@ -28,8 +25,6 @@
 #ifndef SEESAW_COMMON_THREAD_ANNOTATIONS_HH
 #define SEESAW_COMMON_THREAD_ANNOTATIONS_HH
 
-#include <chrono>
-#include <condition_variable>
 #include <mutex>
 
 #if defined(__clang__)
@@ -117,20 +112,11 @@ class SEESAW_CAPABILITY("mutex") AnnotatedMutex
     }
 
   private:
-    friend class MutexLock; //!< cv waits need the raw std::mutex
+    friend class MutexLock; //!< locks the raw std::mutex
     std::mutex mutex_;
 };
 
-/**
- * Scoped acquisition of an AnnotatedMutex (the project's lock_guard).
- * Also the only sanctioned way to block on a condition variable:
- * wait()/waitFor() release the mutex while blocked and hold it again
- * on return.  Spurious wakeups are possible by design, so callers
- * re-check their predicate in an explicit loop — predicate lambdas
- * are deliberately not offered, because the analysis treats lambda
- * bodies as separate, unannotated functions and would either miss or
- * misreport the guarded accesses inside them.
- */
+/** Scoped acquisition of an AnnotatedMutex (the project's lock_guard). */
 class SEESAW_SCOPED_CAPABILITY MutexLock
 {
   public:
@@ -144,26 +130,8 @@ class SEESAW_SCOPED_CAPABILITY MutexLock
     MutexLock(const MutexLock &) = delete;
     MutexLock &operator=(const MutexLock &) = delete;
 
-    /** Block until notified (or spuriously woken); the mutex is held
-     *  again on return.  Call in a predicate re-check loop. */
-    void
-    wait(std::condition_variable &cv)
-    {
-        cv.wait(lock_);
-    }
-
-    /** Block for at most @p timeout; the mutex is held again on
-     *  return.  Call in a predicate re-check loop. */
-    template <typename Rep, typename Period>
-    std::cv_status
-    waitFor(std::condition_variable &cv,
-            const std::chrono::duration<Rep, Period> &timeout)
-    {
-        return cv.wait_for(lock_, timeout);
-    }
-
   private:
-    std::unique_lock<std::mutex> lock_;
+    std::lock_guard<std::mutex> lock_;
 };
 
 } // namespace seesaw

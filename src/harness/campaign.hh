@@ -95,9 +95,6 @@ class CampaignSpec
 
     const std::string &name() const { return name_; }
 
-    std::size_t variantCount() const { return variants_.size(); }
-    std::size_t workloadCount() const { return workloads_.size(); }
-
   private:
     std::string name_;
     std::vector<WorkloadSpec> workloads_;

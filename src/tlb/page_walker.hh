@@ -44,8 +44,6 @@ class PageWalker
     /** Walk for @p va. @return nullopt when unmapped (page fault). */
     std::optional<WalkResult> walk(Asid asid, Addr va);
 
-    unsigned cyclesPerLevel() const { return cyclesPerLevel_; }
-
     const StatGroup &stats() const { return stats_; }
     StatGroup &stats() { return stats_; }
 

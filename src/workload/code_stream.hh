@@ -42,7 +42,6 @@ class CodeStream
     /** @return The VA of the next 64B fetch line. */
     Addr nextFetchLine();
 
-    Addr textBase() const { return textBase_; }
     std::uint64_t codeBytes() const { return params_.codeBytes; }
 
   private:

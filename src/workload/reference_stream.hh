@@ -51,8 +51,6 @@ class ReferenceStream
     /** Produce the next reference. */
     MemRef next();
 
-    Addr heapBase() const { return heapBase_; }
-    Addr heapEnd() const { return heapBase_ + spec_.footprintBytes; }
     const WorkloadSpec &spec() const { return spec_; }
 
     /**
