@@ -5,9 +5,26 @@
 
 namespace seesaw {
 
+L1ProbeResult
+CoherenceFabric::probeCore(CoreId target, Addr pa, bool invalidating)
+{
+    const L1ProbeResult res = l1s_[target]->probe(pa, invalidating);
+    ++probes_;
+    probeHits_ += res.hit ? 1 : 0;
+    energy_.addL1Lookup(l1s_[target]->tags().sizeBytes(),
+                        l1s_[target]->tags().assoc(), res.waysRead,
+                        /*coherent=*/true);
+    if (invalidating && res.hit) {
+        ++invalidations_;
+        l2s_[target]->invalidate(pa);
+    }
+    return res;
+}
+
 DirectoryFabric::DirectoryFabric(unsigned cores, unsigned probe_cycles,
                                  EnergyModel &energy)
-    : directory_(cores), probeCycles_(probe_cycles), energy_(energy)
+    : CoherenceFabric(energy), directory_(cores),
+      probeCycles_(probe_cycles)
 {
 }
 
@@ -18,20 +35,8 @@ DirectoryFabric::sendProbes(const ExactDirectory::ProbeList &probes,
     if (probes.targets.empty())
         return 0;
 
-    for (CoreId target : probes.targets) {
-        const L1ProbeResult res =
-            l1s_[target]->probe(pa, probes.invalidating);
-        ++probes_;
-        probeHits_ += res.hit ? 1 : 0;
-        energy_.addL1Lookup(l1s_[target]->tags().sizeBytes(),
-                            l1s_[target]->tags().assoc(), res.waysRead,
-                            /*coherent=*/true);
-        if (probes.invalidating && res.hit) {
-            ++invalidations_;
-            // The private L2 copy goes too (inclusive-ish fiction).
-            l2s_[target]->invalidate(pa);
-        }
-    }
+    for (CoreId target : probes.targets)
+        probeCore(target, pa, probes.invalidating);
     // Directory indirection + probe round trip.
     return probeCycles_;
 }
@@ -86,7 +91,7 @@ DirectoryFabric::postAccess(CoreId core, Addr pa, AccessType type,
 
 SnoopFabric::SnoopFabric(unsigned cores, unsigned probe_cycles,
                          EnergyModel &energy)
-    : cores_(cores), probeCycles_(probe_cycles), energy_(energy)
+    : CoherenceFabric(energy), cores_(cores), probeCycles_(probe_cycles)
 {
 }
 
@@ -97,17 +102,7 @@ SnoopFabric::broadcast(CoreId requester, Addr pa, bool invalidating,
     for (CoreId target = 0; target < cores_; ++target) {
         if (target == requester)
             continue;
-        const L1ProbeResult res = l1s_[target]->probe(pa, invalidating);
-        ++probes_;
-        probeHits_ += res.hit ? 1 : 0;
-        owner_supplied |= res.wasDirty;
-        energy_.addL1Lookup(l1s_[target]->tags().sizeBytes(),
-                            l1s_[target]->tags().assoc(), res.waysRead,
-                            /*coherent=*/true);
-        if (invalidating && res.hit) {
-            ++invalidations_;
-            l2s_[target]->invalidate(pa);
-        }
+        owner_supplied |= probeCore(target, pa, invalidating).wasDirty;
     }
     return probeCycles_;
 }

@@ -91,6 +91,18 @@ class CoherenceFabric
     virtual ExactDirectory *directory() { return nullptr; }
 
   protected:
+    explicit CoherenceFabric(EnergyModel &energy) : energy_(energy) {}
+
+    /**
+     * Probe core @p target's L1 for @p pa: count the probe and its
+     * hit, charge the probed cache's lookup width as coherence energy,
+     * and on an invalidating hit count the invalidation and drop the
+     * private L2 copy too (inclusive-ish fiction).
+     * @return The L1's probe outcome.
+     */
+    L1ProbeResult probeCore(CoreId target, Addr pa, bool invalidating);
+
+    EnergyModel &energy_;
     std::vector<L1Cache *> l1s_;
     std::vector<SetAssocCache *> l2s_;
     std::uint64_t probes_ = 0;
@@ -125,7 +137,6 @@ class DirectoryFabric final : public CoherenceFabric
   private:
     ExactDirectory directory_;
     unsigned probeCycles_;
-    EnergyModel &energy_;
 
     /** Probe every target L1; @return the added latency. */
     unsigned sendProbes(const ExactDirectory::ProbeList &probes,
@@ -152,7 +163,6 @@ class SnoopFabric final : public CoherenceFabric
   private:
     unsigned cores_;
     unsigned probeCycles_;
-    EnergyModel &energy_;
 
     /** Broadcast one transaction; @return the added latency. */
     unsigned broadcast(CoreId requester, Addr pa, bool invalidating,
