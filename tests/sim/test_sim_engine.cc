@@ -15,7 +15,9 @@
  *    pinned the same way, with the TLB hierarchy's hit/walk counters;
  *  - FIFO, SRRIP and Random victims, an associative TFT and the
  *    4way-8way insertion policy under base-page pressure are pinned
- *    the same way.
+ *    the same way;
+ *  - 4-core runs under the exact MOESI directory are pinned with the
+ *    fabric's and the directory's own counters.
  */
 
 #include <gtest/gtest.h>
@@ -430,6 +432,77 @@ TEST(SimEngineGolden, EveryReplacementPolicyIsPinned)
             << t.name;
         EXPECT_EQ(tlb.get("walks"), static_cast<double>(t.walks))
             << t.name;
+    }
+}
+
+/** One pinned 4-core directory run: the RunResult fields, the
+ *  fabric's invalidation and owner-supply counts, and the exact
+ *  directory's own counters. */
+struct DirectoryGoldenRow
+{
+    const char *name;
+    const char *workload;
+    std::uint64_t l1SizeBytes;
+    unsigned l1Assoc;
+    std::uint64_t probeInvalidations;
+    std::uint64_t ownerSupplies;
+    std::uint64_t ownerDowngrades;
+    std::uint64_t exclusiveDowngrades;
+    std::uint64_t writeInvalidations;
+    std::uint64_t directoryFills;
+    std::uint64_t directoryEvictions;
+    GoldenRow golden;
+};
+
+// Captured before the directory became an open-addressed table and the
+// tag stores a packed key array. The SEESAW rows are the benchmark's
+// multicore_dir cells (64KB/16-way over tunk and olio); the VIPT row
+// probes every way of the set.
+const DirectoryGoldenRow kDirectoryGolden[] = {
+    {"seesaw64k_tunk", "tunk", 64 * 1024, 16, 6309ULL, 7842ULL, 8772ULL,
+     487ULL, 4558ULL, 31738ULL, 6243ULL,
+     {SeesawKind, 1ULL, 240000ULL, 92563ULL, 2.5928286680423063,
+      72464ULL, 59884ULL, 12580ULL, 72093ULL, 6150ULL, 5187ULL, 1366ULL,
+      72464ULL, 72093ULL, 72464ULL, 36186.062258370031,
+      0.97916666666666663, 12580ULL, 12591ULL, 12591ULL}},
+    {"seesaw64k_olio", "olio", 64 * 1024, 16, 6227ULL, 7767ULL, 7993ULL,
+     362ULL, 5915ULL, 47181ULL, 8813ULL,
+     {SeesawKind, 1ULL, 240000ULL, 105851ULL, 2.2673380506561109,
+      72506ULL, 58222ULL, 14284ULL, 70753ULL, 7974ULL, 6258ULL, 1964ULL,
+      72506ULL, 70753ULL, 71781ULL, 47293.114831427098,
+      0.97916666666666663, 14284ULL, 11885ULL, 11885ULL}},
+    {"vipt32k_tunk", "tunk", 32 * 1024, 8, 6145ULL, 7632ULL, 8598ULL,
+     492ULL, 4473ULL, 32318ULL, 9053ULL,
+     {ViptKind, 1ULL, 240000ULL, 95499ULL, 2.5131153205792729, 72464ULL,
+      59270ULL, 13194ULL, 0ULL, 6937ULL, 5377ULL, 1366ULL, 0ULL, 0ULL,
+      0ULL, 38179.421769221713, 0.97916666666666663, 13194ULL, 12284ULL,
+      12284ULL}},
+};
+
+TEST(SimEngineGolden, DirectoryFabricIsPinned)
+{
+    for (const DirectoryGoldenRow &d : kDirectoryGolden) {
+        SystemConfig cfg = goldenConfig(d.golden.kind, d.golden.seed);
+        cfg.cores = 4;
+        cfg.fabric = CoherenceKind::Directory;
+        cfg.l1SizeBytes = d.l1SizeBytes;
+        cfg.l1Assoc = d.l1Assoc;
+        SimEngine engine(cfg, findWorkload(d.workload));
+        const RunResult r = engine.run();
+
+        expectGolden(r, d.golden, d.name);
+        EXPECT_EQ(r.cores, 4u) << d.name;
+        EXPECT_EQ(r.probeInvalidations, d.probeInvalidations) << d.name;
+        EXPECT_EQ(r.ownerSupplies, d.ownerSupplies) << d.name;
+        const ExactDirectory *dir = engine.directory();
+        ASSERT_NE(dir, nullptr) << d.name;
+        EXPECT_EQ(dir->ownerDowngrades(), d.ownerDowngrades) << d.name;
+        EXPECT_EQ(dir->exclusiveDowngrades(), d.exclusiveDowngrades)
+            << d.name;
+        EXPECT_EQ(dir->writeInvalidations(), d.writeInvalidations)
+            << d.name;
+        EXPECT_EQ(dir->fills(), d.directoryFills) << d.name;
+        EXPECT_EQ(dir->evictions(), d.directoryEvictions) << d.name;
     }
 }
 
