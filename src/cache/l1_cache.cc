@@ -86,24 +86,23 @@ L1Cache::probe(Addr pa, bool invalidating)
     // Coherence probes carry a physical address; without a partition
     // guarantee the probe energises every way of the set.
     res.waysRead = tags_.assoc();
-    probeLine(pa, invalidating, res);
+    const TagLookup look = tags_.peek(pa);
+    if (look.hit)
+        probeWay(tags_.setIndex(pa), look.way, invalidating, res);
     return res;
 }
 
 void
-L1Cache::probeLine(Addr pa, bool invalidating, L1ProbeResult &res)
+L1Cache::probeWay(unsigned set, unsigned way, bool invalidating,
+                  L1ProbeResult &res)
 {
-    CacheLine *line = tags_.findLine(pa);
-    if (!line)
-        return;
+    CacheLine &line = tags_.lineAt(set, way);
     res.hit = true;
-    res.wasDirty = MoesiProtocol::suppliesData(line->state);
-    // Invalidation goes through the tag store so the replacement
-    // policy sees the way free up.
+    res.wasDirty = MoesiProtocol::suppliesData(line.state);
     if (invalidating)
-        tags_.invalidate(pa);
+        tags_.invalidateWay(set, way);
     else
-        line->state = MoesiProtocol::onRemoteRead(line->state);
+        line.state = MoesiProtocol::onRemoteRead(line.state);
 }
 
 Eviction

@@ -143,9 +143,11 @@ class L1Cache
     void scorePrediction(const TagLookup &look, unsigned predicted,
                          L1AccessResult &res);
 
-    /** Apply a probe to @p pa's line, if resident: invalidate it
-     *  through the tag store or downgrade it for a remote read. */
-    void probeLine(Addr pa, bool invalidating, L1ProbeResult &res);
+    /** Apply a probe to the resident line at (@p set, @p way), which
+     *  the probe's own search resolved: record the hit, then drop the
+     *  line or downgrade it for a remote read. */
+    void probeWay(unsigned set, unsigned way, bool invalidating,
+                  L1ProbeResult &res);
 
   private:
     SetAssocCache tags_;

@@ -10,7 +10,7 @@
  * TLBs and the TFT can share one substrate while sweeping policies.
  *
  * The policy keeps victim side-state only. Validity lives in the
- * entries of the SetTable that owns the policy (cache/set_table.hh),
+ * keys of the SetTable that owns the policy (cache/set_table.hh),
  * and the table applies the "first invalid way wins" rule before it
  * asks for a victim, so victim() only ever ranks full ranges.
  *
@@ -52,11 +52,13 @@ isDirtyState(CoherenceState s)
     return s == CoherenceState::Modified || s == CoherenceState::Owned;
 }
 
-/** One line of a tag store. */
+/**
+ * The payload of one tag-store line. Its line address (physical
+ * address >> log2(line size)) is the line's SetTable key, which alone
+ * says whether the way holds a line (cache/set_table.hh).
+ */
 struct CacheLine
 {
-    bool valid = false;
-    Addr lineAddr = 0; //!< physical address >> log2(line size)
     CoherenceState state = CoherenceState::Invalid;
     bool prefetched = false; //!< installed by a prefetch, not yet
                              //!< demanded

@@ -74,7 +74,7 @@ SetAssocCache::searchRange(Addr pa, unsigned begin, unsigned end)
     if (way == SetTable<CacheLine>::kNoWay)
         return TagLookup{false, false, 0};
     table_.touch(set, way);
-    CacheLine &line = table_.at(set, way);
+    CacheLine &line = table_.payload(set, way);
     const TagLookup res{true, line.prefetched, way};
     line.prefetched = false;
     return res;
@@ -113,13 +113,12 @@ SetAssocCache::insert(Addr pa, InsertScope scope, CoherenceState state,
         end = begin + waysPerPartition();
     }
 
-    const CacheLine old = table_.place(
-        setIndex(pa), begin, end,
-        CacheLine{true, lineAddrOf(pa), state, prefetched, page_size});
-    if (!old.valid)
+    const auto old = table_.place(setIndex(pa), begin, end, lineAddrOf(pa),
+                                  CacheLine{state, prefetched, page_size});
+    if (!old.valid())
         return Eviction{};
-    return Eviction{true, old.lineAddr, old.state, old.pageSize,
-                    old.prefetched};
+    return Eviction{true, old.key, old.payload.state, old.payload.pageSize,
+                    old.payload.prefetched};
 }
 
 std::optional<CoherenceState>
@@ -129,7 +128,7 @@ SetAssocCache::invalidate(Addr pa)
     const unsigned way = wayOf(pa, set, 0, assoc());
     if (way == SetTable<CacheLine>::kNoWay)
         return std::nullopt;
-    const CoherenceState prev = table_.at(set, way).state;
+    const CoherenceState prev = table_.payload(set, way).state;
     table_.drop(set, way);
     return prev;
 }
@@ -140,7 +139,7 @@ SetAssocCache::findLine(Addr pa)
     const unsigned set = setIndex(pa);
     const unsigned way = wayOf(pa, set, 0, assoc());
     return way == SetTable<CacheLine>::kNoWay ? nullptr
-                                              : &table_.at(set, way);
+                                              : &table_.payload(set, way);
 }
 
 const CacheLine *
@@ -154,17 +153,20 @@ SetAssocCache::sweepRegion(Addr pa_base, std::uint64_t bytes)
 {
     const Addr lo = pa_base >> lineBits_;
     const Addr hi = (pa_base + bytes) >> lineBits_;
-    return table_.dropIf([&](const CacheLine &line) {
-        return line.lineAddr >= lo && line.lineAddr < hi;
+    return table_.dropIf([&](Addr line_addr, const CacheLine &) {
+        return line_addr >= lo && line_addr < hi;
     });
 }
 
 void
 SetAssocCache::forEachValidLine(
-    const std::function<void(const CacheLine &)> &fn) const
+    const std::function<void(Addr line_addr, const CacheLine &)> &fn)
+    const
 {
     table_.forEachValid(
-        [&](unsigned, unsigned, const CacheLine &line) { fn(line); });
+        [&](unsigned, unsigned, Addr line_addr, const CacheLine &line) {
+            fn(line_addr, line);
+        });
 }
 
 unsigned
@@ -172,7 +174,7 @@ SetAssocCache::validLines() const
 {
     unsigned count = 0;
     table_.forEachValid(
-        [&](unsigned, unsigned, const CacheLine &) { ++count; });
+        [&](unsigned, unsigned, Addr, const CacheLine &) { ++count; });
     return count;
 }
 
@@ -181,8 +183,8 @@ SetAssocCache::checkPlacementInvariant() const
 {
     bool holds = true;
     table_.forEachValid(
-        [&](unsigned, unsigned way, const CacheLine &line) {
-            const Addr pa = line.lineAddr << lineBits_;
+        [&](unsigned, unsigned way, Addr line_addr, const CacheLine &) {
+            const Addr pa = line_addr << lineBits_;
             holds = holds &&
                     partitionIndex(pa) == way / waysPerPartition();
         });

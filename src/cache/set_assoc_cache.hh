@@ -5,8 +5,10 @@
  * This is the structural substrate shared by the baseline VIPT/PIPT
  * caches, the SEESAW cache, and the L2 and LLC behind them. It models
  * tags and MOESI line state over one SetTable (which owns the lines
- * and their ReplacementPolicy); timing and energy live in the L1
- * wrappers so the same store can back Fig 2a's pure miss-rate sweeps.
+ * and their ReplacementPolicy): each line's address is its key, and
+ * its state, prefetched mark and page size (a CacheLine) the payload.
+ * Timing and energy live in the L1 wrappers so the same store can back
+ * Fig 2a's pure miss-rate sweeps.
  */
 
 #ifndef SEESAW_CACHE_SET_ASSOC_CACHE_HH
@@ -123,6 +125,13 @@ class SetAssocCache
     /** Invalidate the line holding @p pa. @return Its pre-state. */
     std::optional<CoherenceState> invalidate(Addr pa);
 
+    /** Drop the valid line at (@p set, @p way): a probe applies its
+     *  invalidation to the way its own search resolved. */
+    void invalidateWay(unsigned set, unsigned way)
+    {
+        table_.drop(set, way);
+    }
+
     /** Mutable access to the line holding @p pa (coherence FSM). */
     CacheLine *findLine(Addr pa);
     const CacheLine *findLine(Addr pa) const;
@@ -137,11 +146,24 @@ class SetAssocCache
     /** Count of currently valid lines. */
     unsigned validLines() const;
 
+    /** Whether (@p set, @p way) holds a line. */
+    bool validAt(unsigned set, unsigned way) const
+    {
+        return table_.valid(set, way);
+    }
+
+    /** Line address held at (@p set, @p way); meaningful only when
+     *  validAt() (invariant audits, tests). */
+    Addr lineAddrAt(unsigned set, unsigned way) const
+    {
+        return table_.key(set, way);
+    }
+
     /** Direct line access by geometry (invariant audits, tests). */
     const CacheLine &
     lineAt(unsigned set, unsigned way) const
     {
-        return table_.at(set, way);
+        return table_.payload(set, way);
     }
 
     /** Mutable line access by geometry: the L1 wrappers' hit paths
@@ -150,7 +172,14 @@ class SetAssocCache
     CacheLine &
     lineAt(unsigned set, unsigned way)
     {
-        return table_.at(set, way);
+        return table_.payload(set, way);
+    }
+
+    /** Test-only access to the line address at (@p set, @p way):
+     *  mutation tests corrupt a tag here to prove the audits fire. */
+    Addr &debugLineAddrAt(unsigned set, unsigned way)
+    {
+        return table_.debugKeyAt(set, way);
     }
 
     /** The replacement policy owning this store's victim side-state. */
@@ -169,9 +198,11 @@ class SetAssocCache
         table_.auditSet(set, fail);
     }
 
-    /** Visit every valid line (coherence invariant checks, dumps). */
+    /** Visit every valid line as fn(line address, line) (coherence
+     *  invariant checks, dumps). */
     void forEachValidLine(
-        const std::function<void(const CacheLine &)> &fn) const;
+        const std::function<void(Addr line_addr, const CacheLine &)> &fn)
+        const;
 
     /**
      * Verify the SEESAW placement invariant: every valid line sits in
@@ -205,10 +236,7 @@ class SetAssocCache
     unsigned
     wayOf(Addr pa, unsigned set, unsigned begin, unsigned end) const
     {
-        const Addr line_addr = lineAddrOf(pa);
-        return table_.find(set, begin, end, [&](const CacheLine &line) {
-            return line.lineAddr == line_addr;
-        });
+        return table_.find(set, begin, end, lineAddrOf(pa));
     }
 
     TagLookup searchRange(Addr pa, unsigned begin, unsigned end);

@@ -29,17 +29,13 @@ auditTagStoreSanity(const SetAssocCache &tags, AuditContext &ctx,
 
     for (unsigned set = 0; set < tags.numSets(); ++set) {
         for (unsigned way = 0; way < tags.assoc(); ++way) {
-            const CacheLine &line = tags.lineAt(set, way);
-            if (!line.valid) {
-                if (line.state != CoherenceState::Invalid) {
-                    ctx.violation(line.lineAddr << line_bits,
-                                  lineLabel(set, way) +
-                                      ": invalid line carries live "
-                                      "coherence state");
-                }
+            // A free way holds a default (Invalid) payload by
+            // construction: SetTable resets it on every drop.
+            if (!tags.validAt(set, way))
                 continue;
-            }
-            const Addr pa = line.lineAddr << line_bits;
+            const CacheLine &line = tags.lineAt(set, way);
+            const Addr line_addr = tags.lineAddrAt(set, way);
+            const Addr pa = line_addr << line_bits;
 
             // A valid line must be Invalid-free and findable in the
             // set its own address names.
@@ -58,8 +54,8 @@ auditTagStoreSanity(const SetAssocCache &tags, AuditContext &ctx,
             // nondeterministic — legal only under `4way-8way` aliasing.
             if (!allow_duplicates) {
                 for (unsigned other = 0; other < way; ++other) {
-                    const CacheLine &o = tags.lineAt(set, other);
-                    if (o.valid && o.lineAddr == line.lineAddr) {
+                    if (tags.validAt(set, other) &&
+                        tags.lineAddrAt(set, other) == line_addr) {
                         ctx.violation(
                             pa, lineLabel(set, way) +
                                     ": same line also valid in way " +
@@ -74,8 +70,7 @@ auditTagStoreSanity(const SetAssocCache &tags, AuditContext &ctx,
         // for Random).
         tags.auditReplacement(
             set, [&](unsigned way, const std::string &detail) {
-                ctx.violation(tags.lineAt(set, way).lineAddr
-                                  << line_bits,
+                ctx.violation(tags.lineAddrAt(set, way) << line_bits,
                               lineLabel(set, way) + ": " + detail);
             });
     }
@@ -99,12 +94,11 @@ auditSeesawPlacement(const SeesawCache &cache, AuditContext &ctx)
 
     for (unsigned set = 0; set < tags.numSets(); ++set) {
         for (unsigned way = 0; way < tags.assoc(); ++way) {
-            const CacheLine &line = tags.lineAt(set, way);
-            if (!line.valid)
+            if (!tags.validAt(set, way))
                 continue;
-            if (super_only && !isSuperpage(line.pageSize))
+            if (super_only && !isSuperpage(tags.lineAt(set, way).pageSize))
                 continue;
-            const Addr pa = line.lineAddr << line_bits;
+            const Addr pa = tags.lineAddrAt(set, way) << line_bits;
             const unsigned holds = way / tags.waysPerPartition();
             const unsigned wants = tags.partitionIndex(pa);
             if (holds != wants) {
@@ -140,10 +134,9 @@ auditPrefetchPlacement(const SeesawCache &cache, AuditContext &ctx)
     // prefetch crossed into another page's partition.
     for (unsigned set = 0; set < tags.numSets(); ++set) {
         for (unsigned way = 0; way < tags.assoc(); ++way) {
-            const CacheLine &line = tags.lineAt(set, way);
-            if (!line.valid || !line.prefetched)
+            if (!tags.validAt(set, way) || !tags.lineAt(set, way).prefetched)
                 continue;
-            const Addr pa = line.lineAddr << line_bits;
+            const Addr pa = tags.lineAddrAt(set, way) << line_bits;
             const unsigned holds = way / tags.waysPerPartition();
             const unsigned wants = tags.partitionIndex(pa);
             if (holds != wants) {

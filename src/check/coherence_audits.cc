@@ -86,8 +86,8 @@ auditDirectoryConsistency(const ExactDirectory &directory,
         unsigned line_bits = 0;
         while ((1U << line_bits) < tags.lineBytes())
             ++line_bits;
-        tags.forEachValidLine([&](const CacheLine &line) {
-            const Addr pa = line.lineAddr << line_bits;
+        tags.forEachValidLine([&](Addr line_addr, const CacheLine &) {
+            const Addr pa = line_addr << line_bits;
             if (!directory.holds(static_cast<CoreId>(c), pa)) {
                 ctx.violation(pa, "core " + std::to_string(c) +
                                       " caches a line the directory "

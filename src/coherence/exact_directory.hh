@@ -6,14 +6,21 @@
  * produces the precise probe lists each access requires — unlike the
  * stochastic ProbeEngine used for single-core runs, every coherence
  * lookup here corresponds to a real sharer.
+ *
+ * The per-line records live in one flat open-addressed table keyed by
+ * line address: linear probing, deletion by backward shift (so no
+ * tombstones build up), and doubling whenever a fill would take the
+ * load past one half. Keys and records sit in parallel arrays, so a
+ * probe sequence reads only keys. Nothing is allocated per fill or
+ * eviction once the table has grown to the working set.
  */
 
 #ifndef SEESAW_COHERENCE_EXACT_DIRECTORY_HH
 #define SEESAW_COHERENCE_EXACT_DIRECTORY_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
 #include "common/stats.hh"
@@ -32,8 +39,9 @@ class ExactDirectory
     /** Probes the directory instructs the requester to send. */
     struct ProbeList
     {
-        /** Cores to probe, in core-id order. */
-        std::vector<CoreId> targets;
+        /** Cores to probe: bit c names core c. Probes go out in
+         *  core-id order. */
+        std::uint64_t targets = 0;
         bool invalidating = false;
         /** A dirty owner will supply the data (cache-to-cache). */
         bool ownerSupplies = false;
@@ -56,8 +64,9 @@ class ExactDirectory
      */
     ProbeList onWrite(CoreId core, Addr pa);
 
-    /** Record that @p core now caches the line (dirty = writer). */
-    void recordFill(CoreId core, Addr pa, bool dirty);
+    /** Record that @p core now caches the line (dirty = writer).
+     *  @return The line's sharer mask after the fill. */
+    std::uint64_t recordFill(CoreId core, Addr pa, bool dirty);
 
     /** @p core silently evicted the line. */
     void recordEviction(CoreId core, Addr pa);
@@ -72,7 +81,17 @@ class ExactDirectory
     int owner(Addr pa) const;
 
     /** Number of tracked lines. */
-    std::size_t trackedLines() const { return lines_.size(); }
+    std::size_t trackedLines() const { return size_; }
+
+    /** Slots in the open-addressed table (a power of two). */
+    std::size_t capacity() const { return keys_.size(); }
+
+    /** The slot @p pa's line hashes to in a table of @p capacity
+     *  slots (a power of two). Tests build colliding lines with it. */
+    static std::size_t homeSlot(Addr pa, std::size_t capacity);
+
+    /** Slots a new directory starts with. */
+    static constexpr std::size_t kInitialCapacity = 64;
 
     unsigned numCores() const { return numCores_; }
 
@@ -113,15 +132,22 @@ class ExactDirectory
     struct Entry
     {
         std::uint64_t sharers = 0; //!< bitmask over cores
-        int owner = -1;            //!< core holding M/O, or -1
+        std::int8_t owner = -1;    //!< core holding M/O, or -1
         /** The sole clean sharer may hold the line Exclusive; a second
          *  reader must downgrade it before filling (MOESI: at most one
          *  E/M copy system-wide). Cleared by any downgrade. */
         bool exclusive = false;
     };
 
+    /** The key of a free slot; no line address (pa >> 6) reaches it. */
+    static constexpr Addr kEmpty = ~Addr{0};
+
     unsigned numCores_;
-    std::unordered_map<Addr, Entry> lines_; //!< keyed by pa >> 6
+    std::vector<Addr> keys_;     //!< line address (pa >> 6) per slot
+    std::vector<Entry> entries_; //!< parallel to keys_
+    std::size_t size_ = 0;       //!< occupied slots
+    std::size_t mask_;           //!< capacity() - 1
+    unsigned hashShift_;         //!< 64 - log2(capacity())
     StatGroup stats_;
 
     // Hot-path stat handles (registered once; see common/stats.hh).
@@ -132,6 +158,42 @@ class ExactDirectory
     StatScalar *stEvictions_;
 
     static Addr lineOf(Addr pa) { return pa >> 6; }
+
+    /** @return The slot holding @p line, or the free slot where its
+     *  probe sequence ends. */
+    std::size_t
+    probe(Addr line) const
+    {
+        std::size_t slot = slotOf(line);
+        while (keys_[slot] != line && keys_[slot] != kEmpty)
+            slot = (slot + 1) & mask_;
+        return slot;
+    }
+
+    /** @return @p line's record, or nullptr when untracked. */
+    Entry *
+    find(Addr line)
+    {
+        const std::size_t slot = probe(line);
+        return keys_[slot] == line ? &entries_[slot] : nullptr;
+    }
+    const Entry *
+    find(Addr line) const
+    {
+        return const_cast<ExactDirectory *>(this)->find(line);
+    }
+
+    std::size_t slotOf(Addr line) const;
+
+    /** @return @p line's record, created empty if untracked. */
+    Entry &findOrInsert(Addr line);
+
+    /** Free the occupied @p slot, shifting later records of its probe
+     *  run back so every record stays reachable from its home slot. */
+    void eraseAt(std::size_t slot);
+
+    /** Resize to @p capacity slots and rehash every record. */
+    void rehash(std::size_t capacity);
 };
 
 } // namespace seesaw

@@ -1,5 +1,7 @@
 #include "coherence/fabric.hh"
 
+#include <bit>
+
 #include "cache/moesi.hh"
 #include "common/logging.hh"
 
@@ -32,11 +34,13 @@ unsigned
 DirectoryFabric::sendProbes(const ExactDirectory::ProbeList &probes,
                             Addr pa)
 {
-    if (probes.targets.empty())
+    if (probes.targets == 0)
         return 0;
 
-    for (CoreId target : probes.targets)
-        probeCore(target, pa, probes.invalidating);
+    // Lowest set bit first: core-id order.
+    for (std::uint64_t left = probes.targets; left != 0; left &= left - 1)
+        probeCore(static_cast<CoreId>(std::countr_zero(left)), pa,
+                  probes.invalidating);
     // Directory indirection + probe round trip.
     return probeCycles_;
 }
@@ -69,8 +73,9 @@ DirectoryFabric::postAccess(CoreId core, Addr pa, AccessType type,
     (void)pre;
     const bool write = type == AccessType::Write;
     if (!res.hit) {
-        directory_.recordFill(core, pa, write);
-        if (!write && directory_.sharerCount(pa) > 1) {
+        const std::uint64_t sharers =
+            directory_.recordFill(core, pa, write);
+        if (!write && std::popcount(sharers) > 1) {
             // The L1 installed the read fill Exclusive, but other
             // copies exist; MOESI grants E only to the sole copy.
             if (CacheLine *line = l1s_[core]->tags().findLine(pa))

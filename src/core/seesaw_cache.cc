@@ -121,6 +121,9 @@ SeesawCache::probe(Addr pa, bool invalidating)
     SetAssocCache &tags = this->tags();
     ++*stProbes_;
 
+    // The search's own hit way takes the probe: under 4way no copy
+    // can sit outside the PA-named partition, and under 4way-8way the
+    // search already spans the set.
     TagLookup look;
     if (config_.policy == InsertionPolicy::FourWay) {
         // Placement invariant: the PA names the only partition the
@@ -136,7 +139,7 @@ SeesawCache::probe(Addr pa, bool invalidating)
 
     if (look.hit) {
         ++*stProbeHits_;
-        probeLine(pa, invalidating, res);
+        probeWay(tags.setIndex(pa), look.way, invalidating, res);
     }
     return res;
 }

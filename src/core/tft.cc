@@ -40,7 +40,7 @@ Tft::lookup(Addr va)
     ++*stLookups_;
     const Addr region = regionOf(va);
     const unsigned way = find(region);
-    if (way == SetTable<Entry>::kNoWay) {
+    if (way == SetTable<NoPayload>::kNoWay) {
         ++*stMisses_;
         return false;
     }
@@ -52,7 +52,7 @@ Tft::lookup(Addr va)
 bool
 Tft::peek(Addr va) const
 {
-    return find(regionOf(va)) != SetTable<Entry>::kNoWay;
+    return find(regionOf(va)) != SetTable<NoPayload>::kNoWay;
 }
 
 void
@@ -62,14 +62,14 @@ Tft::markRegion(Addr va)
     const unsigned set = setOf(region);
     ++*stFills_;
     if (const unsigned way = find(region);
-        way != SetTable<Entry>::kNoWay) {
+        way != SetTable<NoPayload>::kNoWay) {
         table_.touch(set, way);
         return;
     }
     // Policy victim within the set (trivially "the" slot when
     // direct-mapped — no replacement policy is needed at assoc 1,
     // exactly as the paper observes).
-    if (table_.place(set, 0, assoc(), Entry{true, region}).valid)
+    if (table_.place(set, 0, assoc(), region, NoPayload{}).valid())
         ++*stConflictEvictions_;
 }
 
@@ -78,7 +78,7 @@ Tft::invalidateRegion(Addr va)
 {
     const Addr region = regionOf(va);
     const unsigned way = find(region);
-    if (way == SetTable<Entry>::kNoWay)
+    if (way == SetTable<NoPayload>::kNoWay)
         return false;
     table_.drop(setOf(region), way);
     ++*stInvalidations_;
@@ -96,7 +96,8 @@ unsigned
 Tft::validCount() const
 {
     unsigned count = 0;
-    table_.forEachValid([&](unsigned, unsigned, const Entry &) { ++count; });
+    table_.forEachValid(
+        [&](unsigned, unsigned, Addr, const NoPayload &) { ++count; });
     return count;
 }
 
@@ -104,9 +105,8 @@ void
 Tft::forEachValidRegion(
     const std::function<void(Addr va_base)> &fn) const
 {
-    table_.forEachValid([&](unsigned, unsigned, const Entry &e) {
-        fn(e.regionTag << 21);
-    });
+    table_.forEachValid([&](unsigned, unsigned, Addr region,
+                            const NoPayload &) { fn(region << 21); });
 }
 
 double

@@ -88,14 +88,14 @@ class Tft
     StatGroup &stats() { return stats_; }
 
   private:
-    struct Entry
+    /** An entry is its region tag (va >> 21, 43 significant bits),
+     *  held as the SetTable key; nothing else is stored. */
+    struct NoPayload
     {
-        bool valid = false;
-        Addr regionTag = 0; //!< va >> 21 (43 significant bits)
     };
 
     ReplacementParams replacement_; //!< for storageBytes()
-    SetTable<Entry> table_;
+    SetTable<NoPayload> table_;
     StatGroup stats_;
 
     // Hot-path stat handles (registered once; see common/stats.hh).
@@ -121,9 +121,7 @@ class Tft
     unsigned
     find(Addr region) const
     {
-        return table_.find(setOf(region), [&](const Entry &e) {
-            return e.regionTag == region;
-        });
+        return table_.find(setOf(region), region);
     }
 };
 

@@ -43,18 +43,36 @@ Tlb::Tlb(std::string name, unsigned entries, unsigned assoc,
                   "a TLB holding several page sizes must be fully "
                   "associative");
     multiSize_ = sizes.size() > 1;
-    indexShift_ = pageOffsetBits(*sizes.begin());
+    indexSize_ = *sizes.begin();
+    indexShift_ = pageOffsetBits(indexSize_);
 }
 
 unsigned
 Tlb::find(unsigned set, Asid asid, Addr va) const
 {
-    // Every entry of a one-size TLB shares the set index's page size,
-    // so it shifts once; a multi-size TLB shifts per way.
-    const Addr vpn = va >> indexShift_;
-    return table_.find(set, [&](const TlbEntry &e) {
-        return e.asid == asid &&
-               e.vpn == (multiSize_ ? va >> pageOffsetBits(e.size) : vpn);
+    // A VPN beyond kMaxVpn has no key, so no fill can have stored it.
+    if (!multiSize_) {
+        // Every entry of a one-size TLB shares the set index's page
+        // size: one key to compare.
+        const Addr vpn = va >> indexShift_;
+        return vpn > kMaxVpn ? Table::kNoWay
+                             : table_.find(set, packKey(vpn, asid,
+                                                        indexSize_));
+    }
+    // A multi-size TLB compares each way's key against the key @p va
+    // would have at that way's own page size.
+    // kEmpty stands for "no key": findIf() never offers a free way.
+    std::uint64_t wanted[4] = {Table::kEmpty, Table::kEmpty,
+                               Table::kEmpty, Table::kEmpty};
+    for (PageSize size :
+         {PageSize::Base4KB, PageSize::Super2MB, PageSize::Super1GB}) {
+        const Addr vpn = va >> pageOffsetBits(size);
+        if (holds(size) && vpn <= kMaxVpn)
+            wanted[static_cast<unsigned>(size)] =
+                packKey(vpn, asid, size);
+    }
+    return table_.findIf(set, [&](std::uint64_t key) {
+        return key == wanted[static_cast<unsigned>(sizeOfKey(key))];
     });
 }
 
@@ -64,13 +82,14 @@ Tlb::lookup(Asid asid, Addr va)
     ++*stLookups_;
     const unsigned set = setOf(va);
     const unsigned way = find(set, asid, va);
-    if (way == SetTable<TlbEntry>::kNoWay) {
+    if (way == Table::kNoWay) {
         ++*stMisses_;
         return nullptr;
     }
     ++*stHits_;
     table_.touch(set, way);
-    return &table_.at(set, way);
+    hit_ = unpackKey(table_.key(set, way), table_.payload(set, way));
+    return &hit_;
 }
 
 void
@@ -78,26 +97,25 @@ Tlb::insert(Asid asid, Addr va, Addr pa_base, PageSize size)
 {
     SEESAW_ASSERT(holds(size), "TLB fill of a page size it does not hold");
     SEESAW_ASSERT(pa_base % pageBytes(size) == 0, "unaligned TLB fill");
-    const TlbEntry fill{true, asid, va >> pageOffsetBits(size), pa_base,
-                        size};
+    const std::uint64_t key =
+        packKey(va >> pageOffsetBits(size), asid, size);
 
     const unsigned set = setOf(va);
     superpageCount_ += isSuperpage(size) ? 1 : 0;
-    if (const unsigned way = find(set, asid, va);
-        way != SetTable<TlbEntry>::kNoWay) {
+    if (const unsigned way = find(set, asid, va); way != Table::kNoWay) {
         // Refresh in place. In a multi-size TLB the covering entry may
         // be of another size; the fill rewrites it.
-        TlbEntry &existing = table_.at(set, way);
-        superpageCount_ -= isSuperpage(existing.size) ? 1 : 0;
-        existing = fill;
+        superpageCount_ -=
+            isSuperpage(sizeOfKey(table_.key(set, way))) ? 1 : 0;
+        table_.overwrite(set, way, key, pa_base);
         table_.touch(set, way);
         return;
     }
 
-    const TlbEntry victim = table_.place(set, 0, assoc(), fill);
-    if (victim.valid) {
+    const Table::Entry victim = table_.place(set, 0, assoc(), key, pa_base);
+    if (victim.valid()) {
         ++*stEvictions_;
-        superpageCount_ -= isSuperpage(victim.size) ? 1 : 0;
+        superpageCount_ -= isSuperpage(sizeOfKey(victim.key)) ? 1 : 0;
     } else {
         ++validCount_;
     }
@@ -109,9 +127,9 @@ Tlb::invalidatePage(Asid asid, Addr va)
 {
     const unsigned set = setOf(va);
     const unsigned way = find(set, asid, va);
-    if (way == SetTable<TlbEntry>::kNoWay)
+    if (way == Table::kNoWay)
         return false;
-    superpageCount_ -= isSuperpage(table_.at(set, way).size) ? 1 : 0;
+    superpageCount_ -= isSuperpage(sizeOfKey(table_.key(set, way))) ? 1 : 0;
     --validCount_;
     table_.drop(set, way);
     ++*stInvalidations_;
@@ -131,7 +149,9 @@ Tlb::forEachValidEntry(
     const std::function<void(const TlbEntry &)> &fn) const
 {
     table_.forEachValid(
-        [&](unsigned, unsigned, const TlbEntry &e) { fn(e); });
+        [&](unsigned, unsigned, std::uint64_t key, Addr pa_base) {
+            fn(unpackKey(key, pa_base));
+        });
 }
 
 } // namespace seesaw

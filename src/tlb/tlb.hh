@@ -14,15 +14,16 @@
 #include <string>
 
 #include "cache/set_table.hh"
+#include "common/logging.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 
 namespace seesaw {
 
-/** One TLB entry. */
+/** One TLB translation, unpacked from its SetTable key (vpn, asid,
+ *  page size) and payload (the physical base). */
 struct TlbEntry
 {
-    bool valid = false;
     Asid asid = 0;
     Addr vpn = 0;     //!< va >> pageOffsetBits(size)
     Addr paBase = 0;  //!< physical base of the page
@@ -37,6 +38,11 @@ struct TlbEntry
  * size, indexed by that size. An ARM/SPARC-style unified L1 TLB is one
  * fully-associative Tlb holding every size, so a superpage-heavy phase
  * can fill the whole structure with superpage entries, and vice versa.
+ *
+ * Each entry's tag is one SetTable key: the page size in bits [1:0],
+ * the ASID in bits [17:2] and the VPN above them. A lookup compares
+ * whole keys; a TLB holding several sizes decodes each way's size from
+ * its key. The physical base is the payload.
  */
 class Tlb
 {
@@ -63,8 +69,8 @@ class Tlb
     }
 
     /** Probe for the translation of @p va; touches the policy on hit.
-     *  @return The entry (valid until the next mutation), or nullptr
-     *  on a miss. */
+     *  @return The entry (valid until the next lookup or mutation), or
+     *  nullptr on a miss. */
     const TlbEntry *lookup(Asid asid, Addr va);
 
     /** Install the translation of the @p size page holding @p va
@@ -102,15 +108,53 @@ class Tlb
     /** Valid entries displaced by fills. */
     std::uint64_t evictions() const { return stEvictions_->count(); }
 
+    /** @name Key packing. */
+    /// @{
+    static constexpr unsigned kAsidShift = 2;
+    static constexpr unsigned kVpnShift = kAsidShift + 16;
+    /** The largest VPN a key holds (46 bits: a 58-bit VA at 4KB). */
+    static constexpr Addr kMaxVpn = ~Addr{0} >> kVpnShift;
+
+    /** The key of (@p vpn, @p asid, @p size); @p vpn must not exceed
+     *  kMaxVpn. Never SetTable's empty key: size bits 3 name no size. */
+    static std::uint64_t
+    packKey(Addr vpn, Asid asid, PageSize size)
+    {
+        SEESAW_ASSERT(vpn <= kMaxVpn, "TLB VPN ", vpn,
+                      " does not fit the packed key");
+        return vpn << kVpnShift |
+               static_cast<std::uint64_t>(asid) << kAsidShift |
+               static_cast<std::uint64_t>(size);
+    }
+
+    /** The translation a (@p key, @p pa_base) entry holds. */
+    static TlbEntry
+    unpackKey(std::uint64_t key, Addr pa_base)
+    {
+        return TlbEntry{static_cast<Asid>(key >> kAsidShift),
+                        key >> kVpnShift, pa_base, sizeOfKey(key)};
+    }
+
+    static PageSize
+    sizeOfKey(std::uint64_t key)
+    {
+        return static_cast<PageSize>(key & ((1U << kAsidShift) - 1));
+    }
+    /// @}
+
     const StatGroup &stats() const { return stats_; }
     StatGroup &stats() { return stats_; }
 
   private:
+    using Table = SetTable<Addr>; //!< payload: the physical base
+
     std::string name_;
-    SetTable<TlbEntry> table_;
+    Table table_;
     std::uint8_t sizeMask_ = 0; //!< bit i: PageSize value i is held
     bool multiSize_ = false;
+    PageSize indexSize_ = PageSize::Base4KB; //!< the set index's size
     unsigned indexShift_ = 0;   //!< page offset bits of the set index
+    TlbEntry hit_;              //!< the entry lookup() last returned
     // Maintained incrementally: the scheduler reads both per access.
     unsigned validCount_ = 0;
     unsigned superpageCount_ = 0;

@@ -127,8 +127,8 @@ TEST(SiptCache, NoDuplicatesAcrossSpeculationOutcomes)
     cache.access({va2, pa, PageSize::Base4KB, AccessType::Read});
     // Exactly one copy: a probe hit plus a single valid line for pa.
     unsigned copies = 0;
-    cache.tags().forEachValidLine([&](const CacheLine &line) {
-        copies += line.lineAddr == (pa >> 6) ? 1 : 0;
+    cache.tags().forEachValidLine([&](Addr line_addr, const CacheLine &) {
+        copies += line_addr == (pa >> 6) ? 1 : 0;
     });
     EXPECT_EQ(copies, 1u);
 }

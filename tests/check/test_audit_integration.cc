@@ -140,6 +140,34 @@ TEST(AuditIntegrationTest, MultiCoreParanoidRunsClean)
     EXPECT_TRUE(system.checkDirectoryInvariant());
 }
 
+TEST(AuditIntegrationTest, MultiCorePromotionSweepsAuditClean)
+{
+    // Half the host fragmented by memhog leaves regions that fault in
+    // as base pages; frequent promotion passes then migrate them, and
+    // every sweep must retire the swept lines' directory records
+    // through recordEviction() or the paranoid audits would fire.
+    SystemConfig cfg = paranoidConfig(L1Kind::Seesaw);
+    cfg.cores = 4;
+    cfg.fabric = CoherenceKind::Directory;
+    cfg.instructions = 1'000;
+    cfg.warmupInstructions = 500;
+    cfg.os.memBytes = 512ULL << 20;
+    cfg.memhogFraction = 0.5;
+    cfg.promotionInterval = 400;
+    WorkloadSpec w = findWorkload("tunk");
+    w.footprintBytes = 16ULL << 20;
+    w.hotSetBytes = 1ULL << 20;
+    SimEngine system(cfg, w);
+    const RunResult r = system.run();
+    ASSERT_NE(system.auditor(), nullptr);
+    EXPECT_GT(r.promotions, 0u);
+    ASSERT_NE(system.directory(), nullptr);
+    EXPECT_GT(system.directory()->evictions(), 0u);
+    EXPECT_GT(system.auditor()->auditsRun(), 0u);
+    EXPECT_EQ(system.auditor()->violations(), 0u);
+    EXPECT_TRUE(system.checkDirectoryInvariant());
+}
+
 /** Run @p cfg under @p mode. */
 RunResult
 runUnder(SystemConfig cfg, check::AuditMode mode, const WorkloadSpec &w)
@@ -183,7 +211,7 @@ auditWithAgedLine(SimEngine &system, unsigned core)
     bool aged = false;
     for (unsigned set = 0; set < tags.numSets() && !aged; ++set) {
         for (unsigned way = 0; way < tags.assoc() && !aged; ++way) {
-            if (tags.lineAt(set, way).valid) {
+            if (tags.validAt(set, way)) {
                 tags.replacementPolicy().debugStateAt(set, way) += 100;
                 aged = true;
             }
@@ -254,9 +282,9 @@ TEST(AuditIntegrationTest, MultiCoreAuditCatchesSeededDirectoryDrift)
     unsigned line_bits = 0;
     while ((1U << line_bits) < tags.lineBytes())
         ++line_bits;
-    tags.forEachValidLine([&](const CacheLine &line) {
+    tags.forEachValidLine([&](Addr line_addr, const CacheLine &) {
         if (!found) {
-            victim = line.lineAddr << line_bits;
+            victim = line_addr << line_bits;
             found = true;
         }
     });

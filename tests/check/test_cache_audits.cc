@@ -38,14 +38,17 @@ auditTags(const SetAssocCache &tags, bool allow_duplicates = false)
 unsigned
 wayOf(const SetAssocCache &tags, Addr pa)
 {
-    const unsigned set = tags.setIndex(pa);
-    for (unsigned way = 0; way < tags.assoc(); ++way) {
-        const CacheLine &line = tags.lineAt(set, way);
-        if (line.valid && line.lineAddr == tags.lineAddrOf(pa))
-            return way;
-    }
-    ADD_FAILURE() << "line not resident: " << pa;
-    return 0;
+    const TagLookup look = tags.peek(pa);
+    EXPECT_TRUE(look.hit) << "line not resident: " << pa;
+    return look.way;
+}
+
+/** The stored line address of resident @p pa, for seeding a corrupt
+ *  tag. */
+Addr &
+tagOf(SetAssocCache &tags, Addr pa)
+{
+    return tags.debugLineAddrAt(tags.setIndex(pa), wayOf(tags, pa));
 }
 
 TEST(CacheAuditsTest, PopulatedStoreAuditsClean)
@@ -65,7 +68,7 @@ TEST(CacheAuditsTest, CatchesLineInTheWrongSet)
     tags.insert(0x1000, SetAssocCache::InsertScope::FullSet,
                 CoherenceState::Exclusive, PageSize::Base4KB);
     // Corrupt the tag so the stored line address names another set.
-    tags.findLine(0x1000)->lineAddr ^= 0x1;
+    tagOf(tags, 0x1000) ^= 0x1;
     const auto seen = auditTags(tags);
     ASSERT_EQ(seen.size(), 1u);
     EXPECT_NE(seen[0].detail.find("unreachable"), std::string::npos);
@@ -81,7 +84,7 @@ TEST(CacheAuditsTest, CatchesDuplicateLinesWithinASet)
     const Addr alias = 0x2000 + 32 * 1024;
     tags.insert(alias, SetAssocCache::InsertScope::FullSet,
                 CoherenceState::Exclusive, PageSize::Base4KB);
-    tags.findLine(alias)->lineAddr = 0x2000 >> 6;
+    tagOf(tags, alias) = 0x2000 >> 6;
 
     const auto seen = auditTags(tags);
     ASSERT_EQ(seen.size(), 1u);
@@ -214,9 +217,7 @@ TEST(CacheAuditsTest, CatchesLineMovedOutOfItsPaPartition)
     // The issue's seeded corruption: rename a resident 4KB line so its
     // PA names the other partition while the line stays in this one —
     // flip the partition bit (bit 12 = lineAddr bit 6) only.
-    CacheLine *line = cache.tags().findLine(0x1000);
-    ASSERT_NE(line, nullptr);
-    line->lineAddr ^= 1ULL << 6;
+    tagOf(cache.tags(), 0x1000) ^= 1ULL << 6;
 
     const auto seen = auditPlacement(cache);
     ASSERT_EQ(seen.size(), 1u);
@@ -237,9 +238,7 @@ TEST(CacheAuditsTest, FourWayEightWayConstrainsOnlySuperpageLines)
     base.pa = 0x1000;
     base.pageSize = PageSize::Base4KB;
     cache.access(base);
-    CacheLine *base_line = cache.tags().findLine(0x1000);
-    ASSERT_NE(base_line, nullptr);
-    base_line->lineAddr ^= 1ULL << 6;
+    tagOf(cache.tags(), 0x1000) ^= 1ULL << 6;
     EXPECT_TRUE(auditPlacement(cache).empty());
 
     // But a superpage line must still honour the invariant.
@@ -248,9 +247,7 @@ TEST(CacheAuditsTest, FourWayEightWayConstrainsOnlySuperpageLines)
     super.pa = 0x40000000;
     super.pageSize = PageSize::Super2MB;
     cache.access(super);
-    CacheLine *super_line = cache.tags().findLine(0x40000000);
-    ASSERT_NE(super_line, nullptr);
-    super_line->lineAddr ^= 1ULL << 6;
+    tagOf(cache.tags(), 0x40000000) ^= 1ULL << 6;
     EXPECT_EQ(auditPlacement(cache).size(), 1u);
 }
 
@@ -284,7 +281,7 @@ TEST(CacheAuditsTest, CatchesPrefetchedLineOutsideItsPartition)
     CacheLine *line = cache.tags().findLine(0x1000);
     ASSERT_NE(line, nullptr);
     ASSERT_TRUE(line->prefetched);
-    line->lineAddr ^= 1ULL << 6; // flip the partition bit
+    tagOf(cache.tags(), 0x1000) ^= 1ULL << 6; // flip the partition bit
 
     // Base-page lines are exempt from the general 4way-8way placement
     // rule, but a *prefetched* line never is.

@@ -1,8 +1,21 @@
-/** @file Tests for the exact MOESI directory. */
+/**
+ * @file
+ * Tests for the exact MOESI directory: the protocol cases one by one,
+ * and a seeded differential run against a std::map reference model
+ * over colliding line addresses, which drives the open-addressed
+ * table through growth and wrap-around backward-shift deletion.
+ */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <string>
+#include <tuple>
+#include <vector>
+
 #include "coherence/exact_directory.hh"
+#include "common/random.hh"
 
 namespace seesaw {
 namespace {
@@ -11,9 +24,9 @@ TEST(ExactDirectory, ColdLineNeedsNoProbes)
 {
     ExactDirectory dir(4);
     const auto read = dir.onReadMiss(0, 0x1000);
-    EXPECT_TRUE(read.targets.empty());
+    EXPECT_EQ(read.targets, 0u);
     const auto write = dir.onWrite(0, 0x1000);
-    EXPECT_TRUE(write.targets.empty());
+    EXPECT_EQ(write.targets, 0u);
     EXPECT_TRUE(write.invalidating);
 }
 
@@ -36,8 +49,7 @@ TEST(ExactDirectory, DirtyOwnerSuppliesOnRemoteRead)
     EXPECT_EQ(dir.owner(0x2000), 1);
 
     const auto probes = dir.onReadMiss(3, 0x2000);
-    ASSERT_EQ(probes.targets.size(), 1u);
-    EXPECT_EQ(probes.targets[0], 1u);
+    EXPECT_EQ(probes.targets, 1u << 1);
     EXPECT_TRUE(probes.ownerSupplies);
     EXPECT_FALSE(probes.invalidating);
 }
@@ -48,7 +60,7 @@ TEST(ExactDirectory, CleanSharersNeedNoReadProbes)
     dir.recordFill(1, 0x2000, false);
     dir.recordFill(2, 0x2000, false);
     const auto probes = dir.onReadMiss(3, 0x2000);
-    EXPECT_TRUE(probes.targets.empty());
+    EXPECT_EQ(probes.targets, 0u);
 }
 
 TEST(ExactDirectory, WriteInvalidatesEveryOtherSharer)
@@ -59,9 +71,7 @@ TEST(ExactDirectory, WriteInvalidatesEveryOtherSharer)
 
     const auto probes = dir.onWrite(5, 0x3000);
     EXPECT_TRUE(probes.invalidating);
-    ASSERT_EQ(probes.targets.size(), 2u);
-    EXPECT_EQ(probes.targets[0], 1u);
-    EXPECT_EQ(probes.targets[1], 3u);
+    EXPECT_EQ(probes.targets, (1u << 1) | (1u << 3));
 
     // The directory reflects the invalidations immediately.
     EXPECT_FALSE(dir.holds(1, 0x3000));
@@ -77,7 +87,7 @@ TEST(ExactDirectory, WriteByDirtyOwnerNeedsNoProbes)
     ExactDirectory dir(4);
     dir.recordFill(2, 0x4000, true);
     const auto probes = dir.onWrite(2, 0x4000);
-    EXPECT_TRUE(probes.targets.empty());
+    EXPECT_EQ(probes.targets, 0u);
     EXPECT_TRUE(dir.holds(2, 0x4000));
     EXPECT_EQ(dir.owner(0x4000), 2);
 }
@@ -131,20 +141,240 @@ TEST(ExactDirectory, ReadAfterWriteSequence)
 {
     // The canonical migratory pattern: W0 -> R1 -> W2.
     ExactDirectory dir(4);
-    EXPECT_TRUE(dir.onWrite(0, 0x6000).targets.empty());
+    EXPECT_EQ(dir.onWrite(0, 0x6000).targets, 0u);
     dir.recordFill(0, 0x6000, true);
 
     const auto r1 = dir.onReadMiss(1, 0x6000);
-    ASSERT_EQ(r1.targets.size(), 1u);
+    EXPECT_EQ(r1.targets, 1u << 0);
     EXPECT_TRUE(r1.ownerSupplies);
     dir.recordFill(1, 0x6000, false);
     EXPECT_EQ(dir.sharerCount(0x6000), 2u);
 
     const auto w2 = dir.onWrite(2, 0x6000);
-    EXPECT_EQ(w2.targets.size(), 2u);
+    EXPECT_EQ(w2.targets, (1u << 0) | (1u << 1));
     dir.recordFill(2, 0x6000, true);
     EXPECT_EQ(dir.sharerCount(0x6000), 1u);
     EXPECT_EQ(dir.owner(0x6000), 2);
+}
+
+/** The directory's protocol over a std::map: the behaviour the flat
+ *  table must reproduce operation for operation. */
+class ReferenceDirectory
+{
+  public:
+    explicit ReferenceDirectory(unsigned cores) : cores_(cores) {}
+
+    ExactDirectory::ProbeList
+    onReadMiss(CoreId core, Addr pa)
+    {
+        ExactDirectory::ProbeList probes;
+        auto it = lines_.find(pa >> 6);
+        if (it == lines_.end())
+            return probes;
+        Line &e = it->second;
+        if (e.owner >= 0 && static_cast<CoreId>(e.owner) != core) {
+            probes.targets = 1ULL << e.owner;
+            probes.ownerSupplies = true;
+            ++ownerDowngrades;
+        } else if (e.exclusive) {
+            for (CoreId c = 0; c < cores_; ++c) {
+                if (c != core && (e.sharers >> c & 1)) {
+                    probes.targets |= 1ULL << c;
+                    ++exclusiveDowngrades;
+                }
+            }
+        }
+        e.exclusive = false;
+        return probes;
+    }
+
+    ExactDirectory::ProbeList
+    onWrite(CoreId core, Addr pa)
+    {
+        ExactDirectory::ProbeList probes;
+        probes.invalidating = true;
+        auto it = lines_.find(pa >> 6);
+        if (it == lines_.end())
+            return probes;
+        Line &e = it->second;
+        for (CoreId c = 0; c < cores_; ++c) {
+            if (c != core && (e.sharers >> c & 1)) {
+                probes.targets |= 1ULL << c;
+                probes.ownerSupplies |= e.owner == static_cast<int>(c);
+            }
+        }
+        writeInvalidations += probes.targets != 0 ? 1 : 0;
+        e.sharers &= 1ULL << core;
+        if (e.owner != static_cast<int>(core))
+            e.owner = -1;
+        e.exclusive = false;
+        if (e.sharers == 0)
+            lines_.erase(it);
+        return probes;
+    }
+
+    std::uint64_t
+    recordFill(CoreId core, Addr pa, bool dirty)
+    {
+        Line &e = lines_[pa >> 6];
+        e.sharers |= 1ULL << core;
+        if (dirty) {
+            e.owner = static_cast<int>(core);
+            e.exclusive = false;
+        } else {
+            if (e.owner == static_cast<int>(core))
+                e.owner = -1;
+            e.exclusive = e.owner < 0 && e.sharers == (1ULL << core);
+        }
+        ++fills;
+        return e.sharers;
+    }
+
+    void
+    recordEviction(CoreId core, Addr pa)
+    {
+        auto it = lines_.find(pa >> 6);
+        if (it == lines_.end())
+            return;
+        it->second.sharers &= ~(1ULL << core);
+        if (it->second.owner == static_cast<int>(core))
+            it->second.owner = -1;
+        if (it->second.sharers == 0)
+            lines_.erase(it);
+        ++evictions;
+    }
+
+    /** (pa, sharers, owner) of every line, in address order. */
+    std::vector<std::tuple<Addr, std::uint64_t, int>>
+    entries() const
+    {
+        std::vector<std::tuple<Addr, std::uint64_t, int>> out;
+        for (const auto &[line, e] : lines_)
+            out.emplace_back(line << 6, e.sharers, e.owner);
+        return out;
+    }
+
+    std::size_t size() const { return lines_.size(); }
+
+    std::uint64_t ownerDowngrades = 0;
+    std::uint64_t exclusiveDowngrades = 0;
+    std::uint64_t writeInvalidations = 0;
+    std::uint64_t fills = 0;
+    std::uint64_t evictions = 0;
+
+  private:
+    struct Line
+    {
+        std::uint64_t sharers = 0;
+        int owner = -1;
+        bool exclusive = false;
+    };
+
+    unsigned cores_;
+    std::map<Addr, Line> lines_;
+};
+
+/** Line addresses whose home slot is one of the last two of a table
+ *  of @p capacity slots, so their probe runs wrap past the end. */
+std::vector<Addr>
+wrappingLines(std::size_t capacity, unsigned count)
+{
+    std::vector<Addr> out;
+    for (Addr line = 1; out.size() < count; ++line) {
+        if (ExactDirectory::homeSlot(line << 6, capacity) + 2 >= capacity)
+            out.push_back(line << 6);
+    }
+    return out;
+}
+
+TEST(ExactDirectory, FlatTableMatchesMapReference)
+{
+    constexpr unsigned kCores = 8;
+    // Lines crowding the end of the table at its first three
+    // capacities, plus scattered ones; 200 lines outgrow two doublings.
+    std::vector<Addr> pool;
+    for (std::size_t cap = ExactDirectory::kInitialCapacity;
+         cap <= 4 * ExactDirectory::kInitialCapacity; cap *= 2) {
+        for (Addr pa : wrappingLines(cap, 40))
+            pool.push_back(pa + 8); // any byte of the line
+    }
+    Rng rng(2024);
+    while (pool.size() < 200)
+        pool.push_back(rng.nextBounded(1ULL << 40));
+
+    ExactDirectory dir(kCores);
+    ReferenceDirectory ref(kCores);
+    std::size_t max_capacity = dir.capacity();
+    std::uint64_t erasures = 0;
+    for (int step = 0; step < 40'000; ++step) {
+        const Addr pa = pool[rng.nextBounded(pool.size())];
+        const auto core = static_cast<CoreId>(rng.nextBounded(kCores));
+        const std::string at = "step " + std::to_string(step);
+        switch (rng.nextBounded(4)) {
+          case 0: {
+            const auto got = dir.onReadMiss(core, pa);
+            const auto want = ref.onReadMiss(core, pa);
+            ASSERT_EQ(got.targets, want.targets) << at;
+            ASSERT_EQ(got.invalidating, want.invalidating) << at;
+            ASSERT_EQ(got.ownerSupplies, want.ownerSupplies) << at;
+            break;
+          }
+          case 1: {
+            const std::size_t before = ref.size();
+            const auto got = dir.onWrite(core, pa);
+            const auto want = ref.onWrite(core, pa);
+            ASSERT_EQ(got.targets, want.targets) << at;
+            ASSERT_EQ(got.invalidating, want.invalidating) << at;
+            ASSERT_EQ(got.ownerSupplies, want.ownerSupplies) << at;
+            erasures += before - ref.size();
+            break;
+          }
+          case 2: {
+            // Fills outnumber evictions early, so the table grows.
+            const bool dirty = rng.chance(0.4);
+            ASSERT_EQ(dir.recordFill(core, pa, dirty),
+                      ref.recordFill(core, pa, dirty))
+                << at;
+            break;
+          }
+          default: {
+            const std::size_t before = ref.size();
+            dir.recordEviction(core, pa);
+            ref.recordEviction(core, pa);
+            erasures += before - ref.size();
+            break;
+          }
+        }
+        ASSERT_EQ(dir.ownerDowngrades(), ref.ownerDowngrades) << at;
+        ASSERT_EQ(dir.exclusiveDowngrades(), ref.exclusiveDowngrades)
+            << at;
+        ASSERT_EQ(dir.writeInvalidations(), ref.writeInvalidations) << at;
+        ASSERT_EQ(dir.fills(), ref.fills) << at;
+        ASSERT_EQ(dir.evictions(), ref.evictions) << at;
+        ASSERT_EQ(dir.trackedLines(), ref.size()) << at;
+        std::vector<std::tuple<Addr, std::uint64_t, int>> seen;
+        dir.forEachEntry([&](Addr line_pa, std::uint64_t sharers, int owner) {
+            seen.emplace_back(line_pa, sharers, owner);
+        });
+        const auto want = ref.entries();
+        ASSERT_EQ(seen, want) << at;
+        // Point queries agree with the visited records.
+        std::uint64_t sharers = 0;
+        int owner = -1;
+        for (const auto &[line_pa, s, o] : want) {
+            if (line_pa == (pa & ~Addr{63})) {
+                sharers = s;
+                owner = o;
+            }
+        }
+        ASSERT_EQ(dir.holds(core, pa), ((sharers >> core) & 1) != 0) << at;
+        ASSERT_EQ(dir.owner(pa), owner) << at;
+        max_capacity = std::max(max_capacity, dir.capacity());
+    }
+    // The run grew the table past the capacities the pool crowds and
+    // deleted records, wrapped runs included.
+    EXPECT_GE(max_capacity, 4 * ExactDirectory::kInitialCapacity);
+    EXPECT_GT(erasures, 1000u);
 }
 
 } // namespace

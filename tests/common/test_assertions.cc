@@ -116,6 +116,17 @@ TEST(AssertionDeathTest, TlbRejectsUnalignedFill)
         "unaligned");
 }
 
+TEST(AssertionDeathTest, TlbRejectsAFillWhoseVpnDoesNotFitItsKey)
+{
+    EXPECT_DEATH(
+        {
+            Tlb tlb("t", 16, 4, PageSize::Base4KB);
+            tlb.insert(1, (Tlb::kMaxVpn + 1) << 12, 0x1000,
+                       PageSize::Base4KB);
+        },
+        "does not fit");
+}
+
 TEST(AssertionDeathTest, TlbRejectsFillOfASizeItDoesNotHold)
 {
     EXPECT_DEATH(

@@ -113,8 +113,8 @@ TEST(MultiCore, DirectoryMatchesCacheContentsExactly)
     for (unsigned c = 0; c < 2; ++c) {
         unsigned checked = 0;
         sys.l1(c).tags().forEachValidLine(
-            [&](const CacheLine &line) {
-                const Addr pa = line.lineAddr << 6;
+            [&](Addr line_addr, const CacheLine &line) {
+                const Addr pa = line_addr << 6;
                 EXPECT_TRUE(sys.directory()->holds(c, pa));
                 if (isDirtyState(line.state)) {
                     EXPECT_EQ(sys.directory()->owner(pa),
