@@ -60,8 +60,8 @@ Tlb::find(unsigned set, Asid asid, Addr va) const
                                                         indexSize_));
     }
     // A multi-size TLB compares each way's key against the key @p va
-    // would have at that way's own page size.
-    // kEmpty stands for "no key": findIf() never offers a free way.
+    // would have at that way's own page size. kEmpty stands for "no
+    // such key": findIf() never offers a free way.
     std::uint64_t wanted[4] = {Table::kEmpty, Table::kEmpty,
                                Table::kEmpty, Table::kEmpty};
     for (PageSize size :

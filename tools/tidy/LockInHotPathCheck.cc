@@ -24,7 +24,7 @@ LockInHotPathCheck::LockInHotPathCheck(StringRef name,
           "takeFetchLines|finishFetch)|"
           "(ViptCache|SiptCache|SeesawCache)::access|"
           "(L1Cache|SeesawCache)::(probe|prefetchFill)|"
-          "L1Cache::(complete|scorePrediction|probeLine)|"
+          "L1Cache::(complete|scorePrediction|probeWay)|"
           "Tlb::lookup|TlbHierarchy::lookup|TranslationCache::lookup)"))
 {
 }
