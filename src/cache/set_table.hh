@@ -23,7 +23,6 @@
 #define SEESAW_CACHE_SET_TABLE_HH
 
 #include <algorithm>
-#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -96,17 +95,10 @@ class SetTable
     unsigned
     find(unsigned set, unsigned begin, unsigned end, Key key) const
     {
-        // Compare a whole run of up to 64 keys into a hit mask before
-        // branching: which way hits is data-dependent, so an early
-        // exit per way mispredicts on most searches.
         const Key *keys = &keys_[slot(set, 0)];
-        for (unsigned run = begin; run < end; run += 64) {
-            const unsigned stop = std::min(end, run + 64);
-            std::uint64_t hits = 0;
-            for (unsigned way = run; way < stop; ++way)
-                hits |= std::uint64_t{keys[way] == key} << (way - run);
-            if (hits != 0)
-                return run + static_cast<unsigned>(std::countr_zero(hits));
+        for (unsigned way = begin; way < end; ++way) {
+            if (keys[way] == key)
+                return way;
         }
         return kNoWay;
     }
