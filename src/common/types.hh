@@ -13,6 +13,11 @@ namespace seesaw {
 /** A virtual or physical memory address (byte granularity). */
 using Addr = std::uint64_t;
 
+/** The widest virtual address the simulator models: every VA is
+ *  below 2^58, so a 4KB page number fits a TLB key's 46 VPN bits.
+ *  Addresses read from outside (traces) are checked against it. */
+constexpr unsigned kVirtualAddressBits = 58;
+
 /** A simulation time expressed in core clock cycles. */
 using Cycles = std::uint64_t;
 

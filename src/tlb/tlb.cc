@@ -56,8 +56,8 @@ Tlb::find(unsigned set, Asid asid, Addr va) const
         // size: one key to compare.
         const Addr vpn = va >> indexShift_;
         return vpn > kMaxVpn ? Table::kNoWay
-                             : table_.find(set, packKey(vpn, asid,
-                                                        indexSize_));
+                             : table_.find(set, keyOf(vpn, asid,
+                                                      indexSize_));
     }
     // A multi-size TLB compares each way's key against the key @p va
     // would have at that way's own page size. kEmpty stands for "no
@@ -69,7 +69,7 @@ Tlb::find(unsigned set, Asid asid, Addr va) const
         const Addr vpn = va >> pageOffsetBits(size);
         if (holds(size) && vpn <= kMaxVpn)
             wanted[static_cast<unsigned>(size)] =
-                packKey(vpn, asid, size);
+                keyOf(vpn, asid, size);
     }
     return table_.findIf(set, [&](std::uint64_t key) {
         return key == wanted[static_cast<unsigned>(sizeOfKey(key))];

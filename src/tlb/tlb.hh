@@ -112,8 +112,12 @@ class Tlb
     /// @{
     static constexpr unsigned kAsidShift = 2;
     static constexpr unsigned kVpnShift = kAsidShift + 16;
-    /** The largest VPN a key holds (46 bits: a 58-bit VA at 4KB). */
+    /** The largest VPN a key holds: a 4KB page number of a
+     *  kVirtualAddressBits-wide VA. */
     static constexpr Addr kMaxVpn = ~Addr{0} >> kVpnShift;
+    static_assert(kVpnShift + kVirtualAddressBits -
+                          pageOffsetBits(PageSize::Base4KB) == 64,
+                  "a TLB key must hold every modelled 4KB page number");
 
     /** The key of (@p vpn, @p asid, @p size); @p vpn must not exceed
      *  kMaxVpn. Never SetTable's empty key: size bits 3 name no size. */
@@ -122,9 +126,7 @@ class Tlb
     {
         SEESAW_ASSERT(vpn <= kMaxVpn, "TLB VPN ", vpn,
                       " does not fit the packed key");
-        return vpn << kVpnShift |
-               static_cast<std::uint64_t>(asid) << kAsidShift |
-               static_cast<std::uint64_t>(size);
+        return keyOf(vpn, asid, size);
     }
 
     /** The translation a (@p key, @p pa_base) entry holds. */
@@ -168,6 +170,15 @@ class Tlb
     StatScalar *stFills_;
     StatScalar *stEvictions_;
     StatScalar *stInvalidations_;
+
+    /** packKey() for a @p vpn already checked against kMaxVpn. */
+    static std::uint64_t
+    keyOf(Addr vpn, Asid asid, PageSize size)
+    {
+        return vpn << kVpnShift |
+               static_cast<std::uint64_t>(asid) << kAsidShift |
+               static_cast<std::uint64_t>(size);
+    }
 
     unsigned setOf(Addr va) const
     {

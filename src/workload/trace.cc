@@ -2,8 +2,10 @@
 
 #include <array>
 #include <cstring>
+#include <ios>
 
 #include "common/logging.hh"
+#include "common/types.hh"
 
 namespace seesaw {
 
@@ -101,6 +103,16 @@ TraceReader::next()
                          " bytes) — file was cut short");
         return std::nullopt;
     }
+    // The simulator models VAs below 2^kVirtualAddressBits only (a TLB
+    // key holds a 46-bit 4KB page number); refuse a wider one here,
+    // where it enters the program, rather than map a page no TLB can
+    // tag.
+    if (raw.va >> kVirtualAddressBits != 0)
+        SEESAW_FATAL("trace record ", records_, " in ", path_,
+                     ": virtual address 0x", std::hex, raw.va, std::dec,
+                     " is not below 2^", kVirtualAddressBits,
+                     " (the TLBs hold 46-bit 4KB page numbers)");
+    ++records_;
     MemRef ref;
     ref.gap = raw.gap;
     ref.type = raw.isWrite ? AccessType::Write : AccessType::Read;

@@ -50,12 +50,15 @@ class TraceReader
 
     /** @return The next record, or nullopt at a clean end of trace.
      *  A torn trailing record or read error is fatal — a truncated
-     *  archive must never silently replay as a shorter trace. */
+     *  archive must never silently replay as a shorter trace — and so
+     *  is a VA at or above 2^kVirtualAddressBits, which the simulator
+     *  cannot model. */
     std::optional<MemRef> next();
 
   private:
     std::string path_;
     std::FILE *file_;
+    std::uint64_t records_ = 0; //!< records read so far
 };
 
 } // namespace seesaw

@@ -185,5 +185,31 @@ TEST(Extensions, TraceOutsideFootprintIsDemandPaged)
     std::remove(path.c_str());
 }
 
+TEST(Extensions, TraceWithAnUpperHalfAddressIsRejected)
+{
+    const std::string path =
+        std::string(::testing::TempDir()) + "/upper_half.trace";
+    {
+        TraceWriter writer(path);
+        for (int i = 0; i < 16; ++i)
+            writer.append(MemRef{10, (Addr{1} << 40) + i * 64ULL,
+                                 AccessType::Read});
+        writer.append(
+            MemRef{10, 0xffff888000001000ULL, AccessType::Write});
+    }
+    SystemConfig cfg = smallConfig();
+    cfg.instructions = 2'000;
+    cfg.warmupInstructions = 0;
+    cfg.tracePath = path;
+    // A clean exit naming the record, not an abort in a TLB fill.
+    EXPECT_EXIT(
+        {
+            SimEngine system(cfg, smallWorkload());
+            system.run();
+        },
+        ::testing::ExitedWithCode(1), "trace record 16 .*46-bit");
+    std::remove(path.c_str());
+}
+
 } // namespace
 } // namespace seesaw

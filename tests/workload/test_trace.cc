@@ -75,6 +75,25 @@ TEST(Trace, TruncatedTrailingRecordFailsLoudly)
     std::remove(path.c_str());
 }
 
+TEST(Trace, AddressBeyondTheModelledWidthFailsLoudly)
+{
+    const std::string path = tempPath("wide_va.trace");
+    const Addr widest = (Addr{1} << kVirtualAddressBits) - 64;
+    {
+        TraceWriter writer(path);
+        writer.append({0, widest, AccessType::Read});
+        // A canonical upper-half (kernel) address.
+        writer.append({1, 0xffff888000001000ULL, AccessType::Read});
+    }
+    TraceReader reader(path);
+    const auto first = reader.next();
+    ASSERT_TRUE(first.has_value());
+    EXPECT_EQ(first->va, widest);
+    EXPECT_EXIT(reader.next(), ::testing::ExitedWithCode(1),
+                "trace record 1 .*0xffff888000001000");
+    std::remove(path.c_str());
+}
+
 TEST(Trace, EmptyTraceReadsNothing)
 {
     const std::string path = tempPath("empty.trace");
