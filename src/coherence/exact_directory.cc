@@ -35,14 +35,6 @@ hashLine(Addr line, unsigned shift)
 } // namespace
 
 std::size_t
-ExactDirectory::homeSlot(Addr pa, std::size_t capacity)
-{
-    SEESAW_ASSERT(capacity >= 2 && std::has_single_bit(capacity),
-                  "directory capacity must be a power of two");
-    return hashLine(lineOf(pa), 64 - std::countr_zero(capacity));
-}
-
-std::size_t
 ExactDirectory::slotOf(Addr line) const
 {
     return hashLine(line, hashShift_);
@@ -56,8 +48,8 @@ ExactDirectory::findOrInsert(Addr line)
         return entries_[slot];
     // Keep the load at or under one half so probe runs stay short and
     // every probe sequence ends at a free slot.
-    if (2 * (size_ + 1) > capacity()) {
-        rehash(2 * capacity());
+    if (2 * (size_ + 1) > keys_.size()) {
+        rehash(2 * keys_.size());
         slot = probe(line);
     }
     keys_[slot] = line;

@@ -83,16 +83,6 @@ class ExactDirectory
     /** Number of tracked lines. */
     std::size_t trackedLines() const { return size_; }
 
-    /** Slots in the open-addressed table (a power of two). */
-    std::size_t capacity() const { return keys_.size(); }
-
-    /** The slot @p pa's line hashes to in a table of @p capacity
-     *  slots (a power of two). Tests build colliding lines with it. */
-    static std::size_t homeSlot(Addr pa, std::size_t capacity);
-
-    /** Slots a new directory starts with. */
-    static constexpr std::size_t kInitialCapacity = 64;
-
     unsigned numCores() const { return numCores_; }
 
     /** Visit every tracked line: physical line-base address, sharer
@@ -142,12 +132,15 @@ class ExactDirectory
     /** The key of a free slot; no line address (pa >> 6) reaches it. */
     static constexpr Addr kEmpty = ~Addr{0};
 
+    /** Slots a new directory starts with (a power of two). */
+    static constexpr std::size_t kInitialCapacity = 64;
+
     unsigned numCores_;
     std::vector<Addr> keys_;     //!< line address (pa >> 6) per slot
     std::vector<Entry> entries_; //!< parallel to keys_
     std::size_t size_ = 0;       //!< occupied slots
-    std::size_t mask_;           //!< capacity() - 1
-    unsigned hashShift_;         //!< 64 - log2(capacity())
+    std::size_t mask_;           //!< slots - 1
+    unsigned hashShift_;         //!< 64 - log2(slots)
     StatGroup stats_;
 
     // Hot-path stat handles (registered once; see common/stats.hh).

@@ -274,37 +274,24 @@ class ReferenceDirectory
     std::map<Addr, Line> lines_;
 };
 
-/** Line addresses whose home slot is one of the last two of a table
- *  of @p capacity slots, so their probe runs wrap past the end. */
-std::vector<Addr>
-wrappingLines(std::size_t capacity, unsigned count)
-{
-    std::vector<Addr> out;
-    for (Addr line = 1; out.size() < count; ++line) {
-        if (ExactDirectory::homeSlot(line << 6, capacity) + 2 >= capacity)
-            out.push_back(line << 6);
-    }
-    return out;
-}
-
 TEST(ExactDirectory, FlatTableMatchesMapReference)
 {
     constexpr unsigned kCores = 8;
-    // Lines crowding the end of the table at its first three
-    // capacities, plus scattered ones; 200 lines outgrow two doublings.
+    // 160 consecutive lines plus 160 scattered ones. With eight cores
+    // filling them, most stay tracked: the table doubles from its
+    // first size to 512 slots and then runs near its one-half load
+    // bound, so probe runs collide, and some wrap past the table's
+    // end while records are deleted out of them.
     std::vector<Addr> pool;
-    for (std::size_t cap = ExactDirectory::kInitialCapacity;
-         cap <= 4 * ExactDirectory::kInitialCapacity; cap *= 2) {
-        for (Addr pa : wrappingLines(cap, 40))
-            pool.push_back(pa + 8); // any byte of the line
-    }
+    for (Addr line = 0x4000; line < 0x4000 + 160; ++line)
+        pool.push_back((line << 6) + 8); // any byte of the line
     Rng rng(2024);
-    while (pool.size() < 200)
+    while (pool.size() < 320)
         pool.push_back(rng.nextBounded(1ULL << 40));
 
     ExactDirectory dir(kCores);
     ReferenceDirectory ref(kCores);
-    std::size_t max_capacity = dir.capacity();
+    std::size_t max_tracked = 0;
     std::uint64_t erasures = 0;
     for (int step = 0; step < 40'000; ++step) {
         const Addr pa = pool[rng.nextBounded(pool.size())];
@@ -369,11 +356,11 @@ TEST(ExactDirectory, FlatTableMatchesMapReference)
         }
         ASSERT_EQ(dir.holds(core, pa), ((sharers >> core) & 1) != 0) << at;
         ASSERT_EQ(dir.owner(pa), owner) << at;
-        max_capacity = std::max(max_capacity, dir.capacity());
+        max_tracked = std::max(max_tracked, dir.trackedLines());
     }
-    // The run grew the table past the capacities the pool crowds and
-    // deleted records, wrapped runs included.
-    EXPECT_GE(max_capacity, 4 * ExactDirectory::kInitialCapacity);
+    // More than 128 records at a load of at most one half took the
+    // table through three doublings; records were deleted throughout.
+    EXPECT_GT(max_tracked, 128u);
     EXPECT_GT(erasures, 1000u);
 }
 
