@@ -5,6 +5,7 @@
 #include <string>
 
 #include "mem/memhog.hh"
+#include "workload/workload_spec.hh"
 
 namespace seesaw {
 namespace {
@@ -167,6 +168,50 @@ TEST(Memhog, FourGbResultIsPinned)
     expectPinned(0.6, 377800, 629145, 0x3cec2c8a72049ddeULL,
                  "4932 4800 4437 3996 3183 2181 1255 503 150 17 1 0 0 0 0 "
                  "0 0 0 0");
+}
+
+/**
+ * Check what redis's footprint meets after memhog @p fraction on a
+ * default 4 GB host. Compaction migrates only movable frames, so these
+ * counters and the placement hash (FNV-1a over the physical base of
+ * every 4KB page of the heap) pin the raw-frame *states* memhog leaves,
+ * which the free map alone does not.
+ */
+void
+expectMappingPinned(double fraction, double coverage,
+                    std::uint64_t migrated, std::uint64_t attempts,
+                    std::uint64_t successes, std::uint64_t placement_hash)
+{
+    SCOPED_TRACE(fraction);
+    OsMemoryManager os{OsParams{}};
+    Memhog(os).consume(fraction);
+    const WorkloadSpec &redis = findWorkload("redis");
+    const Asid asid = os.createProcess();
+    const Addr heap = Addr{1} << 40;
+    os.mapAnonymous(asid, heap, redis.footprintBytes,
+                    redis.thpEligibleFraction);
+
+    EXPECT_DOUBLE_EQ(os.superpageCoverage(asid), coverage);
+    EXPECT_EQ(os.pagesMigrated(), migrated);
+    EXPECT_EQ(os.compactionAttempts(), attempts);
+    EXPECT_EQ(os.compactionSuccesses(), successes);
+
+    std::uint64_t hash = 0xcbf29ce484222325ULL;
+    for (Addr off = 0; off < redis.footprintBytes;
+         off += BuddyAllocator::kFrameBytes) {
+        const auto t = os.translate(asid, heap + off);
+        ASSERT_TRUE(t);
+        hash = (hash ^ t->translate(heap + off)) * 0x100000001b3ULL;
+    }
+    EXPECT_EQ(hash, placement_hash);
+}
+
+TEST(Memhog, FourGbFrameStatesArePinned)
+{
+    // Which frames memhog leaves movable and which it pins decides what
+    // compaction can evacuate when a workload maps after it.
+    expectMappingPinned(0.3, 0.921875, 0, 0, 0, 0x9b1344840e104325ULL);
+    expectMappingPinned(0.6, 0.484375, 415, 41, 12, 0x7af4e1b87b93a325ULL);
 }
 
 } // namespace
