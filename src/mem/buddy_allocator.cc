@@ -22,29 +22,38 @@ wordsFor(std::uint64_t bits)
     return static_cast<std::size_t>((bits + 63) / 64);
 }
 
+constexpr std::uint64_t kEvenBits = 0x5555555555555555ULL;
+
+/** Pack the even bits of @p x (its odd bits clear) into the low half. */
+constexpr std::uint64_t
+packEvenBits(std::uint64_t x)
+{
+    x = (x | x >> 1) & 0x3333333333333333ULL;
+    x = (x | x >> 2) & 0x0f0f0f0f0f0f0f0fULL;
+    x = (x | x >> 4) & 0x00ff00ff00ff00ffULL;
+    x = (x | x >> 8) & 0x0000ffff0000ffffULL;
+    return (x | x >> 16) & 0x00000000ffffffffULL;
+}
+
+static_assert(packEvenBits(kEvenBits) == 0xffffffffULL);
+static_assert(packEvenBits(0x4000000000000011ULL) == 0x80000005ULL);
+
 } // namespace
 
 BuddyAllocator::BuddyAllocator(std::uint64_t mem_bytes)
     : totalFrames_(mem_bytes >> kFrameBits),
-      frameFree_(wordsFor(totalFrames_), 0)
+      frameFree_(wordsFor(totalFrames_), ~std::uint64_t{0})
 {
     SEESAW_ASSERT(totalFrames_ > 0, "empty physical memory");
     for (unsigned order = 0; order <= kMaxOrder; ++order)
         freeLists_[order].words.assign(wordsFor(totalFrames_ >> order), 0);
 
-    // Seed the free lists by carving memory into maximal aligned blocks.
-    std::uint64_t frame = 0;
-    while (frame < totalFrames_) {
-        unsigned order = kMaxOrder;
-        while ((frame & (blockFrames(order) - 1)) != 0 ||
-               frame + blockFrames(order) > totalFrames_) {
-            --order;
-        }
-        insertBlock(frame, order);
-        markRange(frame, order, true);
-        freeFrames_ += blockFrames(order);
-        frame += blockFrames(order);
-    }
+    // Every frame starts free; the lists then carve memory into its
+    // maximal aligned blocks.
+    if (const unsigned tail = totalFrames_ & 63; tail != 0)
+        frameFree_.back() = (std::uint64_t{1} << tail) - 1;
+    freeFrames_ = totalFrames_;
+    rebuildFreeLists();
 }
 
 void
@@ -62,6 +71,39 @@ BuddyAllocator::markRange(std::uint64_t frame, unsigned order,
     const std::uint64_t mask = bits << (frame & 63);
     std::uint64_t &word = frameFree_[frame >> 6];
     word = free_state ? (word | mask) : (word & ~mask);
+}
+
+void
+BuddyAllocator::rebuildFreeLists()
+{
+    // Level `order` holds one bit per block of that order, set when the
+    // whole block is free: level 0 is the frame map, and two sibling
+    // bits that are both set make one bit of the next level. A free
+    // block is on its order's list unless its parent is free too. No
+    // partial block at the end of memory is ever free, since its
+    // missing frames' flags are clear.
+    freeLists_[0].words = frameFree_;
+    for (unsigned order = 0; order <= kMaxOrder; ++order) {
+        FreeBitmap &list = freeLists_[order];
+        FreeBitmap *parents =
+            order < kMaxOrder ? &freeLists_[order + 1] : nullptr;
+        if (parents)
+            std::fill(parents->words.begin(), parents->words.end(), 0);
+        list.count = 0;
+        list.firstWord = 0;
+        for (std::size_t w = 0; w < list.words.size(); ++w) {
+            std::uint64_t &word = list.words[w];
+            if (parents) {
+                const std::uint64_t pairs = word & (word >> 1) & kEvenBits;
+                if (pairs != 0) {
+                    parents->words[w >> 1] |= packEvenBits(pairs)
+                                              << (32 * (w & 1));
+                    word &= ~(pairs | pairs << 1);
+                }
+            }
+            list.count += static_cast<std::size_t>(std::popcount(word));
+        }
+    }
 }
 
 bool
@@ -133,6 +175,47 @@ BuddyAllocator::allocate(unsigned order)
     markRange(frame, order, false);
     freeFrames_ -= blockFrames(order);
     return frame;
+}
+
+std::vector<std::uint64_t>
+BuddyAllocator::allocateFrames(std::uint64_t count)
+{
+    std::vector<std::uint64_t> frames;
+    frames.reserve(std::min(count, freeFrames_));
+    for (unsigned order = 0; order <= kMaxOrder && frames.size() < count;
+         ++order) {
+        const FreeBitmap &list = freeLists_[order];
+        for (std::size_t w = list.firstWord;
+             w < list.words.size() && frames.size() < count; ++w) {
+            for (std::uint64_t bits = list.words[w];
+                 bits != 0 && frames.size() < count; bits &= bits - 1) {
+                const std::uint64_t start =
+                    (w * 64 + std::countr_zero(bits)) << order;
+                const std::uint64_t take =
+                    std::min(blockFrames(order), count - frames.size());
+                for (std::uint64_t f = start; f < start + take; ++f) {
+                    frameFree_[f >> 6] &= ~(std::uint64_t{1} << (f & 63));
+                    frames.push_back(f);
+                }
+            }
+        }
+    }
+    freeFrames_ -= frames.size();
+    rebuildFreeLists();
+    return frames;
+}
+
+void
+BuddyAllocator::freeFrames(std::span<const std::uint64_t> frames)
+{
+    for (const std::uint64_t frame : frames) {
+        SEESAW_ASSERT(frame < totalFrames_,
+                      "free past the end of memory: frame ", frame);
+        SEESAW_ASSERT(!isFrameFree(frame), "double free of frame ", frame);
+        frameFree_[frame >> 6] |= std::uint64_t{1} << (frame & 63);
+    }
+    freeFrames_ += frames.size();
+    rebuildFreeLists();
 }
 
 std::optional<std::pair<std::uint64_t, unsigned>>

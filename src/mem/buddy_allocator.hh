@@ -11,6 +11,11 @@
  * Each order's free list is a bitmap over the blocks of that order,
  * searched lowest block first, so allocation order is exactly that of
  * a sorted free list; per-frame free flags are packed 64 to a word.
+ *
+ * The free lists are order-confluent: whatever sequence of calls led
+ * to a set of free frames, the lists hold exactly its maximal aligned
+ * free blocks. The bulk calls lean on this: they edit the frame flags
+ * and rebuild the lists once.
  */
 
 #ifndef SEESAW_MEM_BUDDY_ALLOCATOR_HH
@@ -19,6 +24,7 @@
 #include <array>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/types.hh"
@@ -54,6 +60,21 @@ class BuddyAllocator
 
     /** Release a block previously returned by allocate(). */
     void free(std::uint64_t frame, unsigned order);
+
+    /**
+     * Allocate up to @p count single frames at once, exactly as that
+     * many allocate(0) calls would: whole free blocks are drained
+     * lowest order first, lowest address first, frames ascending.
+     * @return The frames in that order; fewer than @p count when
+     *         memory runs out.
+     */
+    std::vector<std::uint64_t> allocateFrames(std::uint64_t count);
+
+    /**
+     * Free the allocated single frames @p frames at once, leaving the
+     * state that free(frame, 0) on each of them would.
+     */
+    void freeFrames(std::span<const std::uint64_t> frames);
 
     /** @return Whether the single frame @p frame is currently free. */
     bool isFrameFree(std::uint64_t frame) const;
@@ -114,6 +135,10 @@ class BuddyAllocator
     std::vector<std::uint64_t> frameFree_;
 
     void markRange(std::uint64_t frame, unsigned order, bool free_state);
+
+    /** Recompute every free list from the per-frame free flags. */
+    void rebuildFreeLists();
+
     bool isFreeBlock(std::uint64_t frame, unsigned order) const;
     void insertBlock(std::uint64_t frame, unsigned order);
     void removeBlock(std::uint64_t frame, unsigned order);

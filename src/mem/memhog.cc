@@ -1,6 +1,7 @@
 #include "mem/memhog.hh"
 
 #include <algorithm>
+#include <vector>
 
 #include "common/logging.hh"
 
@@ -26,53 +27,36 @@ Memhog::consume(double fraction)
         static_cast<std::uint64_t>(keep * (1.0 + params_.churn));
 
     // Phase 1: grab frames greedily (buddy hands them out compactly).
-    std::vector<std::uint64_t> grabbed;
-    grabbed.reserve(overshoot);
-    for (std::uint64_t i = 0; i < overshoot; ++i) {
-        auto frame = os_.allocateRawFrame(/*movable=*/true);
-        if (!frame)
-            break;
-        grabbed.push_back(*frame);
-    }
+    const std::vector<std::uint64_t> grabbed =
+        os_.allocateRawFrames(overshoot, /*movable=*/true);
 
-    // Phase 2: free run-structured random stretches until only `keep`
-    // frames remain, scattering holes across page-blocks.
-    std::uint64_t held = grabbed.size();
+    // Phase 2: pick run-structured random stretches to free until only
+    // `keep` frames remain, scattering holes across page-blocks, then
+    // free them in one step.
+    held_ = grabbed.size();
     std::vector<bool> freed(grabbed.size(), false);
-    while (held > keep) {
+    std::vector<std::uint64_t> released;
+    while (held_ > keep) {
         const std::uint64_t start = rng_.nextBounded(grabbed.size());
         std::uint64_t run =
             1 + rng_.nextGeometric(params_.meanFreeRunLength);
         for (std::uint64_t i = start;
-             i < grabbed.size() && run > 0 && held > keep; ++i) {
+             i < grabbed.size() && run > 0 && held_ > keep; ++i) {
             if (freed[i])
                 continue;
-            os_.freeRawFrame(grabbed[i]);
+            released.push_back(grabbed[i]);
             freed[i] = true;
-            --held;
+            --held_;
             --run;
         }
     }
+    os_.freeRawFrames(released);
 
     // Phase 3: retain the rest; pin a small random fraction in place.
-    held_.clear();
     for (std::uint64_t i = 0; i < grabbed.size(); ++i) {
-        if (freed[i])
-            continue;
-        held_.push_back(grabbed[i]);
+        if (!freed[i] && rng_.chance(params_.pinnedProbability))
+            os_.pinRawFrame(grabbed[i]);
     }
-    for (auto frame : held_) {
-        if (rng_.chance(params_.pinnedProbability))
-            os_.pinRawFrame(frame);
-    }
-}
-
-void
-Memhog::release()
-{
-    for (auto frame : held_)
-        os_.freeRawFrame(frame);
-    held_.clear();
 }
 
 } // namespace seesaw

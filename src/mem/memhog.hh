@@ -14,7 +14,6 @@
 #define SEESAW_MEM_MEMHOG_HH
 
 #include <cstdint>
-#include <vector>
 
 #include "common/random.hh"
 #include "mem/os_memory_manager.hh"
@@ -39,7 +38,9 @@ struct MemhogParams
 
 /**
  * Drives an OsMemoryManager's raw-frame interface to consume and
- * fragment a target fraction of physical memory.
+ * fragment a target fraction of physical memory. The frames it keeps
+ * belong to the OS model from then on (compaction may migrate the
+ * movable ones), so nothing needs the Memhog after consume().
  */
 class Memhog
 {
@@ -53,17 +54,14 @@ class Memhog
      */
     void consume(double fraction);
 
-    /** Release every retained (non-pinned) frame. */
-    void release();
-
-    /** Frames currently held (including pinned). */
-    std::uint64_t heldFrames() const { return held_.size(); }
+    /** Frames consume() kept (including pinned). */
+    std::uint64_t heldFrames() const { return held_; }
 
   private:
     OsMemoryManager &os_;
     MemhogParams params_;
     Rng rng_;
-    std::vector<std::uint64_t> held_;
+    std::uint64_t held_ = 0;
     bool consumed_ = false;
 };
 

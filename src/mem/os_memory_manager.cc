@@ -450,25 +450,27 @@ OsMemoryManager::mapOneGbPage(Asid asid, Addr va_base)
     return true;
 }
 
-std::optional<std::uint64_t>
-OsMemoryManager::allocateRawFrame(bool movable)
+std::vector<std::uint64_t>
+OsMemoryManager::allocateRawFrames(std::uint64_t count, bool movable)
 {
-    auto frame = buddy_.allocate(0);
-    if (!frame)
-        return std::nullopt;
-    frameState_[*frame] =
+    std::vector<std::uint64_t> frames = buddy_.allocateFrames(count);
+    const FrameState state =
         movable ? FrameState::RawMovable : FrameState::Unmovable;
-    return frame;
+    for (const std::uint64_t frame : frames)
+        frameState_[frame] = state;
+    return frames;
 }
 
 void
-OsMemoryManager::freeRawFrame(std::uint64_t frame)
+OsMemoryManager::freeRawFrames(std::span<const std::uint64_t> frames)
 {
-    SEESAW_ASSERT(frameState_[frame] == FrameState::RawMovable ||
-                      frameState_[frame] == FrameState::Unmovable,
-                  "freeRawFrame on a non-raw frame");
-    frameState_[frame] = FrameState::Free;
-    buddy_.free(frame, 0);
+    for (const std::uint64_t frame : frames) {
+        SEESAW_ASSERT(frameState_[frame] == FrameState::RawMovable ||
+                          frameState_[frame] == FrameState::Unmovable,
+                      "freeRawFrames on a non-raw frame");
+        frameState_[frame] = FrameState::Free;
+    }
+    buddy_.freeFrames(frames);
 }
 
 void

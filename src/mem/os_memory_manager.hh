@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -133,8 +134,16 @@ class OsMemoryManager
 
     /** @name Raw-frame interface (memhog / kernel noise). */
     /// @{
-    std::optional<std::uint64_t> allocateRawFrame(bool movable);
-    void freeRawFrame(std::uint64_t frame);
+    /**
+     * Allocate up to @p count raw frames in one step, in the order as
+     * many single-frame buddy allocations would return them.
+     * @return The frames; fewer than @p count when memory runs out.
+     */
+    std::vector<std::uint64_t> allocateRawFrames(std::uint64_t count,
+                                                 bool movable);
+
+    /** Free raw frames, movable or pinned, in one step. */
+    void freeRawFrames(std::span<const std::uint64_t> frames);
 
     /** Re-tag an allocated raw frame as pinned (unmovable) in place. */
     void pinRawFrame(std::uint64_t frame);

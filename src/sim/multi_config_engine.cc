@@ -195,8 +195,7 @@ MultiConfigEngine::MultiConfigEngine(std::vector<SystemConfig> configs,
     OsParams os_params = front.os;
     os_params.seed ^= front.seed;
     os_ = std::make_unique<OsMemoryManager>(os_params);
-    memhog_ = std::make_unique<Memhog>(*os_, front.memhog);
-    memhog_->consume(front.memhogFraction);
+    Memhog(*os_, front.memhog).consume(front.memhogFraction);
 
     asid_ = os_->createProcess();
     const Addr heap_base = Addr{1} << 40; // 1GB-aligned heap base

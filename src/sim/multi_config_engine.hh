@@ -187,7 +187,6 @@ class MultiConfigEngine
     Rng eventRng_;
 
     std::unique_ptr<OsMemoryManager> os_;
-    std::unique_ptr<Memhog> memhog_;
     Asid asid_ = 0;
 
     std::vector<Substrate> substrates_;

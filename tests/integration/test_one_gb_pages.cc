@@ -42,16 +42,13 @@ TEST(OneGbPages, AllocationFailsWithoutContiguity)
 {
     OsMemoryManager os(bigParams());
     // Pin one frame in each 1GB half: no contiguous 1GB block remains.
-    auto f1 = os.allocateRawFrame(false);
-    ASSERT_TRUE(f1);
+    const auto first = os.allocateRawFrames(1, /*movable=*/false);
+    ASSERT_EQ(first, std::vector<std::uint64_t>{0});
     // Consume frames until we cross into the second gigabyte, then pin.
-    std::uint64_t frame = *f1;
-    while (frame < (1ULL << 18)) {
-        auto f = os.allocateRawFrame(true);
-        ASSERT_TRUE(f);
-        frame = *f;
-    }
-    os.pinRawFrame(frame);
+    const auto frames =
+        os.allocateRawFrames(std::uint64_t{1} << 18, /*movable=*/true);
+    ASSERT_EQ(frames.back(), std::uint64_t{1} << 18);
+    os.pinRawFrame(frames.back());
 
     const Asid asid = os.createProcess();
     EXPECT_FALSE(os.mapOneGbPage(asid, 4 * kGB));

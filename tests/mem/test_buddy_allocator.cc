@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/random.hh"
@@ -181,6 +184,83 @@ TEST(BuddyAllocator, RandomStressPreservesInvariants)
         b.free(f, o);
     EXPECT_EQ(b.freeFrames(), b.totalFrames());
     EXPECT_EQ(b.fragmentationIndex(9), 0.0);
+}
+
+/** Expect @p bulk and @p ref to hold the same free frames and lists. */
+void
+expectSameState(const BuddyAllocator &bulk, const BuddyAllocator &ref)
+{
+    ASSERT_EQ(bulk.freeFrames(), ref.freeFrames());
+    for (std::uint64_t f = 0; f < ref.totalFrames(); ++f) {
+        ASSERT_EQ(bulk.isFrameFree(f), ref.isFrameFree(f)) << "frame " << f;
+    }
+    for (unsigned o = 0; o <= BuddyAllocator::kMaxOrder; ++o)
+        ASSERT_EQ(bulk.freeBlocksAt(o), ref.freeBlocksAt(o)) << "order " << o;
+}
+
+TEST(BuddyAllocator, BulkFramesMatchSingleFrameCalls)
+{
+    // Memhog's pattern on two allocators, one with the bulk calls and
+    // one with a single-frame loop: take twice the fraction in frames
+    // (or all free memory), then give back a random half of them.
+    // Sizes include tails that no order-9 or order-18 block covers.
+    const std::uint64_t sizes[] = {
+        12 << 10, 4 * kMB + (12 << 10), 64 * kMB + (8 << 10), 256 * kMB,
+        3 * 1024 * kMB + 5 * kMB + (8 << 10)};
+    std::uint64_t seed = 1;
+    for (const std::uint64_t bytes : sizes) {
+        for (const bool noise : {false, true}) {
+            for (const double fraction : {0.0, 0.05, 0.3, 0.6, 0.95}) {
+                SCOPED_TRACE(std::to_string(bytes) + " bytes, noise " +
+                             std::to_string(noise) + ", fraction " +
+                             std::to_string(fraction));
+                BuddyAllocator bulk(bytes), ref(bytes);
+                Rng rng(++seed);
+                if (noise) {
+                    // Boot noise: whole 2MB blocks plus scattered
+                    // frames taken in place.
+                    const std::uint64_t regions = bytes >> 21;
+                    for (std::uint64_t i = 0; i < regions / 25; ++i)
+                        EXPECT_EQ(bulk.allocate(9), ref.allocate(9));
+                    for (std::uint64_t i = 0; i < regions / 12; ++i) {
+                        const std::uint64_t f =
+                            rng.nextBounded(ref.totalFrames());
+                        EXPECT_EQ(bulk.allocateSpecific(f, 0),
+                                  ref.allocateSpecific(f, 0));
+                    }
+                }
+
+                const auto count = static_cast<std::uint64_t>(
+                    2.0 * fraction * static_cast<double>(ref.totalFrames()));
+                const std::vector<std::uint64_t> got =
+                    bulk.allocateFrames(count);
+                std::vector<std::uint64_t> want;
+                while (want.size() < count) {
+                    const auto f = ref.allocate(0);
+                    if (!f)
+                        break;
+                    want.push_back(*f);
+                }
+                ASSERT_EQ(got, want);
+                expectSameState(bulk, ref);
+
+                std::vector<std::uint64_t> released;
+                for (const std::uint64_t f : want) {
+                    if (rng.chance(0.5))
+                        released.push_back(f);
+                }
+                for (std::size_t i = released.size(); i > 1; --i)
+                    std::swap(released[i - 1], released[rng.nextBounded(i)]);
+                bulk.freeFrames(released);
+                for (const std::uint64_t f : released)
+                    ref.free(f, 0);
+                expectSameState(bulk, ref);
+
+                EXPECT_EQ(bulk.allocate(0), ref.allocate(0));
+                EXPECT_EQ(bulk.allocate(9), ref.allocate(9));
+            }
+        }
+    }
 }
 
 } // namespace

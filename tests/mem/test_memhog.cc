@@ -55,19 +55,6 @@ TEST(Memhog, FragmentsHighOrderFreeLists)
     EXPECT_GT(os.buddy().fragmentationIndex(9), 0.1);
 }
 
-TEST(Memhog, ReleaseReturnsMovableFrames)
-{
-    OsMemoryManager os(params());
-    MemhogParams mp;
-    mp.pinnedProbability = 0.0;
-    Memhog hog(os, mp);
-    hog.consume(0.3);
-    EXPECT_GT(hog.heldFrames(), 0u);
-    hog.release();
-    EXPECT_EQ(hog.heldFrames(), 0u);
-    EXPECT_EQ(os.buddy().freeFrames(), os.buddy().totalFrames());
-}
-
 TEST(Memhog, DeterministicAcrossSeeds)
 {
     OsMemoryManager os1(params()), os2(params());

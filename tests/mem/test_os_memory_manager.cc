@@ -96,12 +96,10 @@ TEST(OsMemoryManager, FragmentationBlocksSuperpagesWithoutCompaction)
     // Poke one unmovable hole into every 2MB region.
     const std::uint64_t regions = (64 * kMB) >> 21;
     for (std::uint64_t r = 0; r < regions; ++r) {
-        auto f = os.allocateRawFrame(/*movable=*/false);
-        ASSERT_TRUE(f);
+        ASSERT_EQ(os.allocateRawFrames(1, /*movable=*/false).size(), 1u);
         // Frames allocate bottom-up; spread them by allocating 511
         // movable frames between holes.
-        for (int i = 0; i < 511; ++i)
-            os.allocateRawFrame(/*movable=*/true);
+        os.allocateRawFrames(511, /*movable=*/true);
     }
 
     const Asid asid = os.createProcess();
@@ -122,15 +120,16 @@ TEST(OsMemoryManager, CompactionRecoversScatteredHoles)
     // everything except one frame at the base of each of the first
     // half of the 2MB regions.
     const std::uint64_t regions = (64 * kMB) >> 21;
-    std::vector<std::uint64_t> frames;
-    while (auto f = os.allocateRawFrame(true))
-        frames.push_back(*f);
+    const std::vector<std::uint64_t> frames =
+        os.allocateRawFrames(regions * 512 + 1, /*movable=*/true);
     ASSERT_EQ(frames.size(), regions * 512);
+    std::vector<std::uint64_t> released;
     for (auto f : frames) {
         const bool keep = f % 512 == 0 && (f / 512) < regions / 2;
         if (!keep)
-            os.freeRawFrame(f);
+            released.push_back(f);
     }
+    os.freeRawFrames(released);
     // 48MB needs 24 clean regions but only 16 exist: at least 8
     // superpages require compaction (each migrating one page).
     const Asid asid = os.createProcess();
