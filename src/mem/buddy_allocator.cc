@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <numeric>
 
 #include "common/logging.hh"
 
@@ -84,25 +85,30 @@ BuddyAllocator::rebuildFreeLists()
     // missing frames' flags are clear.
     freeLists_[0].words = frameFree_;
     for (unsigned order = 0; order <= kMaxOrder; ++order) {
-        FreeBitmap &list = freeLists_[order];
-        FreeBitmap *parents =
-            order < kMaxOrder ? &freeLists_[order + 1] : nullptr;
-        if (parents)
-            std::fill(parents->words.begin(), parents->words.end(), 0);
-        list.count = 0;
-        list.firstWord = 0;
-        for (std::size_t w = 0; w < list.words.size(); ++w) {
-            std::uint64_t &word = list.words[w];
-            if (parents) {
-                const std::uint64_t pairs = word & (word >> 1) & kEvenBits;
-                if (pairs != 0) {
-                    parents->words[w >> 1] |= packEvenBits(pairs)
-                                              << (32 * (w & 1));
-                    word &= ~(pairs | pairs << 1);
-                }
-            }
-            list.count += static_cast<std::size_t>(std::popcount(word));
+        std::vector<std::uint64_t> &words = freeLists_[order].words;
+        std::uint64_t *parents = nullptr;
+        if (order < kMaxOrder) {
+            std::vector<std::uint64_t> &next = freeLists_[order + 1].words;
+            std::fill(next.begin(), next.end(), 0);
+            parents = next.data();
         }
+        std::size_t count = 0;
+        for (std::size_t w = 0; w < words.size(); ++w) {
+            std::uint64_t word = words[w];
+            if (word == 0)
+                continue;
+            const std::uint64_t pairs = word & (word >> 1) & kEvenBits;
+            if (parents && pairs != 0) {
+                parents[w >> 1] |= packEvenBits(pairs) << (32 * (w & 1));
+                word &= ~(pairs | pairs << 1);
+                words[w] = word;
+            }
+            // Most words end up empty; skip the popcount for them.
+            if (word != 0)
+                count += static_cast<std::size_t>(std::popcount(word));
+        }
+        freeLists_[order].count = count;
+        freeLists_[order].firstWord = 0;
     }
 }
 
@@ -193,10 +199,16 @@ BuddyAllocator::allocateFrames(std::uint64_t count)
                     (w * 64 + std::countr_zero(bits)) << order;
                 const std::uint64_t take =
                     std::min(blockFrames(order), count - frames.size());
-                for (std::uint64_t f = start; f < start + take; ++f) {
-                    frameFree_[f >> 6] &= ~(std::uint64_t{1} << (f & 63));
-                    frames.push_back(f);
+                const std::size_t first = frames.size();
+                frames.resize(first + take);
+                std::iota(frames.begin() + first, frames.end(), start);
+                if (take == blockFrames(order)) {
+                    markRange(start, order, false);
+                    continue;
                 }
+                // Only the last block can be taken in part.
+                for (std::uint64_t f = start; f < start + take; ++f)
+                    frameFree_[f >> 6] &= ~(std::uint64_t{1} << (f & 63));
             }
         }
     }

@@ -1,6 +1,7 @@
 #include "mem/memhog.hh"
 
 #include <algorithm>
+#include <bit>
 #include <vector>
 
 #include "common/logging.hh"
@@ -32,30 +33,39 @@ Memhog::consume(double fraction)
 
     // Phase 2: pick run-structured random stretches to free until only
     // `keep` frames remain, scattering holes across page-blocks, then
-    // free them in one step.
-    held_ = grabbed.size();
-    std::vector<bool> freed(grabbed.size(), false);
+    // free them in one step. Bit i of `freed` marks grabbed[i]; the
+    // bits past the last frame start set, so no run reaches them.
+    const std::uint64_t grabbed_count = grabbed.size();
+    held_ = grabbed_count;
+    std::vector<std::uint64_t> freed((grabbed_count + 63) / 64, 0);
+    if (const unsigned tail = grabbed_count % 64; tail != 0)
+        freed.back() = ~std::uint64_t{0} << tail;
     std::vector<std::uint64_t> released;
+    released.reserve(grabbed_count - std::min(grabbed_count, keep));
     while (held_ > keep) {
-        const std::uint64_t start = rng_.nextBounded(grabbed.size());
-        std::uint64_t run =
-            1 + rng_.nextGeometric(params_.meanFreeRunLength);
-        for (std::uint64_t i = start;
-             i < grabbed.size() && run > 0 && held_ > keep; ++i) {
-            if (freed[i])
-                continue;
-            released.push_back(grabbed[i]);
-            freed[i] = true;
-            --held_;
-            --run;
+        const std::uint64_t start = rng_.nextBounded(grabbed_count);
+        std::uint64_t run = std::min(
+            held_ - keep, 1 + rng_.nextGeometric(params_.meanFreeRunLength));
+        std::uint64_t from = ~std::uint64_t{0} << (start % 64);
+        for (std::size_t w = start / 64; w < freed.size() && run > 0; ++w) {
+            std::uint64_t taken = 0;
+            for (std::uint64_t open = ~freed[w] & from; open != 0 && run > 0;
+                 open &= open - 1, --run, --held_) {
+                taken |= open & -open;
+                released.push_back(grabbed[w * 64 + std::countr_zero(open)]);
+            }
+            freed[w] |= taken;
+            from = ~std::uint64_t{0};
         }
     }
     os_.freeRawFrames(released);
 
     // Phase 3: retain the rest; pin a small random fraction in place.
-    for (std::uint64_t i = 0; i < grabbed.size(); ++i) {
-        if (!freed[i] && rng_.chance(params_.pinnedProbability))
-            os_.pinRawFrame(grabbed[i]);
+    for (std::size_t w = 0; w < freed.size(); ++w) {
+        for (std::uint64_t kept = ~freed[w]; kept != 0; kept &= kept - 1) {
+            if (rng_.chance(params_.pinnedProbability))
+                os_.pinRawFrame(grabbed[w * 64 + std::countr_zero(kept)]);
+        }
     }
 }
 
