@@ -204,11 +204,11 @@ BuddyAllocator::allocateFrames(std::uint64_t count)
                 std::iota(frames.begin() + first, frames.end(), start);
                 if (take == blockFrames(order)) {
                     markRange(start, order, false);
-                    continue;
+                } else {
+                    // Only the last block can be taken in part.
+                    for (std::uint64_t f = start; f < start + take; ++f)
+                        frameFree_[f >> 6] &= ~(std::uint64_t{1} << (f & 63));
                 }
-                // Only the last block can be taken in part.
-                for (std::uint64_t f = start; f < start + take; ++f)
-                    frameFree_[f >> 6] &= ~(std::uint64_t{1} << (f & 63));
             }
         }
     }
