@@ -345,7 +345,8 @@ struct OnePassResult
 /**
  * The design-space sweep the one_pass tier times: @p n L1 designs
  * sharing one front end (same core kind and TLB geometry, so the
- * whole sweep forms a single TLB group — the harness's common case).
+ * whole sweep shares one TLB hierarchy per core — the harness's
+ * common case).
  */
 std::vector<SystemConfig>
 onePassSweepConfigs(unsigned n)

@@ -21,8 +21,10 @@ OuterHierarchy::OuterHierarchy(const OuterHierarchyParams &params,
                                double freq_ghz,
                                SetAssocCache *shared_llc)
     : l2_(params.l2SizeBytes, params.l2Assoc),
-      ownLlc_(params.llcSizeBytes, params.llcAssoc),
-      llc_(shared_llc ? shared_llc : &ownLlc_),
+      ownLlc_(shared_llc ? nullptr
+                         : std::make_unique<SetAssocCache>(
+                               params.llcSizeBytes, params.llcAssoc)),
+      llc_(shared_llc ? shared_llc : ownLlc_.get()),
       l2Cycles_(toCycles(params.l2LatencyNs, freq_ghz)),
       llcCycles_(toCycles(params.llcLatencyNs, freq_ghz)),
       dramCycles_(toCycles(params.dramLatencyNs, freq_ghz)),

@@ -9,6 +9,8 @@
 #ifndef SEESAW_CACHE_NEXT_LEVEL_HH
 #define SEESAW_CACHE_NEXT_LEVEL_HH
 
+#include <memory>
+
 #include "cache/set_assoc_cache.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
@@ -49,7 +51,7 @@ class OuterHierarchy
   public:
     /**
      * @param shared_llc When non-null, use this externally owned LLC
-     *        tag store instead of a private one — multi-core systems
+     *        tag store and build no private one — multi-core systems
      *        give every core its own OuterHierarchy (private L2 and
      *        per-core stats) over one shared LLC.
      */
@@ -79,8 +81,8 @@ class OuterHierarchy
 
   private:
     SetAssocCache l2_;
-    SetAssocCache ownLlc_;
-    SetAssocCache *llc_; //!< &ownLlc_, or the shared LLC
+    std::unique_ptr<SetAssocCache> ownLlc_; //!< null with a shared LLC
+    SetAssocCache *llc_; //!< ownLlc_, or the shared LLC
     unsigned l2Cycles_;
     unsigned llcCycles_;
     unsigned dramCycles_;

@@ -17,7 +17,6 @@ configHash(const SystemConfig &config)
     // the next engine reuses.
     FieldWriter w(/*keep_bytes=*/false);
     writeFrontEndFields(config, w);
-    writeTlbGeometryFields(config, w);
     writeSubstrateFields(config, w);
     return w.hash();
 }

@@ -64,7 +64,8 @@ OsMemoryManager::createProcess()
 void
 OsMemoryManager::destroyProcess(Asid asid)
 {
-    // Collect this process's frames from the reverse maps, then free.
+    // Collect this process's frames (base pages from the reverse map,
+    // superpages from the page table), then free.
     std::vector<std::uint64_t> frames4k;
     for (const auto &[frame, rev] : reverse4k_) {
         if (rev.asid == asid)
@@ -80,29 +81,20 @@ OsMemoryManager::destroyProcess(Asid asid)
         buddy_.free(frame, 0);
     }
 
-    std::vector<std::uint64_t> frames2m;
-    for (const auto &[frame, rev] : reverse2m_) {
-        if (rev.asid == asid)
-            frames2m.push_back(frame);
-    }
-    std::sort(frames2m.begin(), frames2m.end());
-    for (auto frame : frames2m) {
-        reverse2m_.erase(frame);
-        setFrames(frame, kFramesPerSuper, FrameState::Free);
-        buddy_.free(frame, kSuperOrder);
-    }
-
-    std::vector<std::uint64_t> frames1g;
-    for (const auto &[frame, rev] : reverse1g_) {
-        if (rev.asid == asid)
-            frames1g.push_back(frame);
-    }
-    std::sort(frames1g.begin(), frames1g.end());
-    for (auto frame : frames1g) {
-        reverse1g_.erase(frame);
-        setFrames(frame, kFramesPerGiga, FrameState::Free);
-        buddy_.free(frame, kGigaOrder);
-    }
+    const auto free_superpages = [&](PageSize size,
+                                     std::uint64_t frames_per,
+                                     unsigned order) {
+        std::vector<std::uint64_t> frames;
+        for (const Translation &t : pageTable_.mappings(asid, size))
+            frames.push_back(BuddyAllocator::addrToFrame(t.paBase));
+        std::sort(frames.begin(), frames.end());
+        for (auto frame : frames) {
+            setFrames(frame, frames_per, FrameState::Free);
+            buddy_.free(frame, order);
+        }
+    };
+    free_superpages(PageSize::Super2MB, kFramesPerSuper, kSuperOrder);
+    free_superpages(PageSize::Super1GB, kFramesPerGiga, kGigaOrder);
 
     pageTable_.clearAsid(asid);
 }
@@ -253,7 +245,6 @@ OsMemoryManager::tryMapSuperpage(Asid asid, Addr va_base)
         return false;
     }
     setFrames(*frame, kFramesPerSuper, FrameState::Super);
-    reverse2m_.emplace(*frame, ReverseEntry{asid, va_base});
     ++superpagesAllocated_;
     return true;
 }
@@ -320,14 +311,12 @@ OsMemoryManager::unmapRange(Asid asid, Addr va_base, std::uint64_t bytes)
         } else if (t->size == PageSize::Super2MB) {
             pageTable_.unmap(asid, t->vaBase, PageSize::Super2MB);
             const auto frame = BuddyAllocator::addrToFrame(t->paBase);
-            reverse2m_.erase(frame);
             setFrames(frame, kFramesPerSuper, FrameState::Free);
             buddy_.free(frame, kSuperOrder);
             va = t->vaBase + pageBytes(PageSize::Super2MB) - 4096;
         } else if (t->size == PageSize::Super1GB) {
             pageTable_.unmap(asid, t->vaBase, PageSize::Super1GB);
             const auto frame = BuddyAllocator::addrToFrame(t->paBase);
-            reverse1g_.erase(frame);
             setFrames(frame, kFramesPerGiga, FrameState::Free);
             buddy_.free(frame, kGigaOrder);
             va = t->vaBase + pageBytes(PageSize::Super1GB) - 4096;
@@ -397,7 +386,6 @@ OsMemoryManager::runPromotionPass(Asid asid, unsigned max_promotions)
             pageTable_.map(asid, region, pa, PageSize::Super2MB);
         SEESAW_ASSERT(ok, "superpage map failed during promotion");
         setFrames(*block, kFramesPerSuper, FrameState::Super);
-        reverse2m_.emplace(*block, ReverseEntry{asid, region});
         ++promotions_;
         event.newPaBase = pa;
         events.push_back(std::move(event));
@@ -414,7 +402,6 @@ OsMemoryManager::splinter(Asid asid, Addr va)
 
     pageTable_.unmap(asid, t->vaBase, PageSize::Super2MB);
     const auto block = BuddyAllocator::addrToFrame(t->paBase);
-    reverse2m_.erase(block);
 
     // Re-map the same physical frames as 512 independent base pages;
     // no copy happens, the block is simply carved up.
@@ -445,7 +432,6 @@ OsMemoryManager::mapOneGbPage(Asid asid, Addr va_base)
         return false;
     }
     setFrames(*frame, kFramesPerGiga, FrameState::Super);
-    reverse1g_.emplace(*frame, ReverseEntry{asid, va_base});
     ++superpagesAllocated_;
     return true;
 }
@@ -485,11 +471,9 @@ std::vector<Addr>
 OsMemoryManager::superpageVas(Asid asid) const
 {
     std::vector<Addr> vas;
-    for (const auto &[frame, rev] : reverse2m_) {
-        if (rev.asid == asid)
-            vas.push_back(rev.vaBase);
-    }
-    std::sort(vas.begin(), vas.end());
+    for (const Translation &t :
+         pageTable_.mappings(asid, PageSize::Super2MB))
+        vas.push_back(t.vaBase);
     return vas;
 }
 

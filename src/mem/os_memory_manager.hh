@@ -202,9 +202,9 @@ class OsMemoryManager
     Asid nextAsid_ = 1;
 
     std::vector<FrameState> frameState_;
+    /** Base-page frame -> owner, for compaction's migrations; the
+     *  page table is the record of superpage mappings. */
     std::unordered_map<std::uint64_t, ReverseEntry> reverse4k_;
-    std::unordered_map<std::uint64_t, ReverseEntry> reverse2m_;
-    std::unordered_map<std::uint64_t, ReverseEntry> reverse1g_;
 
     std::uint64_t pagesMigrated_ = 0;
     std::uint64_t compactionAttempts_ = 0;

@@ -1,5 +1,7 @@
 #include "mem/page_table.hh"
 
+#include <algorithm>
+
 #include "common/bitops.hh"
 #include "common/logging.hh"
 
@@ -156,6 +158,28 @@ PageTable::baseMappingsIn2MBRegion(Asid asid, Addr region_va) const
     forEachBaseMappingIn2MBRegion(asid, region_va,
                                   [&](Addr, Addr) { ++count; });
     return count;
+}
+
+std::vector<Translation>
+PageTable::mappings(Asid asid, PageSize size) const
+{
+    std::vector<Translation> out;
+    const auto *as = space(asid);
+    if (!as)
+        return out;
+    const std::unordered_map<Addr, Addr> &table =
+        size == PageSize::Base4KB    ? as->base4k
+        : size == PageSize::Super2MB ? as->super2m
+                                     : as->super1g;
+    const unsigned shift = pageOffsetBits(size);
+    out.reserve(table.size());
+    for (const auto &[vpn, pa] : table)
+        out.push_back(Translation{pa, vpn << shift, size});
+    std::sort(out.begin(), out.end(),
+              [](const Translation &a, const Translation &b) {
+                  return a.vaBase < b.vaBase;
+              });
+    return out;
 }
 
 std::uint64_t

@@ -11,6 +11,7 @@
 #include <functional>
 #include <optional>
 #include <unordered_map>
+#include <vector>
 
 #include "common/types.hh"
 #include "mem/translation_cache.hh"
@@ -85,6 +86,9 @@ class PageTable
 
     /** Count of 4KB mappings inside the 2MB region at @p region_va. */
     unsigned baseMappingsIn2MBRegion(Asid asid, Addr region_va) const;
+
+    /** Every mapping of @p asid by pages of @p size, in VA order. */
+    std::vector<Translation> mappings(Asid asid, PageSize size) const;
 
     /** Total mapped bytes for @p asid. */
     std::uint64_t mappedBytes(Asid asid) const;

@@ -43,13 +43,9 @@ writeFrontEndFields(const SystemConfig &c, FieldWriter &w)
     w.put(c.memhog.pinnedProbability);
     w.put(c.memhog.meanFreeRunLength);
     w.put(c.memhog.seed);
-}
-
-void
-writeTlbGeometryFields(const SystemConfig &c, FieldWriter &w)
-{
-    // Replacement is geometry: TLBs own policy side-state, so
-    // substrates differing in victim selection cannot share one.
+    // The TLB hierarchy, shared by every substrate of a pass. Its
+    // replacement policy owns victim side-state, so configs that
+    // differ in victim selection cannot share one.
     w.put(c.coreKind);
     w.put(c.unifiedL1Tlb);
     w.put(c.unifiedL1TlbEntries);

@@ -1,11 +1,10 @@
 /**
  * @file
  * The SystemConfig field registry: each leaf has one role — front end
- * (read by the shared one-pass front end), TLB geometry, or substrate —
- * written by one function, one line per leaf. frontEndKey,
- * tlbGeometryKey and configHash derive from these writers. The audit
- * fields are observe-only: audits never change results, so no role
- * writes them.
+ * (read by the shared one-pass front end, TLB hierarchy included) or
+ * substrate — written by one function, one line per leaf. frontEndKey
+ * and configHash derive from these writers. The audit fields are
+ * observe-only: audits never change results, so no role writes them.
  */
 
 #ifndef SEESAW_SIM_CONFIG_FIELDS_HH
@@ -74,10 +73,9 @@ class FieldWriter
     std::uint64_t hash_ = 0xcbf29ce484222325ULL;
 };
 
-/** Fields the shared one-pass front end reads (frontEndKey). */
+/** Fields the shared one-pass front end reads (frontEndKey), the
+ *  per-core TLB hierarchy's geometry and replacement last. */
 void writeFrontEndFields(const SystemConfig &c, FieldWriter &w);
-/** Fields that shape a per-core TLB hierarchy (tlbGeometryKey). */
-void writeTlbGeometryFields(const SystemConfig &c, FieldWriter &w);
 /** Every other result-affecting field. */
 void writeSubstrateFields(const SystemConfig &c, FieldWriter &w);
 

@@ -38,8 +38,8 @@ CoreComplex::CoreComplex(const SystemConfig &config,
         tlb_params.unifiedL1Entries = config_.unifiedL1TlbEntries;
     }
     // Replacement seeds decorrelate per structure AND per core: the
-    // hierarchy salts each level on top of this per-core base. The
-    // members of a multi-config TLB group share their exemplar's
+    // hierarchy salts each level on top of this per-core base. Every
+    // substrate of a multi-config pass shares the first substrate's
     // hierarchy, built here with this same seed.
     tlb_params.replacement =
         withSeedSalt(config_.replacement, core_seed ^ 0x71bULL);
@@ -187,9 +187,8 @@ CoreComplex::CoreComplex(const SystemConfig &config,
 
     // Wire the superpage hook into the TLB hierarchy: every 2MB L1 TLB
     // fill marks the region in the owning side's TFT (Fig 5;
-    // markTftRegion routes I- vs D-side). A multi-config TLB group of
-    // several members replaces it with a hook that broadcasts to every
-    // member complex.
+    // markTftRegion routes I- vs D-side). A multi-config pass replaces
+    // it with a hook that broadcasts to every substrate's complex.
     if (seesawD_ || seesawI_) {
         tlb_->setOn2MBFill(
             [this](Asid, Addr va_base) { markTftRegion(va_base); });

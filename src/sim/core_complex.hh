@@ -65,9 +65,8 @@ class CoreComplex
      *
      * The engine composes these around the TLB lookups: once per
      * access for a single configuration, and interleaved across
-     * substrates around one shared lookup per TLB group otherwise, so
-     * that each substrate's state sequence is bit-identical to a solo
-     * run. The engine owns the demand-paging map between them.
+     * substrates around the one shared lookup otherwise, so that each
+     * substrate's state sequence is bit-identical to a solo run. The engine owns the demand-paging map between them.
      */
     /// @{
 
@@ -103,13 +102,13 @@ class CoreComplex
      * Route a 2MB-fill notification to the TFT owning @p va_base (the
      * I-side TFT for text addresses when an L1I is modelled, the
      * D-side TFT otherwise). This is the single superpage hook; a
-     * multi-config TLB group broadcasts it to every member complex.
+     * multi-config pass broadcasts it to every substrate's complex.
      */
     void markTftRegion(Addr va_base);
 
     /** Point the per-access paths at another complex's TLB hierarchy
-     *  (the exemplar of a multi-config TLB group). Defaults to this
-     *  complex's own. */
+     *  (the first substrate's, in a multi-config pass). Defaults to
+     *  this complex's own. */
     void setActiveTlb(TlbHierarchy *tlb) { activeTlb_ = tlb; }
     TlbHierarchy &activeTlb() { return *activeTlb_; }
 

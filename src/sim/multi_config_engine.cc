@@ -20,16 +20,6 @@ namespace seesaw {
 
 namespace {
 
-/** The TLB geometry a config implies: substrates matching on this
- *  share one hierarchy per core. */
-std::string
-tlbGeometryKey(const SystemConfig &config)
-{
-    FieldWriter w;
-    writeTlbGeometryFields(config, w);
-    return w.bytes();
-}
-
 constexpr Addr k2MB = 2ULL * 1024 * 1024;
 
 /** Register @p name as @p audit run on each core's complex in turn;
@@ -51,8 +41,8 @@ registerPerCore(check::InvariantAuditor &auditor, std::string name,
 
 /**
  * Register the standard per-layer invariant checks for one substrate.
- * The TLB check audits each complex's *active* hierarchy, so shared
- * TLB groups are covered per substrate.
+ * The TLB check audits each complex's *active* hierarchy, so the
+ * pass's shared TLBs are covered per substrate.
  */
 void
 registerSystemAudits(check::InvariantAuditor &auditor,
@@ -228,21 +218,12 @@ MultiConfigEngine::MultiConfigEngine(std::vector<SystemConfig> configs,
     }
 
     // --- Substrates, in config order. Every complex builds its own TLB
-    // hierarchy; the first substrate of each TLB geometry is its
-    // group's exemplar, and later members are re-pointed at the
-    // exemplar's hierarchy.
-    std::vector<std::string> tlb_keys;
+    // hierarchy, but the pass looks up only the lead complex's: TLB
+    // geometry is front end, so every substrate is re-pointed at it.
     substrates_.reserve(configs_.size());
     for (std::size_t i = 0; i < configs_.size(); ++i) {
         Substrate &sub = substrates_.emplace_back();
         sub.config = &configs_[i];
-        const std::string key = tlbGeometryKey(*sub.config);
-        const auto it = std::find(tlb_keys.begin(), tlb_keys.end(), key);
-        sub.tlbGroup = static_cast<std::size_t>(it - tlb_keys.begin());
-        if (it == tlb_keys.end()) {
-            tlb_keys.push_back(key);
-            tlbExemplars_.push_back(i);
-        }
         sub.energy = std::make_unique<EnergyModel>(latency_.sram());
         // Multi-core systems share one LLC behind the private L2s; a
         // single-core complex keeps its private LLC.
@@ -258,7 +239,7 @@ MultiConfigEngine::MultiConfigEngine(std::vector<SystemConfig> configs,
                 SimEngine::coreSeed(front.seed, c),
                 sub.sharedLlc.get()));
             sub.complexes.back()->setActiveTlb(
-                &groupTlb(sub.tlbGroup, static_cast<CoreId>(c)));
+                &lead(static_cast<CoreId>(c)).tlb());
         }
         if (front.cores > 1 &&
             sub.config->fabric != CoherenceKind::None) {
@@ -280,23 +261,19 @@ MultiConfigEngine::MultiConfigEngine(std::vector<SystemConfig> configs,
         setupAuditor(sub);
     }
 
-    // --- Group superpage hooks: a 2MB fill in a shared TLB must mark
-    // the TFT of *every* member substrate, each routing I- vs D-side
-    // by its own shape (bit-identical to each member's solo hook). A
-    // group of one keeps its complex's own hook.
-    for (std::size_t g = 0; g < tlbExemplars_.size(); ++g) {
+    // --- Superpage hook: a 2MB fill in a core's shared TLB must mark
+    // the TFT of *every* substrate, each routing I- vs D-side by its
+    // own shape (bit-identical to each one's solo hook). One substrate
+    // keeps its complex's own hook.
+    if (substrates_.size() > 1) {
         for (unsigned c = 0; c < front.cores; ++c) {
-            std::vector<CoreComplex *> members;
-            for (Substrate &sub : substrates_) {
-                if (sub.tlbGroup == g)
-                    members.push_back(sub.complexes[c].get());
-            }
-            if (members.size() < 2)
-                continue;
-            TlbHierarchy &tlb = groupTlb(g, static_cast<CoreId>(c));
-            tlb.setOn2MBFill(
-                [members = std::move(members)](Asid, Addr va_base) {
-                    for (CoreComplex *cx : members)
+            std::vector<CoreComplex *> cxs;
+            for (Substrate &sub : substrates_)
+                cxs.push_back(sub.complexes[c].get());
+            lead(static_cast<CoreId>(c))
+                .tlb()
+                .setOn2MBFill([cxs = std::move(cxs)](Asid, Addr va_base) {
+                    for (CoreComplex *cx : cxs)
                         cx->markTftRegion(va_base);
                 });
         }
@@ -308,8 +285,6 @@ MultiConfigEngine::MultiConfigEngine(std::vector<SystemConfig> configs,
     dProbe_.resize(substrates_.size());
     iProbe_.resize(substrates_.size());
     transitions_.resize(substrates_.size());
-    trs_.resize(tlbExemplars_.size());
-    itrs_.resize(tlbExemplars_.size());
 }
 
 MultiConfigEngine::~MultiConfigEngine() = default;
@@ -341,15 +316,13 @@ void
 MultiConfigEngine::applyPromotion(const PromotionEvent &event)
 {
     // The OS's TLB-invalidation instruction (§IV-C2): shoot down the
-    // 512 stale base-page translations once per shared TLB, then sweep
-    // their lines from every substrate's L1s and stall every core. The
-    // paper measures the whole operation at 150-200 cycles.
-    for (std::size_t g = 0; g < tlbExemplars_.size(); ++g) {
-        for (CoreId c = 0; c < cores(); ++c) {
-            for (unsigned i = 0; i < 512; ++i)
-                groupTlb(g, c).invalidatePage(event.asid,
-                                              event.vaBase + i * 4096ULL);
-        }
+    // 512 stale base-page translations once per core's shared TLB,
+    // then sweep their lines from every substrate's L1s and stall every
+    // core. The paper measures the whole operation at 150-200 cycles.
+    for (CoreId c = 0; c < cores(); ++c) {
+        for (unsigned i = 0; i < 512; ++i)
+            lead(c).tlb().invalidatePage(event.asid,
+                                         event.vaBase + i * 4096ULL);
     }
     for (Substrate &sub : substrates_) {
         for (auto &cx : sub.complexes) {
@@ -378,10 +351,8 @@ MultiConfigEngine::applySplinter(const SplinterEvent &event)
     // invlpg on the old 2MB translation; the microarchitecture also
     // invalidates the matching TFT entries in parallel (§IV-C2), on
     // the I side too, since text superpages splinter like heap ones.
-    for (std::size_t g = 0; g < tlbExemplars_.size(); ++g) {
-        for (CoreId c = 0; c < cores(); ++c)
-            groupTlb(g, c).invalidatePage(event.asid, event.vaBase);
-    }
+    for (CoreId c = 0; c < cores(); ++c)
+        lead(c).tlb().invalidatePage(event.asid, event.vaBase);
     for (Substrate &sub : substrates_) {
         for (auto &cx : sub.complexes) {
             if (SeesawCache *cache = cx->seesawL1())
@@ -398,12 +369,9 @@ MultiConfigEngine::unmapBroadcast(Addr va_base, std::uint64_t bytes)
 {
     os_->unmapRange(asid_, va_base, bytes);
     const Addr end = va_base + alignUp(bytes, 4096);
-    for (std::size_t g = 0; g < tlbExemplars_.size(); ++g) {
-        for (CoreId c = 0; c < cores(); ++c) {
-            for (Addr va = alignDown(va_base, 4096); va < end;
-                 va += 4096)
-                groupTlb(g, c).invalidatePage(asid_, va);
-        }
+    for (CoreId c = 0; c < cores(); ++c) {
+        for (Addr va = alignDown(va_base, 4096); va < end; va += 4096)
+            lead(c).tlb().invalidatePage(asid_, va);
     }
     const Addr region_end = alignUp(end, k2MB);
     for (Substrate &sub : substrates_) {
@@ -518,42 +486,25 @@ MultiConfigEngine::step(CoreId c, std::uint64_t room)
     for (std::size_t s = 0; s < substrates_.size(); ++s)
         dProbe_[s] = substrates_[s].complexes[c]->probeDataTft(ref.va);
 
-    // One lookup per TLB group — the shared work the pass exists for.
-    for (std::size_t g = 0; g < trs_.size(); ++g)
-        trs_[g] = groupTlb(g, c).lookup(asid_, ref.va);
-
-    // Translation is config-invariant, so every group agrees on
-    // whether the access faults.
-    const bool faulted = trs_[0].fault;
-    for (const TlbLookupResult &tr : trs_) {
-        SEESAW_ASSERT(tr.fault == faulted,
-                      "substrates disagree on a page fault");
-    }
-
-    for (std::size_t s = 0; s < substrates_.size(); ++s) {
-        substrates_[s].complexes[c]->chargeTranslation(
-            trs_[substrates_[s].tlbGroup]);
-    }
-
-    if (faulted) {
-        // Demand-page once; each group retries its lookup (identical
-        // to every member's solo fault path).
+    // One lookup per access — the shared work the pass exists for.
+    TlbHierarchy &tlb = first.tlb();
+    TlbLookupResult tr = tlb.lookup(asid_, ref.va);
+    for (Substrate &sub : substrates_)
+        sub.complexes[c]->chargeTranslation(tr);
+    if (tr.fault) {
+        // Demand-page once and retry (every substrate's solo fault
+        // path).
         demandMap(ref.va);
-        for (std::size_t g = 0; g < trs_.size(); ++g) {
-            trs_[g] = groupTlb(g, c).lookup(asid_, ref.va);
-            SEESAW_ASSERT(!trs_[g].fault,
-                          "fault persists after demand paging");
-        }
+        tr = tlb.lookup(asid_, ref.va);
+        SEESAW_ASSERT(!tr.fault, "fault persists after demand paging");
     }
 
     for (std::size_t s = 0; s < substrates_.size(); ++s) {
         Substrate &sub = substrates_[s];
-        transitions_[s] =
-            sub.complexes[c]->finishMemoryAccess(
-                ref, trs_[sub.tlbGroup], dProbe_[s],
-                sub.fabric.get())
-                ? 1
-                : 0;
+        transitions_[s] = sub.complexes[c]->finishMemoryAccess(
+                              ref, tr, dProbe_[s], sub.fabric.get())
+                              ? 1
+                              : 0;
     }
 
     // Instruction fetches: the first substrate's complex owns the
@@ -564,16 +515,12 @@ MultiConfigEngine::step(CoreId c, std::uint64_t room)
         const Addr va = first.nextFetchLine();
         for (std::size_t s = 0; s < substrates_.size(); ++s)
             iProbe_[s] = substrates_[s].complexes[c]->probeCodeTft(va);
-        for (std::size_t g = 0; g < itrs_.size(); ++g) {
-            itrs_[g] = groupTlb(g, c).lookup(asid_, va);
-            SEESAW_ASSERT(!itrs_[g].fault,
-                          "text segment must be premapped");
-        }
+        const TlbLookupResult itr = tlb.lookup(asid_, va);
+        SEESAW_ASSERT(!itr.fault, "text segment must be premapped");
         for (std::size_t s = 0; s < substrates_.size(); ++s) {
-            Substrate &sub = substrates_[s];
-            sub.complexes[c]->chargeTranslation(itrs_[sub.tlbGroup]);
-            sub.complexes[c]->finishFetch(va, itrs_[sub.tlbGroup],
-                                          iProbe_[s]);
+            CoreComplex &cx = *substrates_[s].complexes[c];
+            cx.chargeTranslation(itr);
+            cx.finishFetch(va, itr, iProbe_[s]);
         }
     }
 

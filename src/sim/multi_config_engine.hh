@@ -1,10 +1,10 @@
 /**
  * @file
  * The simulation engine: a single trace pass drives N per-config
- * substrates (L1/L2 tag stores, TLB groups, TFT, way predictor, energy
- * and stat groups) over one config-invariant front end (workload
- * streams, page table, translation cache, OS memory manager, per-core
- * RNGs). OS events — promotion, splinter, unmap, context switch —
+ * substrates (L1/L2 tag stores, TFT, way predictor, energy and stat
+ * groups) over one config-invariant front end (workload streams, page
+ * table, translation cache, OS memory manager, per-core RNGs and TLB
+ * hierarchies). OS events — promotion, splinter, unmap, context switch —
  * broadcast to every substrate, and each substrate's state sequence is
  * bit-identical to running its configuration alone (the DEW structure,
  * arXiv 1506.03181, applied to the SEESAW design space). One
@@ -18,16 +18,16 @@
  *    clocks (drawn from the first substrate's complexes), the OS-event
  *    RNG and schedule (keyed on retired instructions, which every
  *    substrate agrees on by construction), and one TLB hierarchy per
- *    *TLB group* — substrates whose configs imply identical TLB
- *    geometry share the first member's hierarchy; others get their
- *    own.
+ *    core — the first substrate's, which every substrate looks up
+ *    through, so all of them see one translation per access.
  *  - Forked per substrate: L1D/L1I tag stores and TFTs, way
  *    predictors, private L2s + LLC, the coherence fabric, CPU timing,
  *    the energy model, and the invariant auditor (per-substrate audit
  *    contexts, so a desynced substrate is caught individually).
  *
  * Front-end compatibility (frontEndKey) is the contract: configs in
- * one pass must agree on every field that feeds the shared state.
+ * one pass must agree on every field that feeds the shared state, TLB
+ * geometry and replacement policy included.
  */
 
 #ifndef SEESAW_SIM_MULTI_CONFIG_ENGINE_HH
@@ -99,8 +99,8 @@ class MultiConfigEngine
     {
         return *substrates_[substrate].complexes[core];
     }
-    /** The (possibly shared) TLB hierarchy serving @p substrate on
-     *  @p core. */
+    /** The TLB hierarchy serving @p substrate on @p core: the first
+     *  substrate's, shared by all. */
     TlbHierarchy &tlb(unsigned substrate, unsigned core = 0)
     {
         return complex(substrate, core).activeTlb();
@@ -132,7 +132,7 @@ class MultiConfigEngine
 
     /**
      * Unmap [va_base, va_base+bytes) and broadcast the shootdown to
-     * every substrate: invlpg on each shared TLB group, plus TFT
+     * every substrate: invlpg on each core's shared TLB, plus TFT
      * region invalidations in every SEESAW L1D/L1I. The run loop's
      * promotion/splinter events use the same broadcast structure; this
      * entry point is for OS-driven unmaps (and their tests).
@@ -144,7 +144,6 @@ class MultiConfigEngine
     struct Substrate
     {
         const SystemConfig *config = nullptr;
-        std::size_t tlbGroup = 0;
         std::unique_ptr<EnergyModel> energy;
         std::unique_ptr<SetAssocCache> sharedLlc;
         std::vector<std::unique_ptr<CoreComplex>> complexes;
@@ -154,14 +153,9 @@ class MultiConfigEngine
     };
 
     /** Core @p c's front end: the first substrate's complex, whose
-     *  streams and retire clocks every substrate follows. */
+     *  streams, retire clocks and TLB hierarchy every substrate
+     *  follows. */
     CoreComplex &lead(CoreId c) { return *substrates_[0].complexes[c]; }
-
-    /** TLB group @p g's hierarchy on core @p c: its exemplar's own. */
-    TlbHierarchy &groupTlb(std::size_t g, CoreId c)
-    {
-        return substrates_[tlbExemplars_[g]].complexes[c]->tlb();
-    }
 
     /** Advance core @p c by one reference, retiring at most @p room
      *  instructions. @return instructions retired. stepOne is the
@@ -190,8 +184,6 @@ class MultiConfigEngine
     Asid asid_ = 0;
 
     std::vector<Substrate> substrates_;
-    /** Per TLB group, the substrate whose complexes own its TLBs. */
-    std::vector<std::size_t> tlbExemplars_;
 
     std::uint64_t nextPromotion_ = 0;
     std::uint64_t nextSplinter_ = 0;
@@ -199,7 +191,6 @@ class MultiConfigEngine
     /** @name Per-step scratch (sized once; the access loop is hot). */
     /// @{
     std::vector<int> dProbe_, iProbe_;
-    std::vector<TlbLookupResult> trs_, itrs_;
     std::vector<char> transitions_;
     /// @}
 };

@@ -5,9 +5,12 @@
 #include <cstdlib>
 #include <set>
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include "harness/runner.hh"
 #include "harness/sinks.hh"
+#include "sim/multi_config_engine.hh"
 #include "workload/workload_spec.hh"
 
 namespace seesaw::harness {
@@ -183,8 +186,12 @@ TEST(CampaignRunner, OnePassSplitsIncompatibleFrontEnds)
     // Different seeds feed the shared front end, so they must land in
     // different groups. Two cells whose workloads differ only in their
     // text segment must run as separate passes too: one shared pass
-    // would run both on the first cell's workload. Everything still
-    // matches per-cell execution, serial or on four workers.
+    // would run both on the first cell's workload. TLB geometry and
+    // replacement are front end: an in-order core, a unified L1 TLB
+    // and SRRIP victims each form their own VIPT + SEESAW pass, split
+    // from redis's group, or the engine would abort on incompatible
+    // front ends. Everything still matches per-cell execution, serial
+    // or on four workers.
     CampaignSpec spec = twoByTwo();
     spec.seeds({1, 2});
     SystemConfig icache = tinyConfig(L1Kind::Seesaw);
@@ -196,6 +203,29 @@ TEST(CampaignRunner, OnePassSplitsIncompatibleFrontEnds)
     spec.cell("text-1m", small_text, icache);
     spec.cell("text-32m", large_text, icache);
     spec.cell("pipt", findWorkload("redis"), tinyConfig(L1Kind::Pipt));
+
+    const auto in_order = [](SystemConfig &c) {
+        c.coreKind = CoreKind::InOrder;
+    };
+    const auto unified = [](SystemConfig &c) { c.unifiedL1Tlb = true; };
+    const auto srrip = [](SystemConfig &c) {
+        c.replacement.kind = ReplacementKind::Srrip;
+    };
+    for (const auto &[name, apply] :
+         {std::pair<std::string, void (*)(SystemConfig &)>{"in-order",
+                                                           in_order},
+          {"unified-tlb", unified},
+          {"srrip", srrip}}) {
+        for (const L1Kind kind : {L1Kind::ViptBaseline, L1Kind::Seesaw}) {
+            SystemConfig config = tinyConfig(kind);
+            apply(config);
+            EXPECT_NE(MultiConfigEngine::frontEndKey(config),
+                      MultiConfigEngine::frontEndKey(tinyConfig(kind)))
+                << name;
+            spec.cell(name + (kind == L1Kind::Seesaw ? "/seesaw" : "/vipt"),
+                      findWorkload("redis"), config);
+        }
+    }
 
     RunnerOptions per_cell;
     per_cell.jobs = 1;

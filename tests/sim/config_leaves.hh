@@ -72,16 +72,15 @@ perturb(T &v) // integers, and enums through their underlying value
 }
 
 /** Role indices into roleBytes(). */
-enum Role : std::size_t { kFrontEnd, kTlbGeometry, kSubstrate };
+enum Role : std::size_t { kFrontEnd, kSubstrate };
 
-inline std::array<std::string, 3>
+inline std::array<std::string, 2>
 roleBytes(const SystemConfig &c)
 {
-    FieldWriter front, geometry, substrate;
+    FieldWriter front, substrate;
     writeFrontEndFields(c, front);
-    writeTlbGeometryFields(c, geometry);
     writeSubstrateFields(c, substrate);
-    return {front.bytes(), geometry.bytes(), substrate.bytes()};
+    return {front.bytes(), substrate.bytes()};
 }
 
 } // namespace seesaw::test

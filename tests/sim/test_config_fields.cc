@@ -24,7 +24,7 @@ using test::roleBytes;
 TEST(ConfigFields, EveryLeafHasExactlyOneRole)
 {
     SystemConfig config;
-    const std::array<std::string, 3> base = roleBytes(config);
+    const std::array<std::string, 2> base = roleBytes(config);
     const std::uint64_t base_hash = harness::configHash(config);
     // The only leaves no role writes. Audits never change results
     // (seesaw-tidy's audit-side-effect check), so they key neither
@@ -36,7 +36,7 @@ TEST(ConfigFields, EveryLeafHasExactlyOneRole)
     const std::size_t leaves = forEachLeaf(config, [&](auto &leaf) {
         const auto saved = leaf;
         perturb(leaf);
-        const std::array<std::string, 3> roles = roleBytes(config);
+        const std::array<std::string, 2> roles = roleBytes(config);
         const bool hashed = harness::configHash(config) != base_hash;
         leaf = saved;
 

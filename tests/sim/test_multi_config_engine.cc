@@ -2,18 +2,18 @@
  * @file
  * MultiConfigEngine one-pass tests:
  *  - an N-substrate pass is bit-identical to N serial SimEngine runs
- *    across all six L1 designs, mixed geometries (multiple TLB
- *    groups), the L1I extension and multi-core coherence;
- *  - every TLB-geometry and substrate leaf of SystemConfig has an
- *    alternate value that shares the base's pass and matches its solo
- *    run, so a front end that read such a leaf fails;
+ *    across all six L1 designs, mixed cache geometries over one shared
+ *    TLB hierarchy, replacement and prefetch substrates (one pass per
+ *    replacement kind), the L1I extension and multi-core coherence;
+ *  - every substrate leaf of SystemConfig has an alternate value that
+ *    shares the base's pass and matches its solo run, so a front end
+ *    that read such a leaf fails; configs that differ in a front-end
+ *    leaf, TLB geometry and replacement included, cannot share one;
  *  - OS events (promotion, splinter, unmap) broadcast to every
  *    substrate;
  *  - a desynced substrate trips its own src/check audit context while
  *    the healthy substrate stays clean.
  */
-
-#include <iterator>
 
 #include <gtest/gtest.h>
 
@@ -104,11 +104,12 @@ TEST(MultiConfigEngine, BitIdenticalAcrossAllSixL1Designs)
     expectOnePassMatchesSerial(configs, testWorkload());
 }
 
-TEST(MultiConfigEngine, MixedGeometriesFormMultipleTlbGroups)
+TEST(MultiConfigEngine, MixedCacheGeometriesShareOneTlb)
 {
-    // Eight substrates spanning L1 sizes, partition widths, core kinds
-    // and TLB shapes: the in-order and unified-TLB members each form
-    // their own TLB group behind the shared front end.
+    // Five substrates spanning L1 designs, sizes, partition widths,
+    // insertion and scheduler-counter policies, frequencies and PIPT
+    // TLB latencies: all of them look up through the first
+    // substrate's TLB hierarchy.
     std::vector<SystemConfig> configs;
 
     SystemConfig a = baseConfig(L1Kind::Seesaw);
@@ -122,45 +123,28 @@ TEST(MultiConfigEngine, MixedGeometriesFormMultipleTlbGroups)
     b.policy = InsertionPolicy::FourWayEightWay;
     configs.push_back(b);
 
-    SystemConfig c = baseConfig(L1Kind::ViptBaseline);
-    c.coreKind = CoreKind::InOrder;
+    SystemConfig c = baseConfig(L1Kind::Seesaw);
+    c.schedulerCounterPolicy = false;
     configs.push_back(c);
 
-    SystemConfig d = baseConfig(L1Kind::Seesaw);
-    d.coreKind = CoreKind::InOrder;
+    SystemConfig d = baseConfig(L1Kind::ViptBaseline);
+    d.freqGhz = 2.80;
     configs.push_back(d);
 
-    SystemConfig e = baseConfig(L1Kind::Seesaw);
-    e.unifiedL1Tlb = true;
+    SystemConfig e = baseConfig(L1Kind::Pipt);
+    e.piptTlbCycles = 3;
     configs.push_back(e);
-
-    SystemConfig f = baseConfig(L1Kind::Seesaw);
-    f.schedulerCounterPolicy = false;
-    configs.push_back(f);
-
-    SystemConfig g = baseConfig(L1Kind::ViptBaseline);
-    g.freqGhz = 2.80;
-    configs.push_back(g);
-
-    SystemConfig h = baseConfig(L1Kind::Pipt);
-    h.piptTlbCycles = 3;
-    configs.push_back(h);
 
     expectOnePassMatchesSerial(configs, testWorkload());
 
-    // Each member looks up through its group exemplar's own hierarchy:
-    // a (out-of-order), c (in-order) and e (unified L1 TLB) lead the
-    // three groups.
     MultiConfigEngine engine(configs, testWorkload());
-    const unsigned exemplar[] = {0, 0, 2, 2, 4, 0, 0, 0};
-    ASSERT_EQ(engine.substrates(), std::size(exemplar));
+    ASSERT_EQ(engine.substrates(), configs.size());
     for (unsigned s = 0; s < engine.substrates(); ++s) {
-        EXPECT_EQ(&engine.complex(s).activeTlb(),
-                  &engine.complex(exemplar[s]).tlb())
+        EXPECT_EQ(&engine.tlb(s), &engine.complex(0).tlb())
             << "substrate " << s;
     }
 
-    // One substrate is its own exemplar.
+    // One substrate looks up through its own hierarchy.
     SimEngine solo(a, testWorkload());
     EXPECT_EQ(&solo.complex(0).activeTlb(), &solo.complex(0).tlb());
 }
@@ -201,50 +185,56 @@ TEST(MultiConfigEngine, MultiCoreCoherentFabricsStayIndependent)
 
 TEST(MultiConfigEngine, PolicyAndPrefetchSubstratesStayBitIdentical)
 {
-    // Substrates differing only in replacement policy or prefetcher:
-    // the TLB groups must fork on the replacement params (policies own
-    // TLB victim side-state) while everything else stays shared, and
-    // every member must match its solo run exactly.
-    std::vector<SystemConfig> configs;
+    // Replacement is front end (the shared TLBs own victim
+    // side-state), so each kind runs its own pass; within it,
+    // substrates differing in prefetcher and L1 design share the
+    // front end, and every one must match its solo run exactly.
     for (ReplacementKind rk :
          {ReplacementKind::Lru, ReplacementKind::Fifo,
           ReplacementKind::Random, ReplacementKind::Srrip}) {
-        SystemConfig cfg = baseConfig(L1Kind::Seesaw);
-        cfg.replacement.kind = rk;
-        configs.push_back(cfg);
-    }
-    for (PrefetchKind pk :
-         {PrefetchKind::NextLine, PrefetchKind::Stride}) {
-        SystemConfig cfg = baseConfig(L1Kind::Seesaw);
-        cfg.prefetch.kind = pk;
-        configs.push_back(cfg);
-    }
-    SystemConfig combo = baseConfig(L1Kind::ViptBaseline);
-    combo.replacement.kind = ReplacementKind::Random;
-    combo.prefetch.kind = PrefetchKind::NextLine;
-    configs.push_back(combo);
+        std::vector<SystemConfig> configs;
+        for (PrefetchKind pk :
+             {PrefetchKind::None, PrefetchKind::NextLine,
+              PrefetchKind::Stride}) {
+            SystemConfig cfg = baseConfig(L1Kind::Seesaw);
+            cfg.replacement.kind = rk;
+            cfg.prefetch.kind = pk;
+            configs.push_back(cfg);
+        }
+        SystemConfig combo = baseConfig(L1Kind::ViptBaseline);
+        combo.replacement.kind = rk;
+        combo.prefetch.kind = PrefetchKind::NextLine;
+        configs.push_back(combo);
 
-    expectOnePassMatchesSerial(configs, testWorkload());
+        SCOPED_TRACE("replacement kind " +
+                     std::to_string(static_cast<int>(rk)));
+        expectOnePassMatchesSerial(configs, testWorkload());
+    }
 }
 
 TEST(MultiConfigEngine, RandomAndPrefetchAtFourCoresStayBitIdentical)
 {
-    // Four cores under the directory fabric with Random victims and
-    // next-line prefetch: the per-core seed derivation
-    // (coreSeed ^ salt) and the prefetch fills' coherence transitions
-    // must replicate exactly between grouped and solo execution.
+    // Four cores under the directory fabric, one pass per replacement
+    // kind with and without next-line prefetch: the per-core seed
+    // derivation (coreSeed ^ salt) and the prefetch fills' coherence
+    // transitions must replicate exactly between shared and solo
+    // execution.
     WorkloadSpec w = testWorkload();
-    std::vector<SystemConfig> configs;
     for (ReplacementKind rk :
          {ReplacementKind::Lru, ReplacementKind::Random}) {
-        SystemConfig cfg = baseConfig(L1Kind::Seesaw);
-        cfg.cores = 4;
-        cfg.fabric = CoherenceKind::Directory;
-        cfg.replacement.kind = rk;
-        cfg.prefetch.kind = PrefetchKind::NextLine;
-        configs.push_back(cfg);
+        std::vector<SystemConfig> configs;
+        for (PrefetchKind pk : {PrefetchKind::None, PrefetchKind::NextLine}) {
+            SystemConfig cfg = baseConfig(L1Kind::Seesaw);
+            cfg.cores = 4;
+            cfg.fabric = CoherenceKind::Directory;
+            cfg.replacement.kind = rk;
+            cfg.prefetch.kind = pk;
+            configs.push_back(cfg);
+        }
+        SCOPED_TRACE("replacement kind " +
+                     std::to_string(static_cast<int>(rk)));
+        expectOnePassMatchesSerial(configs, w);
     }
-    expectOnePassMatchesSerial(configs, w);
 }
 
 /** A base that exercises every shared front-end path: memhog
@@ -266,7 +256,7 @@ richBase(unsigned cores)
     return cfg;
 }
 
-/** One valid non-default value for a TLB-geometry or substrate leaf.
+/** One valid non-default value for a substrate leaf.
  *  Some leaves only take effect, or only stay valid, together with
  *  another: SEESAW needs sets x 64B = 4KB, so size and associativity
  *  move together, and design-specific knobs select their design. */
@@ -277,27 +267,6 @@ struct Alternate
 };
 
 const Alternate kAlternates[] = {
-    // TLB geometry.
-    {"coreKind", [](SystemConfig &c) { c.coreKind = CoreKind::InOrder; }},
-    {"unifiedL1Tlb", [](SystemConfig &c) { c.unifiedL1Tlb = true; }},
-    {"unifiedL1TlbEntries",
-     [](SystemConfig &c) {
-         c.unifiedL1Tlb = true;
-         c.unifiedL1TlbEntries = 32;
-     }},
-    {"replacement.kind",
-     [](SystemConfig &c) { c.replacement.kind = ReplacementKind::Fifo; }},
-    {"replacement.rripBits",
-     [](SystemConfig &c) {
-         c.replacement.kind = ReplacementKind::Srrip;
-         c.replacement.rripBits = 3;
-     }},
-    {"replacement.seed",
-     [](SystemConfig &c) {
-         c.replacement.kind = ReplacementKind::Random;
-         c.replacement.seed = 99;
-     }},
-    // Substrate.
     {"l1Kind",
      [](SystemConfig &c) { c.l1Kind = L1Kind::ViptBaseline; }},
     {"l1SizeBytes",
@@ -373,7 +342,7 @@ leafValues(SystemConfig c)
 TEST(MultiConfigEngine, EveryNonFrontEndLeafSharesOnePass)
 {
     // The one-pass contract, tested directly: the base plus one
-    // alternate per TLB-geometry and substrate leaf run as one pass,
+    // alternate per substrate leaf run as one pass,
     // and each result must equal that config's solo run. A front end
     // that read any of these leaves would follow the base's value and
     // diverge from the alternate's solo run.
@@ -402,7 +371,6 @@ TEST(MultiConfigEngine, EveryNonFrontEndLeafSharesOnePass)
         const bool front_end =
             roles[test::kFrontEnd] != base_roles[test::kFrontEnd];
         const bool forks =
-            roles[test::kTlbGeometry] != base_roles[test::kTlbGeometry] ||
             roles[test::kSubstrate] != base_roles[test::kSubstrate];
         if (forks && !front_end) {
             EXPECT_TRUE(covered[index])
@@ -446,6 +414,19 @@ TEST(MultiConfigEngine, FrontEndKeyIsExact)
     EXPECT_FALSE(MultiConfigEngine::compatibleFrontEnds(a, b));
     EXPECT_DEATH(MultiConfigEngine({a, a, b}, testWorkload()),
                  "config 2 differs from config 0");
+}
+
+TEST(MultiConfigEngine, ReplacementKindSplitsThePass)
+{
+    // A pass has one TLB hierarchy per core, and its replacement policy
+    // owns victim side-state: configs that differ only in victim
+    // selection need a pass each.
+    SystemConfig lru = baseConfig(L1Kind::Seesaw);
+    SystemConfig fifo = lru;
+    fifo.replacement.kind = ReplacementKind::Fifo;
+    EXPECT_FALSE(MultiConfigEngine::compatibleFrontEnds(lru, fifo));
+    EXPECT_DEATH(MultiConfigEngine({lru, fifo}, testWorkload()),
+                 "incompatible front ends");
 }
 
 TEST(MultiConfigEngine, OsEventsBroadcastToEverySubstrate)
