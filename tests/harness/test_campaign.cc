@@ -204,18 +204,15 @@ TEST(CampaignRunner, OnePassSplitsIncompatibleFrontEnds)
     spec.cell("text-32m", large_text, icache);
     spec.cell("pipt", findWorkload("redis"), tinyConfig(L1Kind::Pipt));
 
-    const auto in_order = [](SystemConfig &c) {
-        c.coreKind = CoreKind::InOrder;
+    const std::pair<std::string, void (*)(SystemConfig &)> geometries[] = {
+        {"in-order", [](SystemConfig &c) { c.coreKind = CoreKind::InOrder; }},
+        {"unified-tlb", [](SystemConfig &c) { c.unifiedL1Tlb = true; }},
+        {"srrip",
+         [](SystemConfig &c) {
+             c.replacement.kind = ReplacementKind::Srrip;
+         }},
     };
-    const auto unified = [](SystemConfig &c) { c.unifiedL1Tlb = true; };
-    const auto srrip = [](SystemConfig &c) {
-        c.replacement.kind = ReplacementKind::Srrip;
-    };
-    for (const auto &[name, apply] :
-         {std::pair<std::string, void (*)(SystemConfig &)>{"in-order",
-                                                           in_order},
-          {"unified-tlb", unified},
-          {"srrip", srrip}}) {
+    for (const auto &[name, apply] : geometries) {
         for (const L1Kind kind : {L1Kind::ViptBaseline, L1Kind::Seesaw}) {
             SystemConfig config = tinyConfig(kind);
             apply(config);
