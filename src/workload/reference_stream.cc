@@ -30,6 +30,7 @@ ReferenceStream::ReferenceStream(const WorkloadSpec &spec,
                       spec.memRefFraction <= 1.0,
                   "memRefFraction out of range");
     meanGap_ = 1.0 / spec.memRefFraction - 1.0;
+    gapTable_ = GeometricTable(meanGap_);
     numRegions_ = std::max<std::uint64_t>(1, numLines_ / kLinesPerRegion);
 
     // Thread-private hot region: thread t's hot set starts t hot-set
@@ -114,7 +115,7 @@ ReferenceStream::next()
 {
     MemRef ref;
     ref.gap = static_cast<std::uint32_t>(
-        std::min<std::uint64_t>(rng_.nextGeometric(meanGap_), 10000));
+        std::min<std::uint64_t>(gapTable_.draw(rng_), 10000));
     ref.type = rng_.chance(spec_.writeFraction) ? AccessType::Write
                                                 : AccessType::Read;
 
