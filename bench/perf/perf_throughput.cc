@@ -7,8 +7,11 @@
  *
  *  - micro: ns/op of the primitives the simulator is built from —
  *    PageTable::translate() fast and slow paths, TLB lookup, VIPT L1
- *    probe, TFT lookup, the full SEESAW L1 access, and a buddy
- *    allocate/free pair (the OS model's frame allocator).
+ *    probe, TFT lookup, the full SEESAW L1 access, a buddy
+ *    allocate/free pair (the OS model's frame allocator), one
+ *    ReferenceStream::next() of redis (zipf hot set) and gups (random
+ *    chase), and the raw nextGeometric / nextZipf draws it is built
+ *    from.
  *  - macro: simulated L1 accesses per second (and instructions per
  *    second) of whole-system runs, one cell per L1 design x workload
  *    class (zipf-hot / pointer-chase / streaming) on the paper's OoO
@@ -52,6 +55,7 @@
 #include "sim/report.hh"
 #include "sim/sim_engine.hh"
 #include "tlb/tlb.hh"
+#include "workload/reference_stream.hh"
 
 namespace {
 
@@ -281,6 +285,43 @@ runMicroSuite(unsigned repeats)
                     live += *frame;
                     buddy.free(*frame, 0);
                 }
+                consume(live);
+            }));
+    }
+
+    for (const char *workload : {"redis", "gups"}) {
+        ReferenceStream stream(findWorkload(workload), 1ULL << 32, 1);
+        out.push_back(runMicro(
+            std::string("reference_stream_next_") + workload, 4'000'000,
+            repeats, [&](std::uint64_t iters) {
+                std::uint64_t live = 0;
+                for (std::uint64_t i = 0; i < iters; ++i) {
+                    const MemRef ref = stream.next();
+                    live += ref.va + ref.gap;
+                }
+                consume(live);
+            }));
+    }
+
+    {
+        // At redis's reference-gap mean and hot-set size.
+        const WorkloadSpec &redis = findWorkload("redis");
+        const double mean_gap = 1.0 / redis.memRefFraction - 1.0;
+        const std::uint64_t hot_lines = redis.hotSetBytes / 64;
+        Rng rng(5);
+        out.push_back(runMicro(
+            "rng_geometric", 8'000'000, repeats,
+            [&](std::uint64_t iters) {
+                std::uint64_t live = 0;
+                for (std::uint64_t i = 0; i < iters; ++i)
+                    live += rng.nextGeometric(mean_gap);
+                consume(live);
+            }));
+        out.push_back(runMicro(
+            "rng_zipf", 8'000'000, repeats, [&](std::uint64_t iters) {
+                std::uint64_t live = 0;
+                for (std::uint64_t i = 0; i < iters; ++i)
+                    live += rng.nextZipf(hot_lines, redis.zipfAlpha);
                 consume(live);
             }));
     }
