@@ -114,8 +114,7 @@ ZipfTable::ZipfTable(std::uint64_t n, double alpha)
 GeometricTable::GeometricTable(double mean)
     : mean_(mean), thresholds_{0}
 {
-    SEESAW_ASSERT(!std::isnan(mean) && !std::isinf(mean),
-                  "geometric mean must be finite");
+    SEESAW_ASSERT(std::isfinite(mean), "geometric mean must be finite");
     if (mean > 0.0) {
         // Tabulate T_k until the tail above it has probability below
         // 2^-14, the grid runs out, or the table reaches its cap.

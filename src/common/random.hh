@@ -209,10 +209,9 @@ class GeometricTable
      *  tabulated threshold; kUnitGridPoints if the table is whole). */
     std::uint64_t tail() const { return tail_; }
 
+  private:
     /** Grid points on each side of a threshold that use the formula. */
     static constexpr std::uint64_t kWindow = 1ULL << 16;
-
-  private:
     static constexpr int kGuideBits = 12;
     static constexpr int kGuideShift = 53 - kGuideBits;
     static constexpr std::uint32_t kSlow = 1U << 31;

@@ -29,8 +29,7 @@ ReferenceStream::ReferenceStream(const WorkloadSpec &spec,
     SEESAW_ASSERT(spec.memRefFraction > 0.0 &&
                       spec.memRefFraction <= 1.0,
                   "memRefFraction out of range");
-    meanGap_ = 1.0 / spec.memRefFraction - 1.0;
-    gapTable_ = GeometricTable(meanGap_);
+    gapTable_ = GeometricTable(1.0 / spec.memRefFraction - 1.0);
     numRegions_ = std::max<std::uint64_t>(1, numLines_ / kLinesPerRegion);
 
     // Thread-private hot region: thread t's hot set starts t hot-set

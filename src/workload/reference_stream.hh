@@ -71,8 +71,7 @@ class ReferenceStream
     std::uint64_t hotLines_;    //!< hot set in 64B lines
     std::uint64_t privateHotBase_ = 0; //!< thread-private hot region
     std::uint64_t streamCursor_ = 0;
-    double meanGap_;
-    GeometricTable gapTable_; //!< draws the gaps at mean meanGap_
+    GeometricTable gapTable_; //!< instruction gaps between references
 
     // Pointer-chase random-walk state: the walk lingers inside one
     // 2MB region (spec_.chaseRegionStayRefs on average), jumps within
