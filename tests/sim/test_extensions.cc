@@ -6,6 +6,7 @@
 
 #include <cstdio>
 
+#include "demand_trace.hh"
 #include "sim/experiment.hh"
 #include "workload/trace.hh"
 
@@ -173,16 +174,7 @@ TEST(Extensions, TraceLoopsWhenShorterThanBudget)
 
 TEST(Extensions, TraceOutsideFootprintIsDemandPaged)
 {
-    const std::string path =
-        std::string(::testing::TempDir()) + "/wild.trace";
-    {
-        TraceWriter writer(path);
-        // Addresses far outside the premapped heap.
-        for (int i = 0; i < 64; ++i)
-            writer.append(MemRef{10,
-                                 (Addr{3} << 40) + i * 0x200000ULL,
-                                 AccessType::Read});
-    }
+    const std::string path = test::writeDemandFaultingTrace("wild.trace");
     SystemConfig cfg = smallConfig();
     cfg.instructions = 2'000;
     cfg.warmupInstructions = 0;

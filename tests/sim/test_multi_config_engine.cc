@@ -4,7 +4,8 @@
  *  - an N-substrate pass is bit-identical to N serial SimEngine runs
  *    across all six L1 designs, mixed cache geometries over one shared
  *    TLB hierarchy, replacement and prefetch substrates (one pass per
- *    replacement kind), the L1I extension and multi-core coherence;
+ *    replacement kind), the L1I extension, a demand-faulting trace
+ *    and multi-core coherence;
  *  - every substrate leaf of SystemConfig has an alternate value that
  *    shares the base's pass and matches its solo run, so a front end
  *    that read such a leaf fails; configs that differ in a front-end
@@ -17,8 +18,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
 #include "check/invariant_auditor.hh"
 #include "config_leaves.hh"
+#include "demand_trace.hh"
 #include "sim/multi_config_engine.hh"
 #include "sim/sim_engine.hh"
 
@@ -168,6 +172,28 @@ TEST(MultiConfigEngine, InstructionCachePathIsBitIdentical)
     configs.push_back(mixed);
 
     expectOnePassMatchesSerial(configs, w);
+}
+
+TEST(MultiConfigEngine, DemandFaultingTraceIsBitIdentical)
+{
+    // The substrates share the trace reader and the demand-paging map
+    // in the front end; with no warmup every fault lands in the window.
+    const std::string path =
+        test::writeDemandFaultingTrace("one_pass_wild.trace");
+    std::vector<SystemConfig> configs;
+    for (L1Kind kind : {L1Kind::ViptBaseline, L1Kind::Seesaw}) {
+        SystemConfig cfg = baseConfig(kind);
+        cfg.tracePath = path;
+        cfg.warmupInstructions = 0;
+        configs.push_back(cfg);
+    }
+    configs.push_back(configs.back());
+    configs.back().policy = InsertionPolicy::FourWayEightWay;
+
+    for (const RunResult &r : expectOnePassMatchesSerial(
+             configs, testWorkload(), {"vipt", "seesaw", "seesaw_4way8way"}))
+        EXPECT_GT(r.pageFaults, 0u);
+    std::remove(path.c_str());
 }
 
 TEST(MultiConfigEngine, MultiCoreCoherentFabricsStayIndependent)

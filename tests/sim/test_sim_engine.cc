@@ -17,13 +17,18 @@
  *    4way-8way insertion policy under base-page pressure are pinned
  *    the same way;
  *  - 4-core runs under the exact MOESI directory are pinned with the
- *    fabric's and the directory's own counters.
+ *    fabric's and the directory's own counters;
+ *  - the L1I fetch path (VIPT and SEESAW) and a trace whose every
+ *    region is demand paged are pinned with the L1I and page-fault
+ *    counters, which no other row moves.
  */
 
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cstdio>
 
+#include "demand_trace.hh"
 #include "sim/sim_engine.hh"
 
 namespace seesaw {
@@ -432,6 +437,69 @@ TEST(SimEngineGolden, EveryReplacementPolicyIsPinned)
             << t.name;
         EXPECT_EQ(tlb.get("walks"), static_cast<double>(t.walks))
             << t.name;
+    }
+}
+
+/** One pinned single-core path that no other row reaches:
+ *  goldenConfig() and goldenWorkload() as @c configure leaves them,
+ *  plus the instruction-cache and demand-paging counters. */
+struct PathGoldenRow
+{
+    const char *name;
+    void (*configure)(SystemConfig &);
+    std::uint64_t l1iAccesses;
+    std::uint64_t l1iMisses;
+    std::uint64_t pageFaults;
+    GoldenRow golden;
+};
+
+// Captured when these paths were first pinned. The L1I rows fetch
+// through an L1I of the L1D's design; the trace row replays
+// test::writeDemandFaultingTrace(), whose every 2MB region faults on
+// first touch, with no warmup so the faults land in the window.
+const PathGoldenRow kPathGolden[] = {
+    {"icache_vipt",
+     [](SystemConfig &c) {
+         c.modelInstructionCache = true;
+     },
+     15000ULL, 2442ULL, 0ULL,
+     {ViptKind, 1ULL, 60000ULL, 51548ULL, 1.1639636843330488, 21856ULL,
+      20031ULL, 1825ULL, 0ULL, 4267ULL, 2408ULL, 53ULL, 0ULL, 0ULL, 0ULL,
+      9279.3384416705194, 1, 1825ULL, 2700ULL, 2459ULL}},
+    {"icache_seesaw",
+     [](SystemConfig &c) {
+         c.modelInstructionCache = true;
+     },
+     15000ULL, 2488ULL, 0ULL,
+     {SeesawKind, 1ULL, 60000ULL, 52707ULL, 1.1383687176276396,
+      21856ULL, 19775ULL, 2081ULL, 21851ULL, 4569ULL, 2402ULL, 53ULL,
+      21856ULL, 21851ULL, 21856ULL, 8690.2212634490352, 1, 2081ULL,
+      2700ULL, 2445ULL}},
+    {"trace_demand_faults_seesaw",
+     [](SystemConfig &c) {
+         c.tracePath = test::writeDemandFaultingTrace("golden_wild.trace");
+         c.warmupInstructions = 0;
+     },
+     0ULL, 0ULL, 64ULL,
+     {SeesawKind, 1ULL, 60000ULL, 388815ULL, 0.1543150341422013, 5455ULL,
+      322ULL, 5133ULL, 0ULL, 5133ULL, 5119ULL, 3939ULL, 5455ULL, 0ULL,
+      5115ULL, 84083.920132499421, 0.94999999999999996, 5133ULL,
+      2699ULL, 327ULL}},
+};
+
+TEST(SimEngineGolden, InstructionCacheAndDemandFaultingTraceArePinned)
+{
+    for (const PathGoldenRow &p : kPathGolden) {
+        SystemConfig cfg = goldenConfig(p.golden.kind, p.golden.seed);
+        p.configure(cfg);
+        const RunResult r = SimEngine(cfg, goldenWorkload()).run();
+        if (!cfg.tracePath.empty())
+            std::remove(cfg.tracePath.c_str());
+
+        expectGolden(r, p.golden, p.name);
+        EXPECT_EQ(r.l1iAccesses, p.l1iAccesses) << p.name;
+        EXPECT_EQ(r.l1iMisses, p.l1iMisses) << p.name;
+        EXPECT_EQ(r.pageFaults, p.pageFaults) << p.name;
     }
 }
 
