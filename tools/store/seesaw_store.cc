@@ -6,11 +6,20 @@
  * store and a campaign JSON sink, or between two sinks), historical
  * stat queries (`trend`) and maintenance (`compact`).
  *
- * `diff` is exact: the simulator is deterministic, so any two runs of
- * the same cells must agree on every statistic bit-for-bit; only
- * wall times, job counts and git revisions may differ and those are
- * never compared. Exit status: 0 = identical, 1 = drift, 2 = usage
- * or I/O error.
+ * `diff` is the one comparator of campaign results, and it is exact:
+ * the simulator is deterministic, so any two runs of the same cells
+ * must agree bit for bit. Cells are matched by their (workload,
+ * config_hash, seed) key; each matched pair must agree on its cell
+ * name, core count, every stat and every per-core stat, and a key on
+ * one side only is drift. Deliberately not compared:
+ *  - the campaign name, which names a run, not a result (stores
+ *    treat it as volatile too);
+ *  - result order, which `CampaignRunner.SerialAndParallelAreBitIdentical`
+ *    pins;
+ *  - git revisions, job counts and wall times, which vary by host.
+ * A JSON sink must be schema version 1, hold the cell count its
+ * header gives, and hold each key once.
+ * Exit status: 0 = identical, 1 = drift, 2 = usage or input error.
  */
 
 #include <cinttypes>
@@ -50,8 +59,14 @@ usage()
         "                            volatile fields omitted)\n"
         "  diff A B [--ignore STAT]  compare stores and/or campaign "
         "JSON\n"
-        "                            sinks cell-by-cell; exit 1 on "
-        "drift\n"
+        "                            sinks cell by cell: cell name, "
+        "cores,\n"
+        "                            stats and per-core stats; exit 1 "
+        "on\n"
+        "                            drift. Not compared: campaign "
+        "name,\n"
+        "                            result order, git, jobs, wall "
+        "times\n"
         "  trend DIR STAT [FILTER]   STAT's history, oldest first, "
         "for\n"
         "                            cells whose name contains "
@@ -65,6 +80,13 @@ isStoreDir(const std::string &path)
 {
     return fs::is_directory(path) &&
            fs::exists(path + "/MANIFEST.json");
+}
+
+std::string
+keyLabel(const CellKey &key)
+{
+    return key.workload + "/" + harness::configHashHex(key.configHash) +
+           "/s" + std::to_string(key.seed);
 }
 
 /** Load a campaign JSON sink's results[] into store records. */
@@ -85,13 +107,28 @@ loadCampaignJson(const std::string &path,
     const store::JsonValue *results = doc.find("results");
     if (results == nullptr || !results->isArray())
         return path + ": no results array (not a campaign sink?)";
+    // The version emitCampaignJson writes; like the store, refuse any
+    // other rather than read it as this one.
+    const store::JsonValue *version = doc.find("schema_version");
+    if (version == nullptr || !version->isNumber() ||
+        !version->integral || version->u != 1)
+        return path + ": not a schema version 1 campaign sink";
+    const store::JsonValue *cells = doc.find("cells");
+    if (cells == nullptr || !cells->isNumber() || !cells->integral ||
+        cells->u != results->items.size())
+        return path + ": results holds " +
+               std::to_string(results->items.size()) +
+               " cells, not the count its header gives";
 
     for (const auto &entry : results->items) {
         CellRecord record;
         error = store::parseRecordFields(entry, record);
         if (!error.empty())
             return path + ": " + error;
-        out[record.key] = std::move(record);
+        const auto [it, fresh] = out.try_emplace(record.key, record);
+        if (!fresh)
+            return path + ": cells " + it->second.cell + " and " +
+                   record.cell + " share key " + keyLabel(record.key);
     }
     return "";
 }
@@ -112,13 +149,6 @@ loadSide(const std::string &path, std::map<CellKey, CellRecord> &out)
         return loadCampaignJson(path, out);
     return path + " is neither a result store nor a campaign JSON "
                   "sink";
-}
-
-std::string
-keyLabel(const CellKey &key)
-{
-    return key.workload + "/" + harness::configHashHex(key.configHash) +
-           "/s" + std::to_string(key.seed);
 }
 
 std::string
@@ -268,6 +298,11 @@ cmdDiff(const std::string &pathA, const std::string &pathB,
         }
         const CellRecord &other = it->second;
         const std::string label = keyLabel(key);
+        if (record.cell != other.cell) {
+            std::printf("  %s/cell: %s vs %s\n", label.c_str(),
+                        record.cell.c_str(), other.cell.c_str());
+            ++drift;
+        }
         if (record.cores != other.cores) {
             std::printf("  %s/cores: %u vs %u\n", label.c_str(),
                         record.cores, other.cores);
