@@ -190,8 +190,9 @@ TEST(MultiConfigEngine, DemandFaultingTraceIsBitIdentical)
     configs.push_back(configs.back());
     configs.back().policy = InsertionPolicy::FourWayEightWay;
 
-    for (const RunResult &r : expectOnePassMatchesSerial(
-             configs, testWorkload(), {"vipt", "seesaw", "seesaw_4way8way"}))
+    const std::vector<RunResult> results = expectOnePassMatchesSerial(
+        configs, testWorkload(), {"vipt", "seesaw", "seesaw_4way8way"});
+    for (const RunResult &r : results)
         EXPECT_GT(r.pageFaults, 0u);
     std::remove(path.c_str());
 }

@@ -441,8 +441,8 @@ TEST(SimEngineGolden, EveryReplacementPolicyIsPinned)
 }
 
 /** One pinned single-core path that no other row reaches:
- *  goldenConfig() and goldenWorkload() as @c configure leaves them,
- *  plus the instruction-cache and demand-paging counters. */
+ *  goldenConfig() as @c configure leaves it, plus the
+ *  instruction-cache and demand-paging counters. */
 struct PathGoldenRow
 {
     const char *name;
